@@ -41,6 +41,10 @@ def jcm_direct_packet_ids(K: int, t: int) -> list[tuple[tuple[int, ...], int]]:
     ]
 
 
+class ComparisonFailed(ValueError):
+    """A PT-vs-baseline comparison broke one of its guarantees."""
+
+
 @dataclass(frozen=True)
 class ComparisonRecord:
     """Side-by-side outcome of simulating a PT scheme and the baseline."""
@@ -75,8 +79,8 @@ def compare(
 ) -> ComparisonRecord:
     """Simulate both schemes on the same demands and seed.
 
-    Requires matching (K, t); asserts equal rate, strictly smaller PT
-    subpacketization, and decode success on both sides.
+    Requires matching (K, t); raises ``ComparisonFailed`` unless the rates
+    are equal, PT subpacketization is strictly smaller, and both sides decode.
     """
     if (pt.params.K, pt.params.t) != (jcm.params.K, jcm.params.t):
         raise ValueError("schemes must share (K, t) to be comparable")
@@ -94,7 +98,14 @@ def compare(
         pt_decodes=pt_ok,
         jcm_decodes=jcm_ok,
     )
-    assert record.pt_rate == record.jcm_rate, "rates must match"
-    assert record.pt_packets < record.jcm_packets, "PT must strictly reduce packets"
-    assert record.pt_decodes and record.jcm_decodes, "both schemes must decode"
+    if record.pt_rate != record.jcm_rate:
+        raise ComparisonFailed(f"rates differ: PT {record.pt_rate}, baseline {record.jcm_rate}")
+    if record.pt_packets >= record.jcm_packets:
+        raise ComparisonFailed(
+            f"PT needs {record.pt_packets} packets, baseline {record.jcm_packets}"
+        )
+    if not (record.pt_decodes and record.jcm_decodes):
+        raise ComparisonFailed(
+            f"decode failed: PT {record.pt_decodes}, baseline {record.jcm_decodes}"
+        )
     return record

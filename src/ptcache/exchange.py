@@ -13,7 +13,7 @@ Payloads are carried as bytes on messages and as big integers internally.
 from __future__ import annotations
 
 import hashlib
-import json
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -44,6 +44,14 @@ class DuplicateDelivery(ValueError):
     """The same packet id was decoded twice by one user."""
 
 
+class PacketLayoutMismatch(ValueError):
+    """The packet template disagrees with the derivation's packet counts or sizes."""
+
+
+class DeliveryCountMismatch(ValueError):
+    """A receiver's packet count differs from the messages its group can carry to it."""
+
+
 class FileOracle:
     """Deterministic keyed byte source standing in for real files.
 
@@ -65,9 +73,6 @@ class FileOracle:
             got = h.digest(length)
             self._cache[(n, length)] = got
         return got
-
-    def byte(self, n: int, offset: int, length: int) -> int:
-        return self.file_bytes(n, length)[offset]
 
 
 class PacketStore:
@@ -92,8 +97,15 @@ class PacketStore:
         self.template = tuple(entries)
         self.index = {e[:3]: pos for pos, e in enumerate(entries)}
         self.bytes_per_file = derivation.sizing.L * unit
-        assert sum(e[3] for e in entries) == self.bytes_per_file
-        assert len(entries) == derivation.packets_per_file
+        if sum(e[3] for e in entries) != self.bytes_per_file:
+            raise PacketLayoutMismatch(
+                f"packet sizes sum to {sum(e[3] for e in entries)} bytes, "
+                f"expected {self.bytes_per_file}"
+            )
+        if len(entries) != derivation.packets_per_file:
+            raise PacketLayoutMismatch(
+                f"{len(entries)} packets per file, expected {derivation.packets_per_file}"
+            )
         self._values: dict[int, list[int]] = {}
 
     @property
@@ -124,6 +136,10 @@ class PacketStore:
 
     def payload_at(self, n: int, pos: int) -> int:
         return self._values[n][pos]
+
+    def file_values(self, n: int) -> list[int]:
+        """File n's packet payloads by canonical position (shared; do not mutate)."""
+        return self._values[n]
 
     def file_packet_ids(self, n: int) -> Iterator[PacketId]:
         for support, g, j, _ in self.template:
@@ -202,32 +218,31 @@ class CodedMessage:
     constituents: tuple[PacketId, ...]
 
 
+_WORDS = struct.Struct(">8Q")
+
+
 def _shuffled_indices(n: int, key: bytes) -> list[int]:
     """Fisher-Yates permutation of 1..n driven by a keyed counter hash."""
     out = list(range(1, n + 1))
     words: list[int] = []
-    counter = 0
-    while len(words) < n - 1:
+    for counter in range((n + 6) // 8):  # 8 words per digest, n - 1 needed
         digest = hashlib.blake2b(
             counter.to_bytes(4, "big"), digest_size=64, key=key
         ).digest()
-        words.extend(
-            int.from_bytes(digest[i : i + 8], "big") for i in range(0, 64, 8)
-        )
-        counter += 1
+        words.extend(_WORDS.unpack(digest))
     for i in range(n - 1, 0, -1):
         j = words[n - 1 - i] % (i + 1)
         out[i], out[j] = out[j], out[i]
     return out
 
 
-def _bijection_key(seed: int, round_g: int, group_tag: bytes, receiver: int) -> bytes:
-    raw = (
-        seed.to_bytes(8, "big", signed=True)
-        + round_g.to_bytes(2, "big")
-        + group_tag
-        + receiver.to_bytes(4, "big")
-    )
+def _bijection_key(group_prefix: bytes, receiver: int) -> bytes:
+    """Key of a receiver's bijection.
+
+    ``group_prefix`` is seed (8 bytes, signed) + round (2 bytes) + each
+    group member (4 bytes), all big-endian; the receiver follows in 4 bytes.
+    """
+    raw = group_prefix + receiver.to_bytes(4, "big")
     return hashlib.blake2b(raw, digest_size=16).digest()
 
 
@@ -245,6 +260,9 @@ def generate_delivery(
     (transmitter, repeat), so the receiver collects each of its packet
     indices exactly once.  Messages are ordered by (round, group type, group,
     transmitter, repeat); any order decodes identically.
+
+    Raises ``DeliveryCountMismatch`` when a receiver's packet count is not
+    (its transmitters) x (repeats), i.e. the bijection cannot exist.
     """
     p = derivation.params
     if len(demands) != p.K:
@@ -257,59 +275,74 @@ def generate_delivery(
     grouping = derivation.grouping
     layout = derivation.layout
     first_size = grouping.sizes[0]
-    comp_of = (lambda u: 0) if grouping.m == 1 else (lambda u: 0 if u <= first_size else 1)
-    unit = p.unit
+    # component of each user (index 0 unused)
+    comp_of = [0] + [
+        0 if grouping.m == 1 or u <= first_size else 1 for u in range(1, p.K + 1)
+    ]
+    index = store.index
+    seed_bytes = seed.to_bytes(8, "big", signed=True)
     messages: list[CodedMessage] = []
     for g in range(1, derivation.spec.G + 1):
         entries = derivation.fs.intermediate[g - 1]
         plan = derivation.spec.plans[g - 1]
-        size_bytes = derivation.sizing.ell[g - 1] * unit
+        size_bytes = derivation.sizing.ell[g - 1] * p.unit
+        round_prefix = seed_bytes + g.to_bytes(2, "big")
         for k, s in enumerate(layout.group_types):
             repeat_count = derivation.repeats[g - 1][k]
             if repeat_count == 0:
                 continue
             if any(c > size for c, size in zip(s, grouping.sizes)):
                 continue  # group type with no instances at this grouping
-            involved = dict(layout.involved[k])
+            alpha_of_comp = {c: entries[ti] for c, ti in layout.involved[k]}
             dagger_comps = plan.daggers[k]
             for group in subsets_by_type(grouping.groups, s):
-                transmitters = tuple(u for u in group if comp_of(u) in dagger_comps)
-                group_tag = b"".join(u.to_bytes(4, "big") for u in group)
-                alpha_of = {y: entries[involved[comp_of(y)]] for y in group}
-                sub_support = {y: tuple(z for z in group if z != y) for y in group}
-                assignment: dict[int, dict[tuple[int, int], int]] = {}
-                for y in group:
-                    if alpha_of[y] == 0:
+                transmitters = tuple([u for u in group if comp_of[u] in dagger_comps])
+                group_prefix = round_prefix + b"".join([u.to_bytes(4, "big") for u in group])
+                # Receiver y's packets of (group minus y, g) sit at flat
+                # positions base+1..base+alpha of its file; the domain of its
+                # bijection is (sender slot, repeat) in row-major order.
+                receivers = []
+                for i, y in enumerate(group):
+                    alpha = alpha_of_comp[comp_of[y]]
+                    if alpha == 0:
                         continue
-                    domain = [
-                        (x, rep)
-                        for x in transmitters
-                        if x != y
-                        for rep in range(1, repeat_count + 1)
-                    ]
-                    order = _shuffled_indices(
-                        alpha_of[y], _bijection_key(seed, g, group_tag, y)
+                    senders = transmitters if y not in transmitters else tuple(
+                        [x for x in transmitters if x != y]
                     )
-                    assert len(domain) == alpha_of[y]
-                    assignment[y] = dict(zip(domain, order))
-                for x in transmitters:
-                    for rep in range(1, repeat_count + 1):
-                        constituents = tuple(
-                            (demands[y - 1], sub_support[y], g, assignment[y][(x, rep)])
-                            for y in group
-                            if y != x and alpha_of[y] > 0
+                    if len(senders) * repeat_count != alpha:
+                        raise DeliveryCountMismatch(
+                            f"receiver {y} of group {group} needs {alpha} packets in "
+                            f"round {g}, but {len(senders)} transmitters x "
+                            f"{repeat_count} repeats carry {len(senders) * repeat_count}"
                         )
+                    support = group[:i] + group[i + 1 :]
+                    n = demands[y - 1]
+                    order = _shuffled_indices(alpha, _bijection_key(group_prefix, y))
+                    base = index[(support, g, 1)] - 1
+                    receivers.append((y, n, support, store.file_values(n), base, order, senders))
+                for x in transmitters:
+                    carried = []
+                    for y, n, support, values, base, order, senders in receivers:
+                        if y != x:
+                            start = senders.index(x) * repeat_count
+                            carried.append(
+                                (n, support, values, base, order[start : start + repeat_count])
+                            )
+                    for r in range(repeat_count):
                         payload = 0
-                        for pid in constituents:
-                            payload ^= store.payload(pid)
+                        constituents = []
+                        for n, support, values, base, indices in carried:
+                            j = indices[r]
+                            payload ^= values[base + j]
+                            constituents.append((n, support, g, j))
                         messages.append(
                             CodedMessage(
-                                round=g,
-                                group=group,
-                                transmitter=x,
-                                repeat=rep,
-                                payload=payload.to_bytes(size_bytes, "big"),
-                                constituents=constituents,
+                                g,
+                                group,
+                                x,
+                                r + 1,
+                                payload.to_bytes(size_bytes, "big"),
+                                tuple(constituents),
                             )
                         )
     return messages
@@ -322,16 +355,16 @@ def total_transmitted_units(messages: Iterable[CodedMessage], derivation: Derive
 
 def _assemble(store: PacketStore, user: int, wanted: int, decoded: dict[PacketId, int]) -> bytes:
     """Join cached and decoded packets of file ``wanted`` in canonical order."""
+    values = store.file_values(wanted)
     parts: list[bytes] = []
     leftovers = dict(decoded)
     for pos, (support, g, j, size) in enumerate(store.template):
-        pid = (wanted, support, g, j)
         if user in support:
-            value = store.payload_at(wanted, pos)
+            value = values[pos]
         else:
-            if pid not in leftovers:
-                raise MissingPacket(f"user {user} never decoded {pid}")
-            value = leftovers.pop(pid)
+            value = leftovers.pop((wanted, support, g, j), None)
+            if value is None:
+                raise MissingPacket(f"user {user} never decoded {(wanted, support, g, j)}")
         parts.append(value.to_bytes(size, "big"))
     if leftovers:
         raise DuplicateDelivery(
@@ -384,53 +417,81 @@ def decode_all(
 ) -> dict[int, bytes]:
     """Decode every user in one pass over the messages.
 
-    Equivalent to calling decode() per user: each receiver XORs the
-    constituents it caches (here via prefix/suffix XOR sweeps, which touch
-    only the other constituents) against the payload.
+    Each constituent must be lacked by exactly one group member, its owner,
+    who is not the transmitter and caches every other constituent; otherwise
+    ``UndecodableMessage`` is raised.  With that checked, the owner's XOR of
+    the other constituents uses only its cache, so with ``total`` the payload
+    XOR-ed with every constituent, constituent i decodes to ``total ^ v_i``.
     """
     if not caches:
         raise ValueError("no caches")
     store = caches[0].store
+    index = store.index
+    file_values = store.file_values
     decoded: dict[int, dict[PacketId, int]] = {u + 1: {} for u in range(len(caches))}
     for msg in messages:
-        pids = msg.constituents
-        values = [store.payload(pid) for pid in pids]
-        n = len(values)
-        pre = [0] * (n + 1)
-        for i, v in enumerate(values):
-            pre[i + 1] = pre[i] ^ v
-        suf = [0] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            suf[i] = suf[i + 1] ^ values[i]
-        payload = int.from_bytes(msg.payload, "big")
-        for i, pid in enumerate(pids):
-            owner = next(u for u in msg.group if u not in pid[1])
+        members = set(msg.group)
+        total = int.from_bytes(msg.payload, "big")
+        unknowns = []
+        for pid in msg.constituents:
+            n, support, g, j = pid
+            lacking = members.difference(support)
+            if len(lacking) != 1:
+                raise UndecodableMessage(
+                    f"{len(lacking)} members of group {msg.group} lack {pid}, expected 1"
+                )
+            (owner,) = lacking
+            if owner == msg.transmitter:
+                raise UndecodableMessage(f"transmitter {owner} does not cache {pid}")
+            value = file_values(n)[index[(support, g, j)]]
+            total ^= value
+            unknowns.append((owner, pid, value))
+        # Each owner lacks only its own constituent, so it caches all the
+        # others exactly when no two constituents share an owner.
+        if len({owner for owner, _, _ in unknowns}) != len(unknowns):
+            raise UndecodableMessage(
+                f"a member of group {msg.group} lacks two constituents of one message"
+            )
+        for owner, pid, value in unknowns:
             bucket = decoded[owner]
             if pid in bucket:
                 raise DuplicateDelivery(f"user {owner} decoded {pid} twice")
-            bucket[pid] = payload ^ pre[i] ^ suf[i + 1]
+            bucket[pid] = total ^ value
     return {
         user: _assemble(store, user, demands[user - 1], decoded[user])
         for user in decoded
     }
 
 
+_LINE = (
+    '{"round":%d,"group":[%s],"transmitter":%d,"repeat":%d,'
+    '"constituents":[%s],"payload_sha256":"%s"}'
+)
+_CONSTITUENT = '{"file":%d,"support":[%s],"coupled_group":%d,"index":%d}'
+
+
 def transcript_lines(messages: Iterable[CodedMessage]) -> Iterator[str]:
-    """JSON-lines transcript: one record per message, payloads as hashes."""
+    """JSON-lines transcript: one record per message, payloads as hashes.
+
+    Each line is the compact ``json.dumps`` of ``{"round", "group",
+    "transmitter", "repeat", "constituents": [{"file", "support",
+    "coupled_group", "index"}, ...], "payload_sha256"}``, built by formatting.
+    """
+    support_text: dict[tuple[int, ...], str] = {}
     for m in messages:
-        yield json.dumps(
-            {
-                "round": m.round,
-                "group": list(m.group),
-                "transmitter": m.transmitter,
-                "repeat": m.repeat,
-                "constituents": [
-                    {"file": n, "support": list(t), "coupled_group": g, "index": j}
-                    for n, t, g, j in m.constituents
-                ],
-                "payload_sha256": hashlib.sha256(m.payload).hexdigest(),
-            },
-            separators=(",", ":"),
+        parts = []
+        for n, support, g, j in m.constituents:
+            text = support_text.get(support)
+            if text is None:
+                text = support_text[support] = ",".join(map(str, support))
+            parts.append(_CONSTITUENT % (n, text, g, j))
+        yield _LINE % (
+            m.round,
+            ",".join(map(str, m.group)),
+            m.transmitter,
+            m.repeat,
+            ",".join(parts),
+            hashlib.sha256(m.payload).hexdigest(),
         )
 
 

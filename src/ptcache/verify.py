@@ -20,6 +20,7 @@ from typing import Sequence
 from .analysis import f_jcm, f_pt, theorem_alpha
 from .combinatorics import binom, hypergeo_pmf, vector_lcm
 from .exchange import (
+    CodedMessage,
     FileOracle,
     build_caches,
     decode_all,
@@ -127,7 +128,20 @@ def verify_end_to_end(
     Never raises on a failing scheme: the report carries the first
     counterexample instead.
     """
+    return _audited_run(scheme, demands, seed)[0]
+
+
+def _audited_run(
+    scheme: SchemeSpec | DerivedScheme,
+    demands: Sequence[int] | str,
+    seed: int,
+) -> tuple[VerificationReport, list[CodedMessage] | None]:
+    """The body of ``verify_end_to_end``, also returning the audited messages.
+
+    The messages are None when the run failed before delivery produced them.
+    """
     report = VerificationReport()
+    messages = None
     try:
         derivation = scheme if isinstance(scheme, DerivedScheme) else derive(scheme)
         p = derivation.params
@@ -157,7 +171,7 @@ def verify_end_to_end(
             report.decode_ok[user] = reconstructed[user] == want
     except Exception as exc:  # report-style: carry the counterexample
         report.failure = f"{type(exc).__name__}: {exc}"
-    return report
+    return report, messages
 
 
 def _delta_vector(t: int, q: int) -> tuple[int, ...]:

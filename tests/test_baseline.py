@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from ptcache import baseline
 from ptcache.baseline import (
+    ComparisonFailed,
     compare,
     jcm_construct,
     jcm_direct_packet_ids,
@@ -68,3 +70,25 @@ class TestComparison:
         pt = derive(preset("theorem1", SystemParams(K=7, t=2, N=7)))
         with pytest.raises(ValueError):
             compare(pt, jcm_construct(9, 2, 9))
+
+    def test_packet_saving_required(self):
+        jcm = jcm_construct(5, 2, 5)
+        with pytest.raises(ComparisonFailed, match="packets"):
+            compare(jcm, jcm)
+
+    @pytest.mark.parametrize("skew,match", [
+        (lambda rate, ok: (rate + 1, ok), "rates differ"),
+        (lambda rate, ok: (rate, False), "decode failed"),
+    ])
+    def test_rate_and_decode_checked(self, monkeypatch, skew, match):
+        pt = derive(preset("theorem1", SystemParams(K=7, t=2, N=7)))
+        jcm = jcm_construct(7, 2, 7)
+        real = baseline._simulate_rate_and_decode
+
+        def skewed(derivation, demands, seed):
+            rate, ok = real(derivation, demands, seed)
+            return skew(rate, ok) if derivation is jcm else (rate, ok)
+
+        monkeypatch.setattr(baseline, "_simulate_rate_and_decode", skewed)
+        with pytest.raises(ComparisonFailed, match=match):
+            compare(pt, jcm)

@@ -2,7 +2,11 @@ import csv
 import io
 import json
 
+import pytest
+
+from ptcache import verify
 from ptcache.cli import main
+from ptcache.exchange import MemoryMismatch
 
 
 def run_cli(capsys, *argv):
@@ -113,6 +117,26 @@ class TestSimulate:
         )
         assert code == 0
         assert json.loads(out)["passed"] is True
+
+    def test_no_transcript_when_run_fails_before_delivery(self, capsys, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise MemoryMismatch("injected")
+
+        monkeypatch.setattr(verify, "build_caches", broken)
+        transcript = tmp_path / "run.jsonl"
+        code, out, _ = run_cli(
+            capsys, "simulate", "--preset", "theorem1", "--K", "7", "--t", "2",
+            "--transcript", str(transcript),
+        )
+        assert code == 1
+        assert json.loads(out)["failure"] == "MemoryMismatch: injected"
+        assert not transcript.exists()
+
+    def test_strict_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--preset", "jcm", "--K", "5", "--t", "2", "--strict"])
+        assert exc.value.code == 2
+        assert "--strict" in capsys.readouterr().err
 
     def test_bad_demands_exit2(self, capsys):
         code, _, err = run_cli(

@@ -1,16 +1,23 @@
+import dataclasses
+import hashlib
 import itertools
 import json
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from ptcache import verify
 from ptcache.combinatorics import binom
 from ptcache.exchange import (
+    DeliveryCountMismatch,
     DemandOutOfRange,
     DuplicateDelivery,
     FileOracle,
     MissingPacket,
+    PacketLayoutMismatch,
+    PacketStore,
     UndecodableMessage,
     build_caches,
     decode,
@@ -25,6 +32,17 @@ from ptcache.scheme import SystemParams, derive, preset
 
 def derived(name, K, t, N=None, unit=1):
     return derive(preset(name, SystemParams(K=K, t=t, N=N or K, unit=unit)))
+
+
+class Overridden:
+    """A derivation with some attributes replaced, the rest delegated."""
+
+    def __init__(self, derivation, **overrides):
+        self._derivation = derivation
+        self.__dict__.update(overrides)
+
+    def __getattr__(self, name):
+        return getattr(self._derivation, name)
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +85,17 @@ class TestSplit:
             for pos, (_, _, _, size) in enumerate(store.template)
         )
         assert joined == oracle.file_bytes(3, store.bytes_per_file)
+
+    def test_layout_mismatch_sizes(self):
+        d = derived("theorem1", 7, 2)
+        sizing = SimpleNamespace(ell=d.sizing.ell, L=d.sizing.L + 1)
+        with pytest.raises(PacketLayoutMismatch, match="bytes"):
+            PacketStore(Overridden(d, sizing=sizing), FileOracle())
+
+    def test_layout_mismatch_count(self):
+        d = derived("theorem1", 7, 2)
+        with pytest.raises(PacketLayoutMismatch, match="packets per file"):
+            PacketStore(Overridden(d, packets_per_file=d.packets_per_file + 1), FileOracle())
 
     def test_unit_scales_bytes(self):
         d = derived("theorem1", 7, 2, unit=16)
@@ -130,6 +159,15 @@ class TestDelivery:
             generate_delivery(d, store, [1, 2, 3, 4, 5, 6, 8], seed=0)
         with pytest.raises(DemandOutOfRange):
             generate_delivery(d, store, [1, 2, 3], seed=0)
+
+    def test_repeat_count_mismatch(self, example1):
+        d, _, store, _ = example1
+        repeats = [list(row) for row in d.repeats]
+        k = next(k for k, r in enumerate(repeats[0]) if r > 0)
+        repeats[0][k] += 1
+        skewed = Overridden(d, repeats=tuple(tuple(row) for row in repeats))
+        with pytest.raises(DeliveryCountMismatch):
+            generate_delivery(skewed, store, list(range(1, 8)), seed=0)
 
     def test_deterministic_for_seed(self, example1):
         d, _, store, _ = example1
@@ -237,6 +275,84 @@ class TestDecode:
             decode(victim, caches[victim - 1], [bad], demands)
 
 
+def swap_user5_constituents(store, msgs):
+    """Swap what transmitter 1 carries for user 5 to groups (1,5,6) and (1,5,7).
+
+    Payloads are recomputed, so every message is still a valid XOR of its
+    constituents, but user 6 does not cache the packet it now receives
+    alongside its own.
+    """
+    at = {}
+    for i, m in enumerate(msgs):
+        if m.round == 1 and m.transmitter == 1 and m.group in ((1, 5, 6), (1, 5, 7)):
+            assert m.group not in at
+            at[m.group] = i
+    a, b = at[(1, 5, 6)], at[(1, 5, 7)]
+    pa = next(pid for pid in msgs[a].constituents if 5 not in pid[1])
+    pb = next(pid for pid in msgs[b].constituents if 5 not in pid[1])
+    out = list(msgs)
+    for i, old, new in ((a, pa, pb), (b, pb, pa)):
+        constituents = tuple(new if pid == old else pid for pid in msgs[i].constituents)
+        payload = 0
+        for pid in constituents:
+            payload ^= store.payload(pid)
+        out[i] = dataclasses.replace(
+            msgs[i],
+            constituents=constituents,
+            payload=payload.to_bytes(len(msgs[i].payload), "big"),
+        )
+    return out
+
+
+class TestHonestDecodeAll:
+    """decode_all checks each receiver could decode from its own cache."""
+
+    @pytest.fixture
+    def tampered(self, example1):
+        d, _, store, caches = example1
+        demands = list(range(1, 8))
+        msgs = generate_delivery(d, store, demands, seed=0)
+        return d, store, caches, demands, swap_user5_constituents(store, msgs)
+
+    def test_swapped_constituents_rejected(self, tampered):
+        _, _, caches, demands, msgs = tampered
+        with pytest.raises(UndecodableMessage):
+            decode(6, caches[5], msgs, demands)
+        with pytest.raises(UndecodableMessage):
+            decode_all(caches, msgs, demands)
+
+    def test_verify_reports_swapped_constituents(self, tampered, monkeypatch):
+        d, store, _, _, _ = tampered
+        real = verify.generate_delivery
+
+        def tampering(*args, **kwargs):
+            return swap_user5_constituents(store, real(*args, **kwargs))
+
+        monkeypatch.setattr(verify, "generate_delivery", tampering)
+        report = verify.verify_end_to_end(d, "distinct", seed=0)
+        assert not report.passed
+        assert report.failure.startswith("UndecodableMessage")
+
+    def test_transmitter_as_owner_rejected(self, example1):
+        d, _, store, caches = example1
+        demands = list(range(1, 8))
+        msgs = generate_delivery(d, store, demands, seed=0)
+        m = msgs[0]
+        x = m.transmitter
+        own = (demands[x - 1], tuple(u for u in m.group if u != x), m.round, 1)
+        bad = dataclasses.replace(m, constituents=m.constituents[:-1] + (own,))
+        with pytest.raises(UndecodableMessage, match="transmitter"):
+            decode_all(caches, [bad], demands)
+
+    def test_owner_lacking_two_rejected(self, example1):
+        d, _, store, caches = example1
+        demands = list(range(1, 8))
+        m = generate_delivery(d, store, demands, seed=0)[0]
+        bad = dataclasses.replace(m, constituents=m.constituents + m.constituents[:1])
+        with pytest.raises(UndecodableMessage, match="two constituents"):
+            decode_all(caches, [bad], demands)
+
+
 class TestDecodeAccounting:
     @pytest.mark.parametrize("name,K,t", [("theorem1", 11, 4), ("odd_t3", 9, 3)])
     def test_per_type_counts_match_cache_complement(self, name, K, t):
@@ -290,3 +406,31 @@ class TestTranscript:
         rec = json.loads(lines[0])
         assert set(rec) == {"round", "group", "transmitter", "repeat", "constituents", "payload_sha256"}
         assert lines == list(transcript_lines(generate_delivery(d, store, demands, seed=0)))
+
+    @pytest.mark.parametrize("name,K,t,demands", [
+        ("theorem1", 7, 2, [1, 1, 2, 2, 3, 3, 3]),
+        ("jcm", 5, 2, [5, 4, 3, 2, 1]),
+        ("odd_t3", 9, 3, list(range(1, 10))),
+    ])
+    def test_lines_equal_compact_json(self, name, K, t, demands):
+        d = derived(name, K, t)
+        store = split_files(d, FileOracle(), files=set(demands))
+        msgs = generate_delivery(d, store, demands, seed=3)
+        reference = [
+            json.dumps(
+                {
+                    "round": m.round,
+                    "group": list(m.group),
+                    "transmitter": m.transmitter,
+                    "repeat": m.repeat,
+                    "constituents": [
+                        {"file": n, "support": list(s), "coupled_group": g, "index": j}
+                        for n, s, g, j in m.constituents
+                    ],
+                    "payload_sha256": hashlib.sha256(m.payload).hexdigest(),
+                },
+                separators=(",", ":"),
+            )
+            for m in msgs
+        ]
+        assert list(transcript_lines(msgs)) == reference

@@ -1,0 +1,69 @@
+"""Golden transcripts: `ptcache simulate --transcript` output is pinned by SHA-256.
+
+The hashes were taken before the delivery, decode and transcript loops were
+rewritten; any change to message order, index assignment, payload bytes or
+line formatting shows up here.
+"""
+
+import hashlib
+import sys
+
+import pytest
+
+from ptcache import exchange
+from ptcache.cli import main
+
+GOLDEN = [
+    # preset, K, t, seed, demands, sha256, lines
+    ("theorem1", 7, 2, 5, "uniform",
+     "6ffac7423789ed33806515e4b7ed7691c4ef5762741c10de7596f31e5b5bea1d", 90),
+    ("theorem1", 11, 4, 0, "distinct",
+     "aa5e64959f12a99c6497cfa25e41bd4daf10318f8a5d6527caf128b319dac049", 2065),
+    ("theorem1", 13, 2, 1, "distinct",
+     "1837c3d5ea105a02114978787dedfa253a6249d03e03951b2059efd7ceffe309", 693),
+    ("jcm", 7, 3, 2, "distinct",
+     "5ad77b51583bdafc0160666b6c0800178e6f214983d1d63c37fc0027b1f92220", 140),
+    ("odd_t3", 9, 3, 3, "distinct",
+     "3392780f93bfc04d0372518553fe223580e1891f5c99d329d30331f12ab47baa", 420),
+    ("even_K", 12, 2, 4, "uniform",
+     "ad505718ee3ce4659b1946172577b47a8e399ebb51b87af5b116fe26c70527ed", 560),
+]
+
+
+def simulate_argv(preset, K, t, seed, demands, transcript, output):
+    return [
+        "simulate", "--preset", preset, "--K", str(K), "--t", str(t),
+        "--seed", str(seed), "--demands", demands,
+        "--transcript", str(transcript), "--output", str(output),
+    ]
+
+
+@pytest.mark.parametrize("preset,K,t,seed,demands,sha,lines", GOLDEN)
+def test_transcript_hash(tmp_path, preset, K, t, seed, demands, sha, lines):
+    transcript = tmp_path / "run.jsonl"
+    code = main(simulate_argv(preset, K, t, seed, demands, transcript, tmp_path / "r.json"))
+    assert code == 0
+    data = transcript.read_bytes()
+    assert data.count(b"\n") == lines
+    assert hashlib.sha256(data).hexdigest() == sha
+
+
+def test_one_split_and_one_delivery_per_run(tmp_path, monkeypatch):
+    calls = {"generate_delivery": 0, "split_files": 0}
+    for name in calls:
+        original = getattr(exchange, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        # patch every ptcache module that bound the function by name
+        for module in list(sys.modules.values()):
+            if module is not None and getattr(module, "__name__", "").startswith("ptcache") \
+                    and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    transcript = tmp_path / "run.jsonl"
+    code = main(simulate_argv("theorem1", 7, 2, 5, "uniform", transcript, tmp_path / "r.json"))
+    assert code == 0
+    assert calls == {"generate_delivery": 1, "split_files": 1}
+    assert transcript.read_bytes().count(b"\n") == 90
