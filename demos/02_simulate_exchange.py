@@ -10,7 +10,6 @@ from collections import Counter
 from fractions import Fraction
 
 from ptcache import (
-    FileOracle,
     SystemParams,
     build_caches,
     derive,
@@ -23,8 +22,7 @@ from ptcache import (
 from ptcache.exchange import decode_all, transcript_lines
 
 d = derive(preset("theorem1", SystemParams(K=7, t=2, N=7)))
-oracle = FileOracle()
-store = split_files(d, oracle)
+store = split_files(d)
 caches = build_caches(d, store)
 demands = [1, 2, 3, 4, 5, 6, 7]
 messages = generate_delivery(d, store, demands, seed=0)
@@ -53,7 +51,7 @@ print()
 
 reconstructed = decode_all(caches, messages, demands)
 for user in (1, 5):
-    want = oracle.file_bytes(demands[user - 1], store.bytes_per_file)
+    want = store.file_bytes(demands[user - 1])
     print(f"user {user} reconstructs file {demands[user-1]}: "
           f"{'byte-identical' if reconstructed[user] == want else 'MISMATCH'}")
 print()

@@ -66,16 +66,26 @@ def asymptotic_ratio(t: int) -> tuple[Fraction, float]:
     return exact, 1.0 - math.sqrt(1.0 / (2.0 * math.pi * t))
 
 
-def _gamma_for(q: int, r: int) -> Fraction:
-    """Packet-size ratio of the construction at (2q+1, 2r), from the memory constraint."""
-    t = 2 * r
+def gamma_terms(q: int, t: int) -> tuple[tuple[int, ...], int, int]:
+    """The memory constraint at (K, t) = (2q+1, t) with grouping (q+1, q).
+
+    Returns the cache-difference vector delta (per subfile type, a
+    second-group user's cached count minus a first-group user's) and its dot
+    products with the staircase vector (0, 1, ..., t) and the hill vector
+    min(k-1, t+1-k); the packet-size ratio is -(first) / (second).
+    """
     counts = count_vectors(
         SystemParams(K=2 * q + 1, t=t, N=2 * q + 1), UserGrouping((q + 1, q))
     )
     delta = counts.deltas[0]
     a1 = sum((k - 1) * d for k, d in enumerate(delta, start=1))
-    alpha2 = tuple(min(k - 1, t + 1 - k) for k in range(1, t + 2))
-    a2 = sum(a * d for a, d in zip(alpha2, delta))
+    a2 = sum(min(k - 1, t + 1 - k) * d for k, d in enumerate(delta, start=1))
+    return delta, a1, a2
+
+
+def _gamma_for(q: int, r: int) -> Fraction:
+    """Packet-size ratio of the construction at (2q+1, 2r), from the memory constraint."""
+    _, a1, a2 = gamma_terms(q, 2 * r)
     return Fraction(-a1, a2)
 
 

@@ -14,8 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from . import verify
 from .combinatorics import binom
-from .exchange import FileOracle, build_caches, decode, generate_delivery, split_files, total_transmitted_units
+# Not called here: kept because perfbench/spans.py wraps these baseline bindings.
+from .exchange import build_caches, decode, generate_delivery, split_files, total_transmitted_units  # noqa: F401
 from .scheme import DerivedScheme, SystemParams, derive, preset
 
 
@@ -59,44 +61,33 @@ class ComparisonRecord:
     jcm_decodes: bool
 
 
-def _simulate_rate_and_decode(
-    derivation: DerivedScheme, demands: Sequence[int], seed: int
-) -> tuple[Fraction, bool]:
-    store = split_files(derivation, FileOracle(), files=sorted(set(demands)))
-    caches = build_caches(derivation, store)
-    messages = generate_delivery(derivation, store, demands, seed=seed)
-    rate = Fraction(total_transmitted_units(messages, derivation), derivation.sizing.L)
-    ok = True
-    for user in range(1, derivation.params.K + 1):
-        got = decode(user, caches[user - 1], messages, demands)
-        want = store.oracle.file_bytes(demands[user - 1], store.bytes_per_file)
-        ok = ok and got == want
-    return rate, ok
-
-
 def compare(
     pt: DerivedScheme, jcm: DerivedScheme, demands: Sequence[int] | None = None, seed: int = 0
 ) -> ComparisonRecord:
-    """Simulate both schemes on the same demands and seed.
+    """Run both schemes through ``verify_end_to_end`` on the same demands and seed.
 
-    Requires matching (K, t); raises ``ComparisonFailed`` unless the rates
-    are equal, PT subpacketization is strictly smaller, and both sides decode.
+    Requires matching (K, t); raises ``ComparisonFailed`` if either run
+    fails, and unless the rates are equal, PT subpacketization is strictly
+    smaller, and both sides decode.
     """
     if (pt.params.K, pt.params.t) != (jcm.params.K, jcm.params.t):
         raise ValueError("schemes must share (K, t) to be comparable")
     if demands is None:
         demands = list(range(1, pt.params.K + 1))
-    pt_rate, pt_ok = _simulate_rate_and_decode(pt, demands, seed)
-    jcm_rate, jcm_ok = _simulate_rate_and_decode(jcm, demands, seed)
+    pt_report = verify.verify_end_to_end(pt, demands, seed)
+    jcm_report = verify.verify_end_to_end(jcm, demands, seed)
+    for side, report in (("PT", pt_report), ("baseline", jcm_report)):
+        if report.failure is not None:
+            raise ComparisonFailed(f"{side} run failed: {report.failure}")
     record = ComparisonRecord(
         K=pt.params.K,
         t=pt.params.t,
         pt_packets=pt.packets_per_file,
         jcm_packets=jcm.packets_per_file,
-        pt_rate=pt_rate,
-        jcm_rate=jcm_rate,
-        pt_decodes=pt_ok,
-        jcm_decodes=jcm_ok,
+        pt_rate=pt_report.rate,
+        jcm_rate=jcm_report.rate,
+        pt_decodes=all(pt_report.decode_ok.values()),
+        jcm_decodes=all(jcm_report.decode_ok.values()),
     )
     if record.pt_rate != record.jcm_rate:
         raise ComparisonFailed(f"rates differ: PT {record.pt_rate}, baseline {record.jcm_rate}")

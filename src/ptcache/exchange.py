@@ -3,7 +3,7 @@
 Files come from a deterministic keyed byte oracle, get split into
 heterogeneous packets in a canonical order, are cached at the users whose
 support sets cover them, and are exchanged through two (or G) rounds of XOR
-multicast messages.  Decoding is checked against the oracle bytes.
+multicast messages.  Decoding is checked against the bytes the split read.
 
 Packet ids are tuples ``(file, support, coupled_group, index)`` with the
 support as a sorted user tuple and 1-based coupled group and index.
@@ -13,6 +13,7 @@ Payloads are carried as bytes on messages and as big integers internally.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,7 +42,7 @@ class MissingPacket(ValueError):
 
 
 class DuplicateDelivery(ValueError):
-    """The same packet id was decoded twice by one user."""
+    """A user decoded the same packet twice, or a packet outside its demand."""
 
 
 class PacketLayoutMismatch(ValueError):
@@ -56,23 +57,19 @@ class FileOracle:
     """Deterministic keyed byte source standing in for real files.
 
     File ``n`` is the keyed SHAKE-256 stream of its index, so any byte
-    ``b(n, offset)`` is reproducible without I/O.  A file-backed source can
-    replace this class by providing the same two methods.
+    ``b(n, offset)`` is reproducible without I/O.  Nothing is kept between
+    calls; a file-backed source can replace this class by providing the same
+    method.
     """
 
     def __init__(self, key: bytes = b"ptcache-file-oracle"):
         self.key = key
-        self._cache: dict[tuple[int, int], bytes] = {}
 
     def file_bytes(self, n: int, length: int) -> bytes:
-        got = self._cache.get((n, length))
-        if got is None:
-            h = hashlib.shake_256()
-            h.update(self.key)
-            h.update(n.to_bytes(8, "big"))
-            got = h.digest(length)
-            self._cache[(n, length)] = got
-        return got
+        h = hashlib.shake_256()
+        h.update(self.key)
+        h.update(n.to_bytes(8, "big"))
+        return h.digest(length)
 
 
 class PacketStore:
@@ -80,7 +77,9 @@ class PacketStore:
 
     The canonical order is: subfile type ascending, support set
     lexicographic, coupled group ascending, packet index ascending.
-    Concatenating one file's packets in this order reproduces the file.
+    Concatenating one file's packets in this order reproduces the file;
+    ``offsets`` holds each position's byte offset.  The store also keeps the
+    bytes it split, which decoding is checked against.
     """
 
     def __init__(self, derivation: DerivedScheme, oracle: FileOracle):
@@ -96,6 +95,7 @@ class PacketStore:
                         entries.append((support, g, j, derivation.sizing.ell[g - 1] * unit))
         self.template = tuple(entries)
         self.index = {e[:3]: pos for pos, e in enumerate(entries)}
+        self.offsets = tuple(itertools.accumulate((e[3] for e in entries[:-1]), initial=0))
         self.bytes_per_file = derivation.sizing.L * unit
         if sum(e[3] for e in entries) != self.bytes_per_file:
             raise PacketLayoutMismatch(
@@ -106,6 +106,7 @@ class PacketStore:
             raise PacketLayoutMismatch(
                 f"{len(entries)} packets per file, expected {derivation.packets_per_file}"
             )
+        self._bytes: dict[int, bytes] = {}
         self._values: dict[int, list[int]] = {}
 
     @property
@@ -119,16 +120,20 @@ class PacketStore:
             if not 1 <= n <= self.derivation.params.N:
                 raise DemandOutOfRange(f"file {n} outside 1..{self.derivation.params.N}")
             raw = self.oracle.file_bytes(n, self.bytes_per_file)
-            values = []
-            offset = 0
-            for _, _, _, size in self.template:
-                values.append(int.from_bytes(raw[offset : offset + size], "big"))
-                offset += size
+            values = [
+                int.from_bytes(raw[offset : offset + size], "big")
+                for (_, _, _, size), offset in zip(self.template, self.offsets)
+            ]
+            self._bytes[n] = raw
             self._values[n] = values
 
     @property
     def files(self) -> tuple[int, ...]:
         return tuple(sorted(self._values))
+
+    def file_bytes(self, n: int) -> bytes:
+        """The bytes of materialized file n, as read for the split."""
+        return self._bytes[n]
 
     def payload(self, pid: PacketId) -> int:
         n, support, g, j = pid
@@ -159,23 +164,14 @@ def split_files(
 
 @dataclass(frozen=True)
 class Cache:
-    """One user's cache: every packet whose support set contains the user."""
+    """One user's cache: every packet whose support set contains the user.
+
+    ``units_per_file`` is the size of those packets of one file, in units.
+    """
 
     user: int
     store: PacketStore
-
-    def contains(self, pid: PacketId) -> bool:
-        return self.user in pid[1]
-
-    def packet(self, pid: PacketId) -> int:
-        if self.user not in pid[1]:
-            raise KeyError(f"user {self.user} does not cache {pid}")
-        return self.store.payload(pid)
-
-    @property
-    def units_per_file(self) -> int:
-        unit = self.store.derivation.params.unit
-        return sum(size for support, _, _, size in self.store.template if self.user in support) // unit
+    units_per_file: int
 
     @property
     def total_bytes(self) -> int:
@@ -190,7 +186,11 @@ def build_caches(derivation: DerivedScheme, store: PacketStore) -> list[Cache]:
     integer arithmetic (K * cached_units == t * L per file).
     """
     p = derivation.params
-    caches = [Cache(user, store) for user in range(1, p.K + 1)]
+    cached = [0] * (p.K + 1)
+    for support, _, _, size in store.template:
+        for u in support:
+            cached[u] += size
+    caches = [Cache(user, store, cached[user] // p.unit) for user in range(1, p.K + 1)]
     bad = {
         c.user: c.units_per_file for c in caches if c.units_per_file * p.K != p.t * derivation.sizing.L
     }
@@ -353,61 +353,17 @@ def total_transmitted_units(messages: Iterable[CodedMessage], derivation: Derive
     return sum(len(m.payload) // unit for m in messages)
 
 
-def _assemble(store: PacketStore, user: int, wanted: int, decoded: dict[PacketId, int]) -> bytes:
-    """Join cached and decoded packets of file ``wanted`` in canonical order."""
-    values = store.file_values(wanted)
-    parts: list[bytes] = []
-    leftovers = dict(decoded)
-    for pos, (support, g, j, size) in enumerate(store.template):
-        if user in support:
-            value = values[pos]
-        else:
-            value = leftovers.pop((wanted, support, g, j), None)
-            if value is None:
-                raise MissingPacket(f"user {user} never decoded {(wanted, support, g, j)}")
-        parts.append(value.to_bytes(size, "big"))
-    if leftovers:
-        raise DuplicateDelivery(
-            f"user {user} decoded {len(leftovers)} packets outside its demand"
-        )
-    return b"".join(parts)
-
-
 def decode(
     user: int,
     cache: Cache,
     messages: Iterable[CodedMessage],
     demands: Sequence[int],
 ) -> bytes:
-    """Reconstruct the user's demanded file from its cache plus the messages.
+    """Reconstruct one user's demanded file; ``user`` is ``cache.user``.
 
-    For each message addressed to the user (exactly one constituent not in
-    the cache), the cached constituents are XOR-ed out.  The decoded packets
-    plus the cached ones are then assembled in canonical order and must
-    reproduce the file byte for byte.
+    Runs ``decode_all`` for this cache alone, so every message is checked.
     """
-    store = cache.store
-    wanted = demands[user - 1]
-    decoded: dict[PacketId, int] = {}
-    for msg in messages:
-        if msg.transmitter == user or user not in msg.group:
-            continue
-        unknown = [pid for pid in msg.constituents if user not in pid[1]]
-        if not unknown:
-            continue
-        if len(unknown) > 1:
-            raise UndecodableMessage(
-                f"user {user} misses {len(unknown)} constituents of one message"
-            )
-        value = int.from_bytes(msg.payload, "big")
-        for pid in msg.constituents:
-            if user in pid[1]:
-                value ^= cache.packet(pid)
-        pid = unknown[0]
-        if pid in decoded:
-            raise DuplicateDelivery(f"user {user} decoded {pid} twice")
-        decoded[pid] = value
-    return _assemble(store, user, wanted, decoded)
+    return decode_all([cache], messages, demands)[user]
 
 
 def decode_all(
@@ -415,20 +371,40 @@ def decode_all(
     messages: Iterable[CodedMessage],
     demands: Sequence[int],
 ) -> dict[int, bytes]:
-    """Decode every user in one pass over the messages.
+    """Decode the users of ``caches`` in one pass over the messages.
 
-    Each constituent must be lacked by exactly one group member, its owner,
-    who is not the transmitter and caches every other constituent; otherwise
+    Every message is checked, whoever is decoded.  Each constituent must be
+    lacked by exactly one group member, its owner, who is not the
+    transmitter and caches every other constituent; otherwise
     ``UndecodableMessage`` is raised.  With that checked, the owner's XOR of
     the other constituents uses only its cache, so with ``total`` the payload
     XOR-ed with every constituent, constituent i decodes to ``total ^ v_i``.
+    A constituent outside its owner's demand, or decoded twice, raises
+    ``DuplicateDelivery``.  Each decoded user's file is its cached packets
+    plus the decoded ones, written at their byte offsets; a packet never
+    decoded raises ``MissingPacket``.  Returns the files by ``cache.user``.
     """
     if not caches:
         raise ValueError("no caches")
     store = caches[0].store
     index = store.index
+    template = store.template
+    offsets = store.offsets
     file_values = store.file_values
-    decoded: dict[int, dict[PacketId, int]] = {u + 1: {} for u in range(len(caches))}
+    # Each decoded user's file, filled from its cache here and from the
+    # messages below, and a flag per flat position that it holds.
+    files: dict[int, bytearray] = {}
+    held: dict[int, bytearray] = {}
+    for cache in caches:
+        user = cache.user
+        raw = store.file_bytes(demands[user - 1])
+        files[user] = buf = bytearray(len(raw))
+        held[user] = flags = bytearray(len(template))
+        for pos, (support, _, _, size) in enumerate(template):
+            if user in support:
+                o = offsets[pos]
+                buf[o : o + size] = raw[o : o + size]
+                flags[pos] = 1
     for msg in messages:
         members = set(msg.group)
         total = int.from_bytes(msg.payload, "big")
@@ -443,24 +419,37 @@ def decode_all(
             (owner,) = lacking
             if owner == msg.transmitter:
                 raise UndecodableMessage(f"transmitter {owner} does not cache {pid}")
-            value = file_values(n)[index[(support, g, j)]]
+            if n != demands[owner - 1]:
+                raise DuplicateDelivery(f"user {owner} decoded {pid} outside its demand")
+            pos = index[(support, g, j)]
+            value = file_values(n)[pos]
             total ^= value
-            unknowns.append((owner, pid, value))
+            unknowns.append((owner, pos, value))
         # Each owner lacks only its own constituent, so it caches all the
         # others exactly when no two constituents share an owner.
         if len({owner for owner, _, _ in unknowns}) != len(unknowns):
             raise UndecodableMessage(
                 f"a member of group {msg.group} lacks two constituents of one message"
             )
-        for owner, pid, value in unknowns:
-            bucket = decoded[owner]
-            if pid in bucket:
-                raise DuplicateDelivery(f"user {owner} decoded {pid} twice")
-            bucket[pid] = total ^ value
-    return {
-        user: _assemble(store, user, demands[user - 1], decoded[user])
-        for user in decoded
-    }
+        for owner, pos, value in unknowns:
+            flags = held.get(owner)
+            if flags is None:
+                continue
+            support, g, j, size = template[pos]
+            if flags[pos]:
+                raise DuplicateDelivery(
+                    f"user {owner} decoded {(demands[owner - 1], support, g, j)} twice"
+                )
+            flags[pos] = 1
+            o = offsets[pos]
+            files[owner][o : o + size] = (total ^ value).to_bytes(size, "big")
+    out = {}
+    for user, flags in held.items():
+        if 0 in flags:
+            support, g, j, _ = template[flags.index(0)]
+            raise MissingPacket(f"user {user} never decoded {(demands[user - 1], support, g, j)}")
+        out[user] = bytes(files.pop(user))
+    return out
 
 
 _LINE = (

@@ -54,6 +54,14 @@ class InvalidRatio(ValueError):
     """A solved packet-size ratio is not strictly positive."""
 
 
+class CountMismatch(ValueError):
+    """Closed-form subfile counts disagree with direct subset enumeration."""
+
+
+class NonzeroResidual(ValueError):
+    """Solved packet-size ratios leave a memory-constraint residual."""
+
+
 class PresetConstraintViolated(ValueError):
     """Preset parameter constraint failed; the message names the inequality."""
 
@@ -364,9 +372,9 @@ def count_vectors(params: SystemParams, grouping: UserGrouping) -> CountVectors:
     F = tuple(binom(q1, k - 1) * binom(q2, t - k + 1) for k in range(1, t + 2))
     F1 = tuple(binom(q1 - 1, k - 2) * binom(q2, t - k + 1) for k in range(1, t + 2))
     F2 = tuple(binom(q1, k - 1) * binom(q2 - 1, t - k) for k in range(1, t + 2))
-    assert F == tuple(
-        count_subsets_of_type(grouping.sizes, v) for v in layout.subfile_types
-    )
+    enumerated = tuple(count_subsets_of_type(grouping.sizes, v) for v in layout.subfile_types)
+    if F != enumerated:
+        raise CountMismatch(f"closed-form subfile counts {F}, enumerated {enumerated}")
     delta = tuple(b - a for a, b in zip(F1, F2))
     return CountVectors(F=F, per_set=(F1, F2), deltas=(delta,))
 
@@ -389,55 +397,27 @@ def solve_packet_ratio(fs: FsVectors, counts: CountVectors) -> tuple[Fraction, .
     """Packet-size ratios (gamma_1=1, gamma_2, ...) solving the memory constraint.
 
     The constraint is one linear equation per adjacent unique-set pair:
-    sum_g gamma_g * (alpha^(g) . Delta_i) = 0.  Solved exactly over the
-    rationals; every ratio must come out strictly positive.
+    sum_g gamma_g * (alpha^(g) . Delta_i) = 0.  Supported layouts have at
+    most one pair, so the system is solvable only as G=1 with no equation or
+    G=2 with one, each in closed form; the ratio must be strictly positive.
     """
     G = len(fs.intermediate)
     n_eq = len(counts.deltas)
-    if G - 1 < n_eq:
-        raise DegenerateSystem(f"{n_eq} equations but only {G - 1} free ratios")
+    if (G, n_eq) not in ((1, 0), (2, 1)):
+        raise DegenerateSystem(
+            f"{n_eq} memory equations for {G - 1} free ratios; "
+            "only G=1 with none or G=2 with one is solvable"
+        )
     if G == 1:
         return (Fraction(1),)
-    if G == 2 and n_eq == 1:
-        a1 = _dot(fs.intermediate[0], counts.deltas[0])
-        a2 = _dot(fs.intermediate[1], counts.deltas[0])
-        if a2 == 0:
-            raise DegenerateSystem("second coupled group has zero memory leverage")
-        gamma = Fraction(-a1, a2)
-        if gamma <= 0:
-            raise InvalidRatio(f"packet size ratio {gamma} is not positive")
-        return (Fraction(1), gamma)
-    # General exact elimination over gamma_2..gamma_G.
-    rows = [
-        [Fraction(_dot(v, delta)) for v in fs.intermediate[1:]]
-        + [Fraction(-_dot(fs.intermediate[0], delta))]
-        for delta in counts.deltas
-    ]
-    n_unknowns = G - 1
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(n_unknowns):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                rows[i] = [x - rows[i][c] * y for x, y in zip(rows[i], rows[r])]
-        pivot_cols.append(c)
-        r += 1
-    if any(all(x == 0 for x in row[:-1]) and row[-1] != 0 for row in rows):
-        raise DegenerateSystem("memory constraint system is inconsistent")
-    if len(pivot_cols) < n_unknowns:
-        raise DegenerateSystem("memory constraint system is underdetermined")
-    solution = [Fraction(0)] * n_unknowns
-    for i, c in enumerate(pivot_cols):
-        solution[c] = rows[i][-1]
-    gammas = (Fraction(1),) + tuple(solution)
-    if any(g <= 0 for g in gammas):
-        raise InvalidRatio(f"packet size ratios {gammas} must all be positive")
-    return gammas
+    a1 = _dot(fs.intermediate[0], counts.deltas[0])
+    a2 = _dot(fs.intermediate[1], counts.deltas[0])
+    if a2 == 0:
+        raise DegenerateSystem("second coupled group has zero memory leverage")
+    gamma = Fraction(-a1, a2)
+    if gamma <= 0:
+        raise InvalidRatio(f"packet size ratio {gamma} is not positive")
+    return (Fraction(1), gamma)
 
 
 @dataclass(frozen=True)
@@ -585,7 +565,8 @@ def derive(spec: SchemeSpec) -> DerivedScheme:
     counts = count_vectors(spec.params, spec.grouping)
     gammas = solve_packet_ratio(fs, counts)
     residuals = memory_residuals(gammas, fs, counts)
-    assert all(r == 0 for r in residuals), f"memory residuals {residuals}"
+    if any(residuals):
+        raise NonzeroResidual(f"ratios {gammas} leave memory residuals {residuals}")
     sizing = integer_packet_sizes(gammas, fs, counts)
     repeats = _message_repeats(layout, spec.plans, intermediates)
     return DerivedScheme(

@@ -17,11 +17,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .analysis import f_jcm, f_pt, theorem_alpha
+from .analysis import f_jcm, f_pt, gamma_terms, theorem_alpha
 from .combinatorics import binom, hypergeo_pmf, vector_lcm
 from .exchange import (
     CodedMessage,
-    FileOracle,
     build_caches,
     decode_all,
     generate_delivery,
@@ -149,8 +148,7 @@ def _audited_run(
             demands = demand_vector(demands, p.K, p.N)
         report.packets_per_file = derivation.packets_per_file
 
-        oracle = FileOracle()
-        store = split_files(derivation, oracle, files=sorted(set(demands)))
+        store = split_files(derivation, files=sorted(set(demands)))
         target_units = Fraction(p.t * derivation.sizing.L, p.K)
         report.memory_target = f"{target_units * p.N * p.unit} bytes"
         caches = build_caches(derivation, store)
@@ -167,23 +165,10 @@ def _audited_run(
 
         reconstructed = decode_all(caches, messages, demands)
         for user in range(1, p.K + 1):
-            want = oracle.file_bytes(demands[user - 1], store.bytes_per_file)
-            report.decode_ok[user] = reconstructed[user] == want
+            report.decode_ok[user] = reconstructed[user] == store.file_bytes(demands[user - 1])
     except Exception as exc:  # report-style: carry the counterexample
         report.failure = f"{type(exc).__name__}: {exc}"
     return report, messages
-
-
-def _delta_vector(t: int, q: int) -> tuple[int, ...]:
-    counts = count_vectors(
-        SystemParams(K=2 * q + 1, t=t, N=2 * q + 1), UserGrouping((q + 1, q))
-    )
-    return counts.deltas[0]
-
-
-def _hill_alpha(t: int) -> tuple[int, ...]:
-    r = t // 2
-    return tuple(min(k - 1, t + 1 - k) for k in range(1, t + 2))
 
 
 def verify_claims(t: int, q: int) -> dict[str, CheckResult]:
@@ -197,7 +182,7 @@ def verify_claims(t: int, q: int) -> dict[str, CheckResult]:
     if q < t:
         raise ValueError(f"need q >= t, got q={q}, t={t}")
     r = t // 2
-    delta = _delta_vector(t, q)
+    delta, a1, a2 = gamma_terms(q, t)
     results: dict[str, CheckResult] = {}
 
     signs_ok = all(delta[k - 1] > 0 for k in range(1, r + 2)) and all(
@@ -261,10 +246,6 @@ def verify_claims(t: int, q: int) -> dict[str, CheckResult]:
         {"window": window, "beta": betas},
     )
 
-    alpha1 = tuple(range(t + 1))
-    alpha2 = _hill_alpha(t)
-    a1 = sum(a * d for a, d in zip(alpha1, delta))
-    a2 = sum(a * d for a, d in zip(alpha2, delta))
     gamma = Fraction(-a1, a2) if a2 != 0 else None
     results["lemma2_ratio_positive"] = CheckResult(
         "lemma2_ratio_positive",

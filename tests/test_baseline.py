@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from ptcache import baseline
+from ptcache import verify
 from ptcache.baseline import (
     ComparisonFailed,
     compare,
@@ -77,18 +77,30 @@ class TestComparison:
             compare(jcm, jcm)
 
     @pytest.mark.parametrize("skew,match", [
-        (lambda rate, ok: (rate + 1, ok), "rates differ"),
-        (lambda rate, ok: (rate, False), "decode failed"),
+        (lambda report: setattr(report, "rate", report.rate + 1), "rates differ"),
+        (lambda report: report.decode_ok.update({1: False}), "decode failed"),
+        (lambda report: setattr(report, "failure", "MissingPacket: x"),
+         "baseline run failed: MissingPacket"),
     ])
     def test_rate_and_decode_checked(self, monkeypatch, skew, match):
         pt = derive(preset("theorem1", SystemParams(K=7, t=2, N=7)))
         jcm = jcm_construct(7, 2, 7)
-        real = baseline._simulate_rate_and_decode
+        real = verify.verify_end_to_end
 
         def skewed(derivation, demands, seed):
-            rate, ok = real(derivation, demands, seed)
-            return skew(rate, ok) if derivation is jcm else (rate, ok)
+            report = real(derivation, demands, seed)
+            if derivation is jcm:
+                skew(report)
+            return report
 
-        monkeypatch.setattr(baseline, "_simulate_rate_and_decode", skewed)
+        monkeypatch.setattr(verify, "verify_end_to_end", skewed)
         with pytest.raises(ComparisonFailed, match=match):
             compare(pt, jcm)
+
+    def test_one_split_and_one_delivery_per_side(self, exchange_calls):
+        pt = derive(preset("theorem1", SystemParams(K=7, t=2, N=7)))
+        jcm = jcm_construct(7, 2, 7)
+        calls = exchange_calls("generate_delivery", "split_files")
+        compare(pt, jcm, seed=1)
+        for name, args in calls.items():
+            assert [a[0] for a in args] == [pt, jcm], name

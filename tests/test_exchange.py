@@ -122,14 +122,6 @@ class TestCaches:
         totals = {c.units_per_file for c in build_caches(d, store)}
         assert len(totals) == 1
 
-    def test_cache_membership(self, example1):
-        _, _, store, caches = example1
-        pid = (1, (1, 2), 1, 1)
-        assert caches[0].contains(pid)
-        assert not caches[4].contains(pid)
-        with pytest.raises(KeyError):
-            caches[4].packet(pid)
-
 
 class TestDelivery:
     def test_example1_message_counts(self, example1):
@@ -227,6 +219,14 @@ class TestDecode:
         for user in range(1, 8):
             assert recon[user] == oracle.file_bytes(demands[user - 1], store.bytes_per_file)
 
+    def test_subset_of_caches(self, example1):
+        d, oracle, store, caches = example1
+        demands = list(range(1, 8))
+        msgs = generate_delivery(d, store, demands, seed=0)
+        assert decode_all([caches[4]], msgs, demands) == {
+            5: oracle.file_bytes(5, store.bytes_per_file)
+        }
+
     def test_seed_changes_assignment_not_counts(self, example1):
         d, _, store, caches = example1
         demands = list(range(1, 8))
@@ -273,6 +273,16 @@ class TestDecode:
         )
         with pytest.raises(UndecodableMessage):
             decode(victim, caches[victim - 1], [bad], demands)
+
+    def test_constituent_outside_demand(self, example1):
+        d, _, store, caches = example1
+        demands = list(range(1, 8))
+        m = generate_delivery(d, store, demands, seed=0)[0]
+        n, support, g, j = m.constituents[0]
+        other = (n % 7 + 1, support, g, j)
+        bad = dataclasses.replace(m, constituents=(other,) + m.constituents[1:])
+        with pytest.raises(DuplicateDelivery, match="outside its demand"):
+            decode_all(caches, [bad], demands)
 
 
 def swap_user5_constituents(store, msgs):

@@ -1,16 +1,21 @@
+import ast
 import itertools
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from ptcache import scheme
 from ptcache.combinatorics import binom
 from ptcache.scheme import (
+    CountMismatch,
     DegenerateSystem,
     EmptySelection,
     FsVectors,
     IncompatibleLocals,
     InvalidRatio,
+    NonzeroResidual,
     PresetConstraintViolated,
     SchemeSpec,
     SystemParams,
@@ -156,6 +161,12 @@ class TestCountVectors:
         counts = count_vectors(params(11, 4), UserGrouping((6, 5)))
         assert counts.F == (5, 60, 150, 100, 15)
 
+    def test_enumeration_mismatch_raises(self, monkeypatch):
+        real = scheme.count_subsets_of_type
+        monkeypatch.setattr(scheme, "count_subsets_of_type", lambda sizes, v: real(sizes, v) + 1)
+        with pytest.raises(CountMismatch):
+            count_vectors(params(7, 2), UserGrouping((4, 3)))
+
 
 class TestPacketRatio:
     def test_example_is_K_minus_2(self):
@@ -183,10 +194,18 @@ class TestPacketRatio:
         assert solve_packet_ratio(fs, counts) == (1,)
 
     def test_degenerate_system(self):
-        counts = count_vectors(params(7, 2), UserGrouping((4, 3)))
-        fs = FsVectors(intermediate=((0, 1, 2), (1, 1, 1)), aggregate=(1, 2, 3))
-        with pytest.raises(DegenerateSystem):
-            solve_packet_ratio(fs, counts)  # (1,1,1).delta == 0
+        two = count_vectors(params(7, 2), UserGrouping((4, 3)))
+        one = count_vectors(params(7, 2), UserGrouping((7,)))
+        cases = [
+            (two, ((0, 1, 2), (1, 1, 1)), "zero memory leverage"),  # (1,1,1).delta == 0
+            (one, ((2,), (2,)), "0 memory equations for 1 free ratios"),
+            (one, ((2,), (2,), (2,)), "0 memory equations for 2 free ratios"),
+            (two, ((0, 1, 2), (0, 2, 2), (2, 2, 2)), "1 memory equations for 2 free ratios"),
+        ]
+        for counts, intermediate, match in cases:
+            fs = FsVectors(intermediate=intermediate, aggregate=aggregate_fs(intermediate))
+            with pytest.raises(DegenerateSystem, match=match):
+                solve_packet_ratio(fs, counts)
 
     def test_invalid_ratio(self):
         counts = count_vectors(params(7, 2), UserGrouping((4, 3)))
@@ -284,6 +303,17 @@ class TestMemoryConstraint:
                 assert a1 < 0 < a2
                 assert d.gamma[1] > 0
 
+    def test_nonzero_residual_raises(self, monkeypatch):
+        real = scheme.solve_packet_ratio
+
+        def skewed(fs, counts):
+            gammas = real(fs, counts)
+            return gammas[:1] + tuple(g + 1 for g in gammas[1:])
+
+        monkeypatch.setattr(scheme, "solve_packet_ratio", skewed)
+        with pytest.raises(NonzeroResidual):
+            derive(preset("theorem1", params(7, 2)))
+
 
 class TestSerialization:
     def test_blueprint_document(self):
@@ -300,3 +330,16 @@ class TestSerialization:
         a = derive(preset("theorem1", params(7, 2))).to_json()
         b = derive(preset("theorem1", params(7, 2))).to_json()
         assert a == b
+
+
+def test_library_has_no_assert_statements():
+    """``python -O`` strips asserts, so library checks raise named errors."""
+    sources = sorted((Path(__file__).resolve().parents[1] / "src" / "ptcache").glob("*.py"))
+    assert sources
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -6,11 +6,9 @@ line formatting shows up here.
 """
 
 import hashlib
-import sys
 
 import pytest
 
-from ptcache import exchange
 from ptcache.cli import main
 
 GOLDEN = [
@@ -48,22 +46,12 @@ def test_transcript_hash(tmp_path, preset, K, t, seed, demands, sha, lines):
     assert hashlib.sha256(data).hexdigest() == sha
 
 
-def test_one_split_and_one_delivery_per_run(tmp_path, monkeypatch):
-    calls = {"generate_delivery": 0, "split_files": 0}
-    for name in calls:
-        original = getattr(exchange, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        # patch every ptcache module that bound the function by name
-        for module in list(sys.modules.values()):
-            if module is not None and getattr(module, "__name__", "").startswith("ptcache") \
-                    and getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted)
+def test_one_split_and_one_delivery_per_run(tmp_path, exchange_calls):
+    calls = exchange_calls("generate_delivery", "split_files")
     transcript = tmp_path / "run.jsonl"
     code = main(simulate_argv("theorem1", 7, 2, 5, "uniform", transcript, tmp_path / "r.json"))
     assert code == 0
-    assert calls == {"generate_delivery": 1, "split_files": 1}
+    assert {name: len(args) for name, args in calls.items()} == {
+        "generate_delivery": 1, "split_files": 1,
+    }
     assert transcript.read_bytes().count(b"\n") == 90
