@@ -38,7 +38,7 @@ from .exchange import (
     total_transmitted_units,
 )
 from .analysis import RatioRecord, asymptotic_ratio, f_jcm, f_pt, ratio, sweep
-from .baseline import compare, jcm_construct, jcm_packet_count
+from .baseline import compare, jcm_construct
 from .verify import (
     VerificationReport,
     verify_claims,

@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import verify
-from .combinatorics import binom
 # Not called here: kept because perfbench/spans.py wraps these baseline bindings.
 from .exchange import build_caches, decode, generate_delivery, split_files, total_transmitted_units  # noqa: F401
 from .scheme import DerivedScheme, SystemParams, derive, preset
@@ -24,11 +23,6 @@ from .scheme import DerivedScheme, SystemParams, derive, preset
 def jcm_construct(K: int, t: int, N: int, unit: int = 1) -> DerivedScheme:
     """The baseline as a derived PT scheme: one group, uniform factor t."""
     return derive(preset("jcm", SystemParams(K=K, t=t, N=N, unit=unit)))
-
-
-def jcm_packet_count(K: int, t: int) -> int:
-    """t * C(K, t), the baseline subpacketization."""
-    return t * binom(K, t)
 
 
 def jcm_direct_packet_ids(K: int, t: int) -> list[tuple[tuple[int, ...], int]]:
@@ -62,7 +56,7 @@ class ComparisonRecord:
 
 
 def compare(
-    pt: DerivedScheme, jcm: DerivedScheme, demands: Sequence[int] | None = None, seed: int = 0
+    pt: DerivedScheme, jcm: DerivedScheme, demands: Sequence[int] | str = "distinct", seed: int = 0
 ) -> ComparisonRecord:
     """Run both schemes through ``verify_end_to_end`` on the same demands and seed.
 
@@ -72,8 +66,6 @@ def compare(
     """
     if (pt.params.K, pt.params.t) != (jcm.params.K, jcm.params.t):
         raise ValueError("schemes must share (K, t) to be comparable")
-    if demands is None:
-        demands = list(range(1, pt.params.K + 1))
     pt_report = verify.verify_end_to_end(pt, demands, seed)
     jcm_report = verify.verify_end_to_end(jcm, demands, seed)
     for side, report in (("PT", pt_report), ("baseline", jcm_report)):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 
 class ComponentTooLarge(ValueError):
@@ -43,17 +43,6 @@ def vector_lcm(factors: Sequence[int]) -> int:
     if 0 in factors:
         return 0
     return math.lcm(*factors)
-
-
-def compositions_bounded(total: int, bounds: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """All vectors (c_1..c_m) with 0 <= c_i <= bounds[i] and sum == total."""
-    if len(bounds) == 1:
-        if 0 <= total <= bounds[0]:
-            yield (total,)
-        return
-    for c in range(min(total, bounds[0]) + 1):
-        for rest in compositions_bounded(total - c, bounds[1:]):
-            yield (c,) + rest
 
 
 def subsets_by_type(groups: Sequence[Sequence[int]], type_vec: Sequence[int]) -> list[tuple[int, ...]]:

@@ -42,7 +42,11 @@ class MissingPacket(ValueError):
 
 
 class DuplicateDelivery(ValueError):
-    """A user decoded the same packet twice, or a packet outside its demand."""
+    """A user decoded the same packet twice."""
+
+
+class UndemandedPacket(ValueError):
+    """A constituent's owner receives a packet of a file it did not demand."""
 
 
 class PacketLayoutMismatch(ValueError):
@@ -135,20 +139,9 @@ class PacketStore:
         """The bytes of materialized file n, as read for the split."""
         return self._bytes[n]
 
-    def payload(self, pid: PacketId) -> int:
-        n, support, g, j = pid
-        return self._values[n][self.index[(support, g, j)]]
-
-    def payload_at(self, n: int, pos: int) -> int:
-        return self._values[n][pos]
-
     def file_values(self, n: int) -> list[int]:
         """File n's packet payloads by canonical position (shared; do not mutate)."""
         return self._values[n]
-
-    def file_packet_ids(self, n: int) -> Iterator[PacketId]:
-        for support, g, j, _ in self.template:
-            yield (n, support, g, j)
 
 
 def split_files(
@@ -274,11 +267,7 @@ def generate_delivery(
 
     grouping = derivation.grouping
     layout = derivation.layout
-    first_size = grouping.sizes[0]
-    # component of each user (index 0 unused)
-    comp_of = [0] + [
-        0 if grouping.m == 1 or u <= first_size else 1 for u in range(1, p.K + 1)
-    ]
+    comp_of = [0] + [grouping.group_of(u) for u in range(1, p.K + 1)]  # index 0 unused
     index = store.index
     seed_bytes = seed.to_bytes(8, "big", signed=True)
     messages: list[CodedMessage] = []
@@ -375,14 +364,16 @@ def decode_all(
 
     Every message is checked, whoever is decoded.  Each constituent must be
     lacked by exactly one group member, its owner, who is not the
-    transmitter and caches every other constituent; otherwise
+    transmitter and caches every other constituent; otherwise, or when the
+    owner is not a user 1..K or the packet id is not in the layout,
     ``UndecodableMessage`` is raised.  With that checked, the owner's XOR of
     the other constituents uses only its cache, so with ``total`` the payload
     XOR-ed with every constituent, constituent i decodes to ``total ^ v_i``.
-    A constituent outside its owner's demand, or decoded twice, raises
-    ``DuplicateDelivery``.  Each decoded user's file is its cached packets
-    plus the decoded ones, written at their byte offsets; a packet never
-    decoded raises ``MissingPacket``.  Returns the files by ``cache.user``.
+    A constituent outside its owner's demand raises ``UndemandedPacket``, one
+    decoded twice ``DuplicateDelivery``.  Each decoded user's file is its
+    cached packets plus the decoded ones, written at their byte offsets; a
+    packet never decoded raises ``MissingPacket``.  Returns the files by
+    ``cache.user``.
     """
     if not caches:
         raise ValueError("no caches")
@@ -419,9 +410,15 @@ def decode_all(
             (owner,) = lacking
             if owner == msg.transmitter:
                 raise UndecodableMessage(f"transmitter {owner} does not cache {pid}")
+            if not 1 <= owner <= len(demands):
+                raise UndecodableMessage(
+                    f"owner {owner} of {pid} is not a user 1..{len(demands)}"
+                )
             if n != demands[owner - 1]:
-                raise DuplicateDelivery(f"user {owner} decoded {pid} outside its demand")
-            pos = index[(support, g, j)]
+                raise UndemandedPacket(f"user {owner} decoded {pid} outside its demand")
+            pos = index.get((support, g, j))
+            if pos is None:
+                raise UndecodableMessage(f"{pid} is not a packet of the layout")
             value = file_values(n)[pos]
             total ^= value
             unknowns.append((owner, pos, value))

@@ -139,10 +139,6 @@ class UserGrouping:
                 return i
         raise AssertionError("unreachable")
 
-    def assignment(self) -> dict[int, int]:
-        """user id -> group index, for serialization."""
-        return {u: i for i in range(self.m) for u in self.members(i)}
-
 
 @dataclass(frozen=True)
 class TransmitterSelection:
@@ -191,20 +187,13 @@ class SchemeSpec:
 class TypeLayout:
     """Subfile and multicast-group types of a grouping, with involvement maps.
 
-    ``involved[k]`` lists, for group type k, pairs ``(component, type_index)``:
-    receivers in that component miss subfiles of that type.
+    ``involved[k]`` lists, for group type k, pairs ``(component, ti)``:
+    receivers in that component miss subfiles of type ``subfile_types[ti]``.
     """
 
     subfile_types: tuple[TypeVec, ...]
     group_types: tuple[TypeVec, ...]
     involved: tuple[tuple[tuple[int, int], ...], ...]
-
-    @property
-    def V(self) -> int:
-        return len(self.subfile_types)
-
-    def type_index(self, v: TypeVec) -> int:
-        return self.subfile_types.index(v)
 
     def involved_types(self, k: int) -> tuple[int, ...]:
         return tuple(ti for _, ti in self.involved[k])
@@ -296,6 +285,19 @@ def intermediate_fs(plan: TransmitterSelection, layout: TypeLayout) -> tuple[int
     the omitted-group-type pattern, or one group type would need different
     repeat counts for its two sides.
     """
+    return _fs_and_repeats(plan, layout)[0]
+
+
+def _fs_and_repeats(
+    plan: TransmitterSelection, layout: TypeLayout
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The validated intermediate FS vector and, per group type, the repeats.
+
+    A group type's repeat count is how often each of its transmitters sends:
+    entry // local factor on every involved type that is not excluded, which
+    validation requires to agree across its sides.  0 marks a group type
+    whose involved types are all excluded, so its transmissions are omitted.
+    """
     per_type = _locals_by_type(plan, layout)
     entries = [vector_lcm(list(d.values())) for d in per_type]
     for ti, contributions in enumerate(per_type):
@@ -306,18 +308,20 @@ def intermediate_fs(plan: TransmitterSelection, layout: TypeLayout) -> tuple[int
                         f"type {layout.subfile_types[ti]} is excluded by a zero local "
                         f"but group type {layout.group_types[k]} still delivers it"
                     )
+    repeats = []
     for k in range(len(layout.group_types)):
-        repeats = {
+        counts = {
             entries[ti] // per_type[ti][k]
             for ti in layout.involved_types(k)
             if entries[ti] > 0
         }
-        if len(repeats) > 1:
+        if len(counts) > 1:
             raise IncompatibleLocals(
                 f"group type {layout.group_types[k]} needs conflicting repeat "
-                f"counts {sorted(repeats)} across its sides"
+                f"counts {sorted(counts)} across its sides"
             )
-    return tuple(entries)
+        repeats.append(counts.pop() if counts else 0)
+    return tuple(entries), tuple(repeats)
 
 
 def aggregate_fs(intermediates: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -482,10 +486,6 @@ class DerivedScheme:
     def rate(self) -> Fraction:
         return self.params.rate
 
-    def packet_size(self, g: int) -> int:
-        """Units of one coupled-group-g packet (1-based g)."""
-        return self.sizing.ell[g - 1]
-
     def to_json_dict(self) -> dict:
         p = self.params
         return {
@@ -531,36 +531,10 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _message_repeats(
-    layout: TypeLayout,
-    plans: Sequence[TransmitterSelection],
-    intermediates: Sequence[tuple[int, ...]],
-) -> tuple[tuple[int, ...], ...]:
-    """Per (coupled group, group type): how often each transmitter repeats.
-
-    0 marks a group type whose involved types are all excluded in that
-    coupled group, so its transmissions are omitted.  Uniformity across the
-    sides of a group type was already enforced by intermediate_fs.
-    """
-    out = []
-    for plan, entries in zip(plans, intermediates):
-        per_type = _locals_by_type(plan, layout)
-        row = []
-        for k in range(len(layout.group_types)):
-            repeats = {
-                entries[ti] // per_type[ti][k]
-                for ti in layout.involved_types(k)
-                if entries[ti] > 0
-            }
-            row.append(repeats.pop() if repeats else 0)
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def derive(spec: SchemeSpec) -> DerivedScheme:
     """Run the full static pipeline: types, FS vectors, ratios, sizes."""
     layout = derive_types(spec.params, spec.grouping)
-    intermediates = tuple(intermediate_fs(plan, layout) for plan in spec.plans)
+    intermediates, repeats = zip(*(_fs_and_repeats(plan, layout) for plan in spec.plans))
     fs = FsVectors(intermediate=intermediates, aggregate=aggregate_fs(intermediates))
     counts = count_vectors(spec.params, spec.grouping)
     gammas = solve_packet_ratio(fs, counts)
@@ -568,7 +542,6 @@ def derive(spec: SchemeSpec) -> DerivedScheme:
     if any(residuals):
         raise NonzeroResidual(f"ratios {gammas} leave memory residuals {residuals}")
     sizing = integer_packet_sizes(gammas, fs, counts)
-    repeats = _message_repeats(layout, spec.plans, intermediates)
     return DerivedScheme(
         spec=spec, layout=layout, fs=fs, counts=counts, sizing=sizing, repeats=repeats
     )

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .analysis import f_jcm, f_pt, gamma_terms, theorem_alpha
-from .combinatorics import binom, hypergeo_pmf, vector_lcm
+from .combinatorics import hypergeo_pmf, vector_lcm
 from .exchange import (
     CodedMessage,
     build_caches,
@@ -60,7 +60,7 @@ class CheckResult:
 
 @dataclass
 class VerificationReport:
-    """Audit of one end-to-end run plus any attached claim checks."""
+    """Audit of one end-to-end run."""
 
     decode_ok: dict[int, bool] = field(default_factory=dict)
     memory_bytes: dict[int, int] = field(default_factory=dict)
@@ -71,7 +71,6 @@ class VerificationReport:
     dof_ok: bool = False
     message_count: int = 0
     packets_per_file: int = 0
-    claims: dict[str, CheckResult] = field(default_factory=dict)
     failure: str | None = None
 
     @property
@@ -83,7 +82,6 @@ class VerificationReport:
             and self.dof_ok
             and bool(self.decode_ok)
             and all(self.decode_ok.values())
-            and all(c.passed for c in self.claims.values())
         )
 
     def to_json_dict(self) -> dict:
@@ -98,7 +96,6 @@ class VerificationReport:
             "dof_ok": self.dof_ok,
             "message_count": self.message_count,
             "packets_per_file": self.packets_per_file,
-            "claims": {k: c.to_json_dict() for k, c in self.claims.items()},
             "failure": self.failure,
         }
 
@@ -125,7 +122,7 @@ def verify_end_to_end(
     """Split, place, deliver, and decode, auditing every invariant.
 
     Never raises on a failing scheme: the report carries the first
-    counterexample instead.
+    counterexample instead.  Programming errors propagate.
     """
     return _audited_run(scheme, demands, seed)[0]
 
@@ -138,6 +135,9 @@ def _audited_run(
     """The body of ``verify_end_to_end``, also returning the audited messages.
 
     The messages are None when the run failed before delivery produced them.
+    Only ``ValueError`` is caught and reported: every named error of the
+    package subclasses it, so any other exception is a programming error and
+    propagates.
     """
     report = VerificationReport()
     messages = None
@@ -166,7 +166,7 @@ def _audited_run(
         reconstructed = decode_all(caches, messages, demands)
         for user in range(1, p.K + 1):
             report.decode_ok[user] = reconstructed[user] == store.file_bytes(demands[user - 1])
-    except Exception as exc:  # report-style: carry the counterexample
+    except ValueError as exc:  # report-style: carry the counterexample
         report.failure = f"{type(exc).__name__}: {exc}"
     return report, messages
 
@@ -301,9 +301,7 @@ def verify_lemma3(q: int, r: int) -> CheckResult:
     alpha = theorem_alpha(t)
     table = {}
     for q1 in range(lo, hi + 1):
-        counts = tuple(
-            binom(q1, k - 1) * binom(K - q1, t - k + 1) for k in range(1, t + 2)
-        )
+        counts = count_vectors(SystemParams(K, t, K), UserGrouping((q1, K - q1))).F
         table[q1] = sum(a * f for a, f in zip(alpha, counts))
     best = min(table.values())
     strict_min_at_lo = table[lo] == best and all(

@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 from ptcache.analysis import asymptotic_ratio, f_jcm, f_pt, theorem_alpha
-from ptcache.baseline import compare, jcm_construct, jcm_packet_count
+from ptcache.baseline import compare, jcm_construct
 from ptcache.combinatorics import binom
 from ptcache.exchange import FileOracle, split_files
 from ptcache.scheme import (
@@ -45,7 +45,7 @@ def test_criterion_01_example1_reproduction():
     ok &= d.fs.aggregate == (0, 2, 2)
     ok &= d.gamma[1] == 5 == 7 - 2
     ok &= d.packets_per_file == 36 == 3 * (7**2 - 1) // 4
-    ok &= jcm_packet_count(7, 2) == 42
+    ok &= f_jcm(7, 2) == 42
     ok &= Fraction(36, 42) == Fraction(6, 7)
     units = None
     for seed in (0, 1, 2):
@@ -149,7 +149,7 @@ def test_criterion_07_homogeneous_uniqueness():
 def test_criterion_08_odd_t3_instance():
     d = derive(preset("odd_t3", SystemParams(K=9, t=3, N=9)))
     ok = d.packets_per_file == 210
-    ok &= Fraction(210, jcm_packet_count(9, 3)) == Fraction(5, 6)
+    ok &= Fraction(210, f_jcm(9, 3)) == Fraction(5, 6)
     rep = verify_end_to_end(d, "distinct", seed=1)
     ok &= rep.passed and rep.rate == Fraction(2)
     # The 7/4 size ratio belongs to the staircase/hill vector pair; the

@@ -3,12 +3,12 @@ from fractions import Fraction
 import pytest
 
 from ptcache import verify
+from ptcache.analysis import f_jcm
 from ptcache.baseline import (
     ComparisonFailed,
     compare,
     jcm_construct,
     jcm_direct_packet_ids,
-    jcm_packet_count,
 )
 from ptcache.combinatorics import binom
 from ptcache.exchange import FileOracle, split_files
@@ -29,10 +29,10 @@ class TestConstruction:
     def test_direct_oracle_matches_engine(self):
         for K, t in [(4, 2), (5, 2), (6, 3), (7, 4)]:
             ids = jcm_direct_packet_ids(K, t)
-            assert len(ids) == jcm_packet_count(K, t) == t * binom(K, t)
+            assert len(ids) == f_jcm(K, t) == t * binom(K, t)
             d = jcm_construct(K, t, K)
             store = split_files(d, FileOracle(), files=[1])
-            engine_ids = {(support, j) for _, support, _, j in store.file_packet_ids(1)}
+            engine_ids = {(support, j) for support, _, j, _ in store.template}
             assert engine_ids == set(ids)
 
 

@@ -8,7 +8,6 @@ from ptcache.combinatorics import (
     ComponentTooLarge,
     OutOfSupport,
     binom,
-    compositions_bounded,
     count_subsets_of_type,
     hypergeo_pmf,
     subsets_by_type,
@@ -86,7 +85,7 @@ def test_types_partition_all_subsets(q1, q2, t):
         return
     groups = (tuple(range(1, q1 + 1)), tuple(range(q1 + 1, K + 1)))
     seen = []
-    for tv in compositions_bounded(t, (q1, q2)):
+    for tv in [(c, t - c) for c in range(t + 1) if c <= q1 and t - c <= q2]:
         seen.extend(subsets_by_type(groups, tv))
     assert len(seen) == binom(K, t)
     assert len(set(seen)) == len(seen)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import re
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -19,6 +20,7 @@ from ptcache.exchange import (
     PacketLayoutMismatch,
     PacketStore,
     UndecodableMessage,
+    UndemandedPacket,
     build_caches,
     decode,
     decode_all,
@@ -80,11 +82,12 @@ class TestSplit:
 
     def test_concatenation_reproduces_file(self, example1):
         d, oracle, store, _ = example1
+        values = store.file_values(3)
         joined = b"".join(
-            store.payload_at(3, pos).to_bytes(size, "big")
+            values[pos].to_bytes(size, "big")
             for pos, (_, _, _, size) in enumerate(store.template)
         )
-        assert joined == oracle.file_bytes(3, store.bytes_per_file)
+        assert joined == oracle.file_bytes(3, store.bytes_per_file) == store.file_bytes(3)
 
     def test_layout_mismatch_sizes(self):
         d = derived("theorem1", 7, 2)
@@ -281,8 +284,16 @@ class TestDecode:
         n, support, g, j = m.constituents[0]
         other = (n % 7 + 1, support, g, j)
         bad = dataclasses.replace(m, constituents=(other,) + m.constituents[1:])
-        with pytest.raises(DuplicateDelivery, match="outside its demand"):
+        with pytest.raises(UndemandedPacket, match="outside its demand"):
             decode_all(caches, [bad], demands)
+
+
+def packet_value(store, pid):
+    """A packet's payload as an integer, read from the bytes the store split."""
+    n, support, g, j = pid
+    pos = store.index[(support, g, j)]
+    offset, size = store.offsets[pos], store.template[pos][3]
+    return int.from_bytes(store.file_bytes(n)[offset : offset + size], "big")
 
 
 def swap_user5_constituents(store, msgs):
@@ -305,7 +316,7 @@ def swap_user5_constituents(store, msgs):
         constituents = tuple(new if pid == old else pid for pid in msgs[i].constituents)
         payload = 0
         for pid in constituents:
-            payload ^= store.payload(pid)
+            payload ^= packet_value(store, pid)
         out[i] = dataclasses.replace(
             msgs[i],
             constituents=constituents,
@@ -361,6 +372,55 @@ class TestHonestDecodeAll:
         bad = dataclasses.replace(m, constituents=m.constituents + m.constituents[:1])
         with pytest.raises(UndecodableMessage, match="two constituents"):
             decode_all(caches, [bad], demands)
+
+
+def malformed(m, case):
+    """Message ``m`` with one constituent the layout or the users cannot own.
+
+    "unknown_index": its first constituent gets packet index 999.
+    "owner_99"/"owner_0": the group gains member 99 (or 0) and the only
+    constituent is supported on the old group, so that member is its owner.
+    """
+    if case == "unknown_index":
+        n, support, g, _ = m.constituents[0]
+        return dataclasses.replace(m, constituents=((n, support, g, 999),) + m.constituents[1:])
+    extra = {"owner_99": 99, "owner_0": 0}[case]
+    group = tuple(sorted(m.group + (extra,)))
+    return dataclasses.replace(m, group=group, constituents=((1, m.group, m.round, 1),))
+
+
+MALFORMED = [
+    ("unknown_index", "not a packet of the layout"),
+    ("owner_99", "owner 99 .* not a user 1..7"),
+    ("owner_0", "owner 0 .* not a user 1..7"),
+]
+
+
+class TestMalformedConstituents:
+    """Constituents outside the layout or the user range raise UndecodableMessage."""
+
+    @pytest.mark.parametrize("case,reason", MALFORMED)
+    def test_decode_all(self, example1, case, reason):
+        d, _, store, caches = example1
+        demands = list(range(1, 8))
+        m = generate_delivery(d, store, demands, seed=0)[0]
+        with pytest.raises(UndecodableMessage, match=reason):
+            decode_all(caches, [malformed(m, case)], demands)
+
+    @pytest.mark.parametrize("case,reason", MALFORMED)
+    def test_verify_reports(self, example1, monkeypatch, case, reason):
+        d = example1[0]
+        real = verify.generate_delivery
+
+        def tampering(*args, **kwargs):
+            msgs = real(*args, **kwargs)
+            return [malformed(msgs[0], case)] + msgs[1:]
+
+        monkeypatch.setattr(verify, "generate_delivery", tampering)
+        report = verify.verify_end_to_end(d, "distinct", seed=0)
+        assert not report.passed
+        assert report.failure.startswith("UndecodableMessage")
+        assert re.search(reason, report.failure)
 
 
 class TestDecodeAccounting:

@@ -6,6 +6,7 @@ of each grid additionally goes through the one-call verifier.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from ptcache.scheme import (
     TransmitterSelection,
     UserGrouping,
     derive,
+    derive_types,
     preset,
 )
 from ptcache.verify import demand_vector, verify_claims, verify_end_to_end
@@ -81,29 +83,41 @@ def test_aggregate_capped_at_t(t):
 
 
 def test_every_accepted_plan_pair_executes():
-    """Exhaust all selection pairs at K=7, t=2.
+    """Exhaust every two-coupled-group blueprint at K in {7, 9}, t in {2, 3}.
 
-    The two mixed group types admit three dagger choices each, so one
-    coupled group has 9 possible plans and a two-coupled-group scheme 81.
+    Each grouping q1 > q2 >= t is paired with every pair of selections that
+    daggers a non-empty set of occupied components in each group type.
     Every pair must either fail derivation with a named validation error or
-    survive the full byte pipeline.
+    pass the full byte pipeline for distinct and uniform demands.  The
+    outcome counts are pinned, so a change to what ``derive`` accepts shows.
     """
-    p = SystemParams(K=7, t=2, N=7)
-    grouping = UserGrouping((4, 3))
-    choices = [frozenset({0}), frozenset({1}), frozenset({0, 1})]
-    plans = [
-        TransmitterSelection((frozenset({1}), d2, d3, frozenset({0})))
-        for d2 in choices
-        for d3 in choices
-    ]
-    accepted = 0
-    for p1, p2 in itertools.product(plans, plans):
-        spec = SchemeSpec(p, grouping, (p1, p2))
-        try:
-            d = derive(spec)
-        except (IncompatibleLocals, DegenerateSystem, InvalidRatio):
-            continue
-        accepted += 1
-        report = verify_end_to_end(d, "distinct", seed=0)
-        assert report.passed, (p1, p2, report.failure)
-    assert accepted > 1  # at least the named construction plus variants
+    outcomes = Counter()
+    for K, t in itertools.product((7, 9), (2, 3)):
+        p = SystemParams(K=K, t=t, N=K)
+        for q2 in range(t, (K + 1) // 2):
+            grouping = UserGrouping((K - q2, q2))
+            occupied = [
+                [i for i, c in enumerate(s) if c > 0]
+                for s in derive_types(p, grouping).group_types
+            ]
+            choices = [
+                [frozenset(c) for n in (1, 2) for c in itertools.combinations(comps, n)]
+                for comps in occupied
+            ]
+            plans = [TransmitterSelection(daggers) for daggers in itertools.product(*choices)]
+            for p1, p2 in itertools.product(plans, plans):
+                try:
+                    d = derive(SchemeSpec(p, grouping, (p1, p2)))
+                except (IncompatibleLocals, DegenerateSystem, InvalidRatio) as exc:
+                    outcomes[type(exc).__name__] += 1
+                    continue
+                outcomes["derived"] += 1
+                for kind in ("distinct", "uniform"):
+                    report = verify_end_to_end(d, kind, seed=0)
+                    assert report.passed, (K, t, p1, p2, kind, report.failure)
+    assert outcomes == {
+        "derived": 158,
+        "IncompatibleLocals": 2155,
+        "InvalidRatio": 220,
+        "DegenerateSystem": 59,
+    }

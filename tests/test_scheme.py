@@ -332,14 +332,37 @@ class TestSerialization:
         assert a == b
 
 
-def test_library_has_no_assert_statements():
-    """``python -O`` strips asserts, so library checks raise named errors."""
+def library_nodes():
+    """(file name, node) for every AST node of the library's modules."""
     sources = sorted((Path(__file__).resolve().parents[1] / "src" / "ptcache").glob("*.py"))
     assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            yield path.name, node
+
+
+def test_library_has_no_assert_statements():
+    """``python -O`` strips asserts, so library checks raise named errors."""
+    found = [f"{name}:{node.lineno}" for name, node in library_nodes() if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_library_has_no_broad_except():
+    """No handler catches Exception, BaseException or everything.
+
+    Named errors subclass ValueError, so handlers name what they expect and
+    a programming error is never reported as a failing scheme.
+    """
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sources
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Assert)
+        f"{name}:{node.lineno}"
+        for name, node in library_nodes()
+        if isinstance(node, ast.ExceptHandler)
+        and (
+            node.type is None
+            or any(
+                isinstance(n, ast.Name) and n.id in ("Exception", "BaseException")
+                for n in ast.walk(node.type)
+            )
+        )
     ]
     assert found == []

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from ptcache import verify
 from ptcache.analysis import f_jcm, f_pt
 from ptcache.exchange import FileOracle, split_files
 from ptcache.scheme import (
@@ -82,6 +83,12 @@ class TestEndToEnd:
         report = verify_end_to_end(bad, "distinct", seed=0)
         assert not report.passed
         assert report.failure is not None
+
+    def test_programming_error_propagates(self, monkeypatch):
+        # only the package's ValueErrors become a report failure
+        monkeypatch.setattr(verify, "generate_delivery", lambda *args, **kwargs: None)
+        with pytest.raises(TypeError):
+            verify_end_to_end(preset("theorem1", SystemParams(K=7, t=2, N=7)), "distinct")
 
     def test_report_serializes(self):
         report = verify_end_to_end(
