@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .combinatorics import binom
-from .scheme import SystemParams, UserGrouping, count_vectors, frac_str
+from .scheme import CountVectors, SystemParams, UserGrouping, count_vectors, frac_str
 
 
 def theorem_alpha(t: int) -> tuple[int, ...]:
@@ -28,9 +28,15 @@ def theorem_alpha(t: int) -> tuple[int, ...]:
     return tuple(2 * (k - 1) for k in range(1, r + 1)) + (t,) * (r + 1)
 
 
-def subfile_counts(q: int, t: int) -> tuple[int, ...]:
-    """f_k = C(q+1, k-1) * C(q, t-k+1) for k in 1..t+1."""
-    return tuple(binom(q + 1, k - 1) * binom(q, t - k + 1) for k in range(1, t + 2))
+def _counts(q: int, t: int) -> CountVectors:
+    """Subfile and cache counts of the grouping (q+1, q) at (K, t) = (2q+1, t)."""
+    K = 2 * q + 1
+    return count_vectors(SystemParams(K=K, t=t, N=K), UserGrouping((q + 1, q)))
+
+
+def _packets(counts: CountVectors, t: int) -> int:
+    """F_PT = alpha . F for the construction's aggregate FS vector alpha."""
+    return sum(a * f for a, f in zip(theorem_alpha(t), counts.F))
 
 
 def f_pt(q: int, r: int) -> int:
@@ -38,7 +44,7 @@ def f_pt(q: int, r: int) -> int:
     t = 2 * r
     if q < t + 1:
         raise ValueError(f"need q >= t+1, got q={q}, t={t}")
-    return sum(a * f for a, f in zip(theorem_alpha(t), subfile_counts(q, t)))
+    return _packets(_counts(q, t), t)
 
 
 def f_jcm(K: int, t: int) -> int:
@@ -74,19 +80,14 @@ def gamma_terms(q: int, t: int) -> tuple[tuple[int, ...], int, int]:
     products with the staircase vector (0, 1, ..., t) and the hill vector
     min(k-1, t+1-k); the packet-size ratio is -(first) / (second).
     """
-    counts = count_vectors(
-        SystemParams(K=2 * q + 1, t=t, N=2 * q + 1), UserGrouping((q + 1, q))
-    )
+    return _delta_terms(_counts(q, t), t)
+
+
+def _delta_terms(counts: CountVectors, t: int) -> tuple[tuple[int, ...], int, int]:
     delta = counts.deltas[0]
     a1 = sum((k - 1) * d for k, d in enumerate(delta, start=1))
     a2 = sum(min(k - 1, t + 1 - k) * d for k, d in enumerate(delta, start=1))
     return delta, a1, a2
-
-
-def _gamma_for(q: int, r: int) -> Fraction:
-    """Packet-size ratio of the construction at (2q+1, 2r), from the memory constraint."""
-    _, a1, a2 = gamma_terms(q, 2 * r)
-    return Fraction(-a1, a2)
 
 
 @dataclass(frozen=True)
@@ -111,22 +112,23 @@ def sweep(t_list: Sequence[int], q_max: int | None = None) -> list[RatioRecord]:
     """
     records = []
     for t in sorted(t_list):
-        if t % 2 != 0 or t < 2:
-            raise ValueError(f"t must be even and positive, got {t}")
-        r = t // 2
         asymptote = asymptotic_ratio(t)[0]
         for q in range(t + 1, (q_max if q_max is not None else t + 50) + 1):
+            counts = _counts(q, t)
+            F_PT = _packets(counts, t)
+            F_JCM = f_jcm(2 * q + 1, t)
+            _, a1, a2 = _delta_terms(counts, t)
             records.append(
                 RatioRecord(
                     K=2 * q + 1,
                     t=t,
                     q=q,
-                    r=r,
-                    F_PT=f_pt(q, r),
-                    F_JCM=f_jcm(2 * q + 1, t),
-                    ratio=ratio(q, r),
+                    r=t // 2,
+                    F_PT=F_PT,
+                    F_JCM=F_JCM,
+                    ratio=Fraction(F_PT, F_JCM),
                     asymptote=asymptote,
-                    gamma=_gamma_for(q, r),
+                    gamma=Fraction(-a1, a2),
                 )
             )
     return records

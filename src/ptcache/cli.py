@@ -151,7 +151,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     passed = all(c.passed for c in checks)
     doc = {"passed": passed, "checks": [c.to_json_dict() for c in checks]}
     _emit(json.dumps(doc, indent=2), args.output)
-    return 1 if (args.strict and not passed) else 0
+    return 0 if passed else 1
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -198,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--q-range", default=None, help="inclusive range lo:hi")
     p.add_argument("--r-range", default=None, help="inclusive range lo:hi")
-    p.add_argument("--strict", action="store_true")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_verify)
 

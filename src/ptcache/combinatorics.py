@@ -68,14 +68,6 @@ def subsets_by_type(groups: Sequence[Sequence[int]], type_vec: Sequence[int]) ->
     return [tuple(itertools.chain.from_iterable(parts)) for parts in itertools.product(*per_group)]
 
 
-def count_subsets_of_type(group_sizes: Sequence[int], type_vec: Sequence[int]) -> int:
-    """prod_i C(group_sizes[i], type_vec[i]) without enumerating."""
-    count = 1
-    for size, c in zip(group_sizes, type_vec):
-        count *= binom(size, c)
-    return count
-
-
 def hypergeo_pmf(q: int, t: int, j: int) -> Fraction:
     """Pr(J = j) for J ~ Hypergeo(2q+1, q+1, t), exactly.
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .combinatorics import binom, count_subsets_of_type, vector_lcm
+from .combinatorics import binom, vector_lcm
 
 TypeVec = tuple[int, ...]
 
@@ -52,10 +52,6 @@ class DegenerateSystem(ValueError):
 
 class InvalidRatio(ValueError):
     """A solved packet-size ratio is not strictly positive."""
-
-
-class CountMismatch(ValueError):
-    """Closed-form subfile counts disagree with direct subset enumeration."""
 
 
 class NonzeroResidual(ValueError):
@@ -199,6 +195,22 @@ class TypeLayout:
         return tuple(ti for _, ti in self.involved[k])
 
 
+def _two_group_sizes(grouping: UserGrouping, t: int) -> tuple[int, int]:
+    """(q1, q2) of a supported two-group layout, q1 > q2 >= t; else UnsupportedGrouping."""
+    if grouping.m != 2:
+        raise UnsupportedGrouping(f"{grouping.m}-group layouts are not supported")
+    q1, q2 = grouping.sizes
+    if q1 == q2:
+        raise UnsupportedGrouping(
+            "equal two-group layouts collapse type components; use one group"
+        )
+    if q2 < t:
+        raise UnsupportedGrouping(
+            f"second group of size {q2} cannot host type (0,{t}); need q2 >= t"
+        )
+    return q1, q2
+
+
 def derive_types(params: SystemParams, grouping: UserGrouping) -> TypeLayout:
     """Types, group types, and involved sets for the supported layouts.
 
@@ -214,17 +226,7 @@ def derive_types(params: SystemParams, grouping: UserGrouping) -> TypeLayout:
             group_types=((t + 1,),),
             involved=(((0, 0),),),
         )
-    if grouping.m != 2:
-        raise UnsupportedGrouping(f"{grouping.m}-group layouts are not supported")
-    q1, q2 = grouping.sizes
-    if q1 == q2:
-        raise UnsupportedGrouping(
-            "equal two-group layouts collapse type components; use one group"
-        )
-    if q2 < t:
-        raise UnsupportedGrouping(
-            f"second group of size {q2} cannot host type (0,{t}); need q2 >= t"
-        )
+    _two_group_sizes(grouping, t)
     subfile_types = tuple((k - 1, t - k + 1) for k in range(1, t + 2))
     group_types = tuple((k - 1, t - k + 2) for k in range(1, t + 3))
     involved = []
@@ -362,7 +364,8 @@ def count_vectors(params: SystemParams, grouping: UserGrouping) -> CountVectors:
 
     Two-group layout: F(v_k) = C(q1,k-1)C(q2,t-k+1), a user in the first
     group caches C(q1-1,k-2)C(q2,t-k+1) of them, one in the second
-    C(q1,k-1)C(q2-1,t-k).
+    C(q1,k-1)C(q2-1,t-k).  Only here are these products written; the
+    closed forms of ``analysis`` read them from here.
     """
     t = params.t
     if grouping.m == 1:
@@ -371,14 +374,10 @@ def count_vectors(params: SystemParams, grouping: UserGrouping) -> CountVectors:
             per_set=((binom(params.K - 1, t - 1),),),
             deltas=(),
         )
-    layout = derive_types(params, grouping)
-    q1, q2 = grouping.sizes
+    q1, q2 = _two_group_sizes(grouping, t)
     F = tuple(binom(q1, k - 1) * binom(q2, t - k + 1) for k in range(1, t + 2))
     F1 = tuple(binom(q1 - 1, k - 2) * binom(q2, t - k + 1) for k in range(1, t + 2))
     F2 = tuple(binom(q1, k - 1) * binom(q2 - 1, t - k) for k in range(1, t + 2))
-    enumerated = tuple(count_subsets_of_type(grouping.sizes, v) for v in layout.subfile_types)
-    if F != enumerated:
-        raise CountMismatch(f"closed-form subfile counts {F}, enumerated {enumerated}")
     delta = tuple(b - a for a, b in zip(F1, F2))
     return CountVectors(F=F, per_set=(F1, F2), deltas=(delta,))
 

@@ -15,7 +15,6 @@ from ptcache.analysis import (
     records_to_json,
     sweep,
     theorem_alpha,
-    _gamma_for,
 )
 from ptcache.scheme import SystemParams, derive, preset
 
@@ -99,7 +98,8 @@ class TestSweep:
     def test_gamma_matches_engine(self):
         for t, q in [(2, 3), (2, 7), (4, 5), (6, 8)]:
             d = derive(preset("theorem1", SystemParams(K=2 * q + 1, t=t, N=2 * q + 1)))
-            assert _gamma_for(q, t // 2) == d.gamma[1]
+            rec = sweep([t], q_max=q)[-1]
+            assert rec.q == q and rec.gamma == d.gamma[1]
 
     def test_gamma_t2_formula(self):
         recs = sweep([2], q_max=8)

@@ -172,10 +172,27 @@ class TestVerify:
     def test_lemma1_and_odd_t(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--lemma1", "--t", "2", "--q-range", "3:8",
-            "--odd-t", "--r-range", "1:6", "--strict",
+            "--odd-t", "--r-range", "1:6",
         )
         assert code == 0
         assert json.loads(out)["passed"] is True
+
+    def test_failed_check_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            verify, "verify_remark3",
+            lambda q: verify.CheckResult("remark3_homogeneous_uniqueness", False, {}),
+        )
+        code, out, _ = run_cli(capsys, "verify", "--remark3", "--q", "3")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["passed"] is False
+        assert doc["checks"][0]["name"] == "remark3_homogeneous_uniqueness[q=3]"
+
+    def test_strict_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--remark3", "--q", "3", "--strict"])
+        assert exc.value.code == 2
+        assert "--strict" in capsys.readouterr().err
 
     def test_no_selection_exit2(self, capsys):
         code, _, err = run_cli(capsys, "verify")

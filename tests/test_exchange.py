@@ -423,6 +423,38 @@ class TestMalformedConstituents:
         assert re.search(reason, report.failure)
 
 
+def flip_first_payload_bit(msgs):
+    m = msgs[0]
+    return [dataclasses.replace(m, payload=bytes([m.payload[0] ^ 1]) + m.payload[1:])] + msgs[1:]
+
+
+TAMPERED = [
+    # tamper, failure prefix (None: the run completes), users that fail to decode
+    (lambda msgs: msgs[:-1], "MissingPacket", None),
+    (lambda msgs: msgs + msgs[:1], "DuplicateDelivery", None),
+    (flip_first_payload_bit, None, {5, 6}),
+]
+
+
+class TestTampering:
+    """A tampered delivery fails ``verify_end_to_end`` with a named reason."""
+
+    @pytest.mark.parametrize("tamper,failure,undecoded", TAMPERED,
+                             ids=["drop_last", "duplicate_first", "flip_payload_bit"])
+    def test_verify_reports(self, example1, monkeypatch, tamper, failure, undecoded):
+        real = verify.generate_delivery
+        monkeypatch.setattr(verify, "generate_delivery",
+                            lambda *args, **kwargs: tamper(real(*args, **kwargs)))
+        report = verify.verify_end_to_end(example1[0], "distinct", seed=0)
+        assert not report.passed
+        if failure is None:
+            assert report.failure is None
+            assert {u for u, ok in report.decode_ok.items() if not ok} == undecoded
+            assert set(report.decode_ok) == set(range(1, 8))
+        else:
+            assert report.failure.startswith(failure)
+
+
 class TestDecodeAccounting:
     @pytest.mark.parametrize("name,K,t", [("theorem1", 11, 4), ("odd_t3", 9, 3)])
     def test_per_type_counts_match_cache_complement(self, name, K, t):

@@ -9,7 +9,6 @@ import pytest
 from ptcache import scheme
 from ptcache.combinatorics import binom
 from ptcache.scheme import (
-    CountMismatch,
     DegenerateSystem,
     EmptySelection,
     FsVectors,
@@ -60,13 +59,16 @@ class TestDeriveTypes:
         assert len(layout.subfile_types) == 5
         assert len(layout.group_types) == 6
 
-    def test_rejections(self):
-        with pytest.raises(UnsupportedGrouping):
-            derive_types(params(9, 2), UserGrouping((3, 3, 3)))
-        with pytest.raises(UnsupportedGrouping):
-            derive_types(params(6, 2), UserGrouping((3, 3)))
-        with pytest.raises(UnsupportedGrouping):
-            derive_types(params(7, 3), UserGrouping((5, 2)))  # q2 < t
+    @pytest.mark.parametrize("layout_fn", [derive_types, count_vectors],
+                             ids=["derive_types", "count_vectors"])
+    def test_rejections(self, layout_fn):
+        with pytest.raises(UnsupportedGrouping, match="^3-group layouts are not supported$"):
+            layout_fn(params(9, 2), UserGrouping((3, 3, 3)))
+        with pytest.raises(UnsupportedGrouping, match="^equal two-group layouts collapse"):
+            layout_fn(params(6, 2), UserGrouping((3, 3)))
+        with pytest.raises(UnsupportedGrouping, match=r"^second group of size 2 cannot host "
+                           r"type \(0,3\); need q2 >= t$"):
+            layout_fn(params(7, 3), UserGrouping((5, 2)))  # q2 < t
 
 
 class TestGrouping:
@@ -160,12 +162,6 @@ class TestCountVectors:
     def test_larger_instance(self):
         counts = count_vectors(params(11, 4), UserGrouping((6, 5)))
         assert counts.F == (5, 60, 150, 100, 15)
-
-    def test_enumeration_mismatch_raises(self, monkeypatch):
-        real = scheme.count_subsets_of_type
-        monkeypatch.setattr(scheme, "count_subsets_of_type", lambda sizes, v: real(sizes, v) + 1)
-        with pytest.raises(CountMismatch):
-            count_vectors(params(7, 2), UserGrouping((4, 3)))
 
 
 class TestPacketRatio:
