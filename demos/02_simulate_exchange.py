@@ -41,7 +41,7 @@ print(f"transmitted: {units} units; rate = {Fraction(units, d.sizing.L)} "
 print()
 
 print("First three messages (payloads are XORs of the named packets):")
-for line in list(transcript_lines(messages))[:3]:
+for line in list(transcript_lines(messages, store))[:3]:
     print(" ", line[:120], "...")
 print()
 

@@ -66,7 +66,10 @@ def asymptotic_ratio(t: int) -> tuple[Fraction, float]:
     for display next to the exact value.
     """
     if t % 2 != 0 or t < 2:
-        raise ValueError(f"t must be even and positive, got {t}")
+        raise ValueError(
+            f"even t required for theorem1 sweep: t must be even and positive, got {t}; "
+            "the t = 3 construction is a preset: ptcache construct --preset odd_t3 --K 11 --t 3"
+        )
     r = t // 2
     exact = 1 - Fraction(binom(t, r), 2 ** (t + 1))
     return exact, 1.0 - math.sqrt(1.0 / (2.0 * math.pi * t))

@@ -18,7 +18,6 @@ from .exchange import write_transcript
 # perfbench/spans.py traces the delivery stages through cli's bindings too.
 from .exchange import generate_delivery, split_files  # noqa: F401
 from .scheme import (
-    PresetConstraintViolated,
     SchemeSpec,
     SystemParams,
     UserGrouping,
@@ -95,9 +94,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     derivation = derive(_spec_from(args))
     p = derivation.params
     demands = _parse_demands(args.demands, p.K, p.N)
-    report, messages = verify._audited_run(derivation, demands, args.seed)
+    report, messages, store = verify._audited_run(derivation, demands, args.seed)
     if args.transcript and messages is not None:
-        write_transcript(messages, _out_path(args.transcript))
+        write_transcript(messages, _out_path(args.transcript), store)
     _emit(report.to_json(), args.output)
     return 0 if report.passed else 1
 
@@ -155,10 +154,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    t_list = [int(x) for x in args.t.split(",")]
-    if any(t % 2 != 0 for t in t_list):
-        raise ValueError("even t required for theorem1 sweep; use --preset odd_t3")
-    records = analysis.sweep(t_list, q_max=args.q_max)
+    records = analysis.sweep([int(x) for x in args.t.split(",")], q_max=args.q_max)
     text = (
         analysis.records_to_csv(records)
         if args.format == "csv"
@@ -215,7 +211,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PresetConstraintViolated, ValueError) as exc:
+    except ValueError as exc:  # every named error of the package subclasses it
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,9 +5,13 @@ heterogeneous packets in a canonical order, are cached at the users whose
 support sets cover them, and are exchanged through two (or G) rounds of XOR
 multicast messages.  Decoding is checked against the bytes the split read.
 
-Packet ids are tuples ``(file, support, coupled_group, index)`` with the
-support as a sorted user tuple and 1-based coupled group and index.
-Payloads are carried as bytes on messages and as big integers internally.
+A packet is named by its file and its flat position: its place in the
+canonical order of ``PacketStore.template``, whose entry ``(support,
+coupled_group, index, size)`` holds the support as a sorted user tuple and
+the 1-based coupled group and index.  Message constituents are ``(file,
+position)`` pairs; the transcript expands each to ``file, support,
+coupled_group, index``.  Payloads are carried as bytes on messages and as
+big integers internally.
 """
 
 from __future__ import annotations
@@ -17,12 +21,12 @@ import itertools
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 from .combinatorics import subsets_by_type
 from .scheme import DerivedScheme
 
-PacketId = tuple[int, tuple[int, ...], int, int]
+Constituent = tuple[int, int]  # (file, flat position)
 
 
 class DemandOutOfRange(ValueError):
@@ -47,6 +51,10 @@ class DuplicateDelivery(ValueError):
 
 class UndemandedPacket(ValueError):
     """A constituent's owner receives a packet of a file it did not demand."""
+
+
+class PayloadSizeMismatch(ValueError):
+    """A message payload's length differs from its round's packet size."""
 
 
 class PacketLayoutMismatch(ValueError):
@@ -82,8 +90,12 @@ class PacketStore:
     The canonical order is: subfile type ascending, support set
     lexicographic, coupled group ascending, packet index ascending.
     Concatenating one file's packets in this order reproduces the file;
-    ``offsets`` holds each position's byte offset.  The store also keeps the
-    bytes it split, which decoding is checked against.
+    ``offsets`` holds each position's byte offset, ``support_mask`` each
+    position's support as a bitmask (bit u for user u), ``support_runs`` the
+    ``(support, start, stop)`` range of positions of each support set, and
+    ``first[g - 1]`` maps a support mask to the position of index 1 of its
+    coupled group g packets.  The store also keeps the bytes it split, which
+    decoding is checked against.
     """
 
     def __init__(self, derivation: DerivedScheme, oracle: FileOracle):
@@ -92,13 +104,25 @@ class PacketStore:
         unit = derivation.params.unit
         groups = derivation.grouping.groups
         entries: list[tuple[tuple[int, ...], int, int, int]] = []
+        masks: list[int] = []
+        runs: list[tuple[tuple[int, ...], int, int]] = []
+        self.first: tuple[dict[int, int], ...] = tuple({} for _ in range(derivation.spec.G))
         for ti, v in enumerate(derivation.layout.subfile_types):
             for support in subsets_by_type(groups, v):
+                mask = sum(1 << u for u in support)
+                start = len(entries)
                 for g in range(1, derivation.spec.G + 1):
-                    for j in range(1, derivation.fs.intermediate[g - 1][ti] + 1):
-                        entries.append((support, g, j, derivation.sizing.ell[g - 1] * unit))
+                    alpha = derivation.fs.intermediate[g - 1][ti]
+                    if alpha:
+                        self.first[g - 1][mask] = len(entries)
+                    size = derivation.sizing.ell[g - 1] * unit
+                    entries.extend((support, g, j, size) for j in range(1, alpha + 1))
+                    masks.extend([mask] * alpha)
+                if len(entries) > start:
+                    runs.append((support, start, len(entries)))
         self.template = tuple(entries)
-        self.index = {e[:3]: pos for pos, e in enumerate(entries)}
+        self.support_mask = tuple(masks)
+        self.support_runs = tuple(runs)
         self.offsets = tuple(itertools.accumulate((e[3] for e in entries[:-1]), initial=0))
         self.bytes_per_file = derivation.sizing.L * unit
         if sum(e[3] for e in entries) != self.bytes_per_file:
@@ -118,18 +142,19 @@ class PacketStore:
         return len(self.template)
 
     def materialize(self, files: Iterable[int]) -> None:
+        slices = None
         for n in files:
             if n in self._values:
                 continue
             if not 1 <= n <= self.derivation.params.N:
                 raise DemandOutOfRange(f"file {n} outside 1..{self.derivation.params.N}")
+            if slices is None:
+                slices = [slice(o, o + e[3]) for e, o in zip(self.template, self.offsets)]
             raw = self.oracle.file_bytes(n, self.bytes_per_file)
-            values = [
-                int.from_bytes(raw[offset : offset + size], "big")
-                for (_, _, _, size), offset in zip(self.template, self.offsets)
-            ]
             self._bytes[n] = raw
-            self._values[n] = values
+            self._values[n] = list(
+                map(int.from_bytes, map(raw.__getitem__, slices), itertools.repeat("big"))
+            )
 
     @property
     def files(self) -> tuple[int, ...]:
@@ -195,12 +220,12 @@ def build_caches(derivation: DerivedScheme, store: PacketStore) -> list[Cache]:
     return caches
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CodedMessage:
     """One XOR multicast transmission.
 
-    ``constituents`` records the packet ids XOR-ed into the payload, for
-    auditing; the wire content is only ``payload``.
+    ``constituents`` records the ``(file, position)`` packets XOR-ed into the
+    payload, for auditing; the wire content is only ``payload``.
     """
 
     round: int
@@ -208,7 +233,7 @@ class CodedMessage:
     transmitter: int
     repeat: int
     payload: bytes
-    constituents: tuple[PacketId, ...]
+    constituents: tuple[Constituent, ...]
 
 
 _WORDS = struct.Struct(">8Q")
@@ -239,6 +264,45 @@ def _bijection_key(group_prefix: bytes, receiver: int) -> bytes:
     return hashlib.blake2b(raw, digest_size=16).digest()
 
 
+def _slot_plan(
+    derivation: DerivedScheme, g: int, k: int, repeat_count: int, group: tuple[int, ...]
+) -> tuple[list[tuple[int, int]], list[tuple[int, list[tuple[int, int]]]]]:
+    """Who receives and who sends what in round g's groups of type k.
+
+    A group's members come in component order, so a member slot's
+    component, its packet count alpha, and its senders are the same in
+    every group of the type; ``group`` is the first one, named in errors.
+    Returns the receiving slots as ``(slot, alpha)`` and, per transmitter
+    slot, the receivers it serves as ``(receiver number, start)``: the
+    receiver's bijection domain is (sender, repeat) in row-major order, so
+    the transmitter's repeats read its indices ``start, start + 1, ...``.
+    """
+    layout = derivation.layout
+    alpha_of_comp = {c: derivation.fs.intermediate[g - 1][ti] for c, ti in layout.involved[k]}
+    dagger_comps = derivation.spec.plans[g - 1].daggers[k]
+    comps = [c for c, count in enumerate(layout.group_types[k]) for _ in range(count)]
+    transmitters = [i for i, c in enumerate(comps) if c in dagger_comps]
+    receivers = []
+    for i, c in enumerate(comps):
+        alpha = alpha_of_comp[c]
+        if alpha == 0:
+            continue
+        senders = [a for a in transmitters if a != i]
+        if len(senders) * repeat_count != alpha:
+            raise DeliveryCountMismatch(
+                f"receiver {group[i]} of group {group} needs {alpha} packets in "
+                f"round {g}, but {len(senders)} transmitters x "
+                f"{repeat_count} repeats carry {len(senders) * repeat_count}"
+            )
+        receivers.append((i, alpha, senders))
+    sends = [
+        (a, [(r, senders.index(a) * repeat_count)
+             for r, (i, _, senders) in enumerate(receivers) if i != a])
+        for a in transmitters
+    ]
+    return [(i, alpha) for i, alpha, _ in receivers], sends
+
+
 def generate_delivery(
     derivation: DerivedScheme,
     store: PacketStore,
@@ -266,70 +330,59 @@ def generate_delivery(
     store.materialize(set(demands))
 
     grouping = derivation.grouping
-    layout = derivation.layout
-    comp_of = [0] + [grouping.group_of(u) for u in range(1, p.K + 1)]  # index 0 unused
-    index = store.index
+    values_of = [None] + [store.file_values(n) for n in demands]  # by user
     seed_bytes = seed.to_bytes(8, "big", signed=True)
     messages: list[CodedMessage] = []
+    append = messages.append
     for g in range(1, derivation.spec.G + 1):
-        entries = derivation.fs.intermediate[g - 1]
-        plan = derivation.spec.plans[g - 1]
         size_bytes = derivation.sizing.ell[g - 1] * p.unit
         round_prefix = seed_bytes + g.to_bytes(2, "big")
-        for k, s in enumerate(layout.group_types):
+        first = store.first[g - 1]
+        for k, s in enumerate(derivation.layout.group_types):
             repeat_count = derivation.repeats[g - 1][k]
             if repeat_count == 0:
                 continue
             if any(c > size for c, size in zip(s, grouping.sizes)):
                 continue  # group type with no instances at this grouping
-            alpha_of_comp = {c: entries[ti] for c, ti in layout.involved[k]}
-            dagger_comps = plan.daggers[k]
-            for group in subsets_by_type(grouping.groups, s):
-                transmitters = tuple([u for u in group if comp_of[u] in dagger_comps])
-                group_prefix = round_prefix + b"".join([u.to_bytes(4, "big") for u in group])
-                # Receiver y's packets of (group minus y, g) sit at flat
-                # positions base+1..base+alpha of its file; the domain of its
-                # bijection is (sender slot, repeat) in row-major order.
-                receivers = []
-                for i, y in enumerate(group):
-                    alpha = alpha_of_comp[comp_of[y]]
-                    if alpha == 0:
-                        continue
-                    senders = transmitters if y not in transmitters else tuple(
-                        [x for x in transmitters if x != y]
-                    )
-                    if len(senders) * repeat_count != alpha:
-                        raise DeliveryCountMismatch(
-                            f"receiver {y} of group {group} needs {alpha} packets in "
-                            f"round {g}, but {len(senders)} transmitters x "
-                            f"{repeat_count} repeats carry {len(senders) * repeat_count}"
-                        )
-                    support = group[:i] + group[i + 1 :]
+            groups = subsets_by_type(grouping.groups, s)
+            receivers, sends = _slot_plan(derivation, g, k, repeat_count, groups[0])
+            pack_members = struct.Struct(">%dI" % sum(s)).pack
+            for group in groups:
+                # Receiver y's packets of (group minus y, g) sit at positions
+                # first, first + 1, ... of its file, taken in bijection order;
+                # per receiver, the (file, position) ids and their values.
+                prefix = None
+                carried = []
+                group_mask = 0
+                for u in group:
+                    group_mask |= 1 << u
+                for i, alpha in receivers:
+                    y = group[i]
                     n = demands[y - 1]
-                    order = _shuffled_indices(alpha, _bijection_key(group_prefix, y))
-                    base = index[(support, g, 1)] - 1
-                    receivers.append((y, n, support, store.file_values(n), base, order, senders))
-                for x in transmitters:
-                    carried = []
-                    for y, n, support, values, base, order, senders in receivers:
-                        if y != x:
-                            start = senders.index(x) * repeat_count
-                            carried.append(
-                                (n, support, values, base, order[start : start + repeat_count])
-                            )
+                    values = values_of[y]
+                    pos = first[group_mask ^ (1 << y)]
+                    if alpha == 1:  # the only permutation of one index: no key to hash
+                        carried.append((((n, pos),), (values[pos],)))
+                        continue
+                    if prefix is None:
+                        prefix = round_prefix + pack_members(*group)
+                    base = pos - 1
+                    order = _shuffled_indices(alpha, _bijection_key(prefix, y))
+                    carried.append(
+                        ([(n, base + j) for j in order], [values[base + j] for j in order])
+                    )
+                for a, served in sends:
+                    x = group[a]
                     for r in range(repeat_count):
                         payload = 0
                         constituents = []
-                        for n, support, values, base, indices in carried:
-                            j = indices[r]
-                            payload ^= values[base + j]
-                            constituents.append((n, support, g, j))
-                        messages.append(
+                        for ri, start in served:
+                            ids, values = carried[ri]
+                            payload ^= values[start + r]
+                            constituents.append(ids[start + r])
+                        append(
                             CodedMessage(
-                                g,
-                                group,
-                                x,
-                                r + 1,
+                                g, group, x, r + 1,
                                 payload.to_bytes(size_bytes, "big"),
                                 tuple(constituents),
                             )
@@ -362,126 +415,201 @@ def decode_all(
 ) -> dict[int, bytes]:
     """Decode the users of ``caches`` in one pass over the messages.
 
-    Every message is checked, whoever is decoded.  Each constituent must be
-    lacked by exactly one group member, its owner, who is not the
-    transmitter and caches every other constituent; otherwise, or when the
-    owner is not a user 1..K or the packet id is not in the layout,
-    ``UndecodableMessage`` is raised.  With that checked, the owner's XOR of
-    the other constituents uses only its cache, so with ``total`` the payload
-    XOR-ed with every constituent, constituent i decodes to ``total ^ v_i``.
-    A constituent outside its owner's demand raises ``UndemandedPacket``, one
-    decoded twice ``DuplicateDelivery``.  Each decoded user's file is its
-    cached packets plus the decoded ones, written at their byte offsets; a
-    packet never decoded raises ``MissingPacket``.  Returns the files by
+    Every message is checked, whoever is decoded.  A round outside 1..G or
+    a constituent that is not a packet of the message's round raises
+    ``UndecodableMessage``; a payload whose length is not the round's packet
+    size raises ``PayloadSizeMismatch``.  Each constituent must be lacked by
+    exactly one group member, its owner, who is not the transmitter and
+    caches every other constituent; otherwise, or when the owner is not a
+    user 1..K or the transmitter not a member, ``UndecodableMessage`` is
+    raised.  With that checked, the owner's XOR of the other constituents
+    uses only its cache, so with ``total`` the payload XOR-ed with every
+    constituent, constituent i decodes to ``total ^ v_i``.  A constituent
+    outside its owner's demand raises ``UndemandedPacket``, one decoded
+    twice ``DuplicateDelivery``.  Each decoded user's file is its cached
+    packets plus the decoded ones, written at their byte offsets; a packet
+    never decoded raises ``MissingPacket``.  Returns the files by
     ``cache.user``.
     """
     if not caches:
         raise ValueError("no caches")
     store = caches[0].store
-    index = store.index
+    derivation = store.derivation
     template = store.template
     offsets = store.offsets
-    file_values = store.file_values
+    # Per round, the complement of each of its positions' support masks:
+    # ``group_mask & lacking[pos]`` is the set of members lacking the packet.
+    lacking: dict[int, dict[int, int]] = {g: {} for g in range(1, derivation.spec.G + 1)}
+    for pos, ((_, g, _, _), mask) in enumerate(zip(template, store.support_mask)):
+        lacking[g][pos] = ~mask
+    size_of = {g: ell * derivation.params.unit for g, ell in enumerate(derivation.sizing.ell, 1)}
+    # A one-bit mask maps to its user's demand; any other mask maps to None.
+    demand_of = {1 << u: n for u, n in enumerate(demands, 1)}
+    values_of = {n: store.file_values(n) for n in set(demands)}
     # Each decoded user's file, filled from its cache here and from the
-    # messages below, and a flag per flat position that it holds.
-    files: dict[int, bytearray] = {}
-    held: dict[int, bytearray] = {}
-    for cache in caches:
-        user = cache.user
-        raw = store.file_bytes(demands[user - 1])
-        files[user] = buf = bytearray(len(raw))
-        held[user] = flags = bytearray(len(template))
-        for pos, (support, _, _, size) in enumerate(template):
-            if user in support:
-                o = offsets[pos]
-                buf[o : o + size] = raw[o : o + size]
-                flags[pos] = 1
+    # messages below, and a flag per flat position that it holds; by user bit.
+    decoded = {
+        1 << c.user: (bytearray(len(template)), bytearray(store.bytes_per_file)) for c in caches
+    }
+    for support, start, stop in store.support_runs:
+        o = offsets[start]
+        end = offsets[stop - 1] + template[stop - 1][3]
+        for user in support:
+            target = decoded.get(1 << user)
+            if target is not None:
+                flags, buf = target
+                flags[start:stop] = b"\1" * (stop - start)
+                buf[o:end] = store.file_bytes(demands[user - 1])[o:end]
+    group = None
     for msg in messages:
-        members = set(msg.group)
-        total = int.from_bytes(msg.payload, "big")
-        unknowns = []
-        for pid in msg.constituents:
-            n, support, g, j = pid
-            lacking = members.difference(support)
-            if len(lacking) != 1:
-                raise UndecodableMessage(
-                    f"{len(lacking)} members of group {msg.group} lack {pid}, expected 1"
-                )
-            (owner,) = lacking
-            if owner == msg.transmitter:
-                raise UndecodableMessage(f"transmitter {owner} does not cache {pid}")
-            if not 1 <= owner <= len(demands):
-                raise UndecodableMessage(
-                    f"owner {owner} of {pid} is not a user 1..{len(demands)}"
-                )
-            if n != demands[owner - 1]:
-                raise UndemandedPacket(f"user {owner} decoded {pid} outside its demand")
-            pos = index.get((support, g, j))
-            if pos is None:
-                raise UndecodableMessage(f"{pid} is not a packet of the layout")
-            value = file_values(n)[pos]
-            total ^= value
-            unknowns.append((owner, pos, value))
-        # Each owner lacks only its own constituent, so it caches all the
-        # others exactly when no two constituents share an owner.
-        if len({owner for owner, _, _ in unknowns}) != len(unknowns):
+        if msg.group is not group:
+            group = msg.group
+            group_mask = _group_mask(group)
+        transmitter = msg.transmitter
+        if transmitter not in group:
             raise UndecodableMessage(
-                f"a member of group {msg.group} lacks two constituents of one message"
+                f"transmitter {transmitter} is not a member of group {group}"
             )
-        for owner, pos, value in unknowns:
-            flags = held.get(owner)
-            if flags is None:
+        transmitter_bit = 1 << transmitter
+        payload = msg.payload
+        size = len(payload)
+        masks = lacking.get(msg.round)
+        if masks is None or size != size_of[msg.round]:
+            _reject_round(msg, size_of)
+        total = int.from_bytes(payload, "big")
+        seen = 0
+        unknowns = []
+        for n, pos in msg.constituents:
+            lack = group_mask & masks.get(pos, 0)
+            if lack == transmitter_bit or lack & seen or demand_of.get(lack) != n:
+                _reject_constituent(msg, n, pos, group_mask, masks, store, demands)
+            seen |= lack
+            value = values_of[n][pos]
+            total ^= value
+            unknowns.append((lack, pos, value))
+        for lack, pos, value in unknowns:
+            target = decoded.get(lack)
+            if target is None:
                 continue
-            support, g, j, size = template[pos]
+            flags, buf = target
             if flags[pos]:
+                owner = lack.bit_length() - 1
                 raise DuplicateDelivery(
-                    f"user {owner} decoded {(demands[owner - 1], support, g, j)} twice"
+                    f"user {owner} decoded {_packet_id(store, demands[owner - 1], pos)} twice"
                 )
             flags[pos] = 1
             o = offsets[pos]
-            files[owner][o : o + size] = (total ^ value).to_bytes(size, "big")
+            buf[o : o + size] = (total ^ value).to_bytes(size, "big")
+    target = flags = buf = None  # so that each buffer is freed once copied out below
     out = {}
-    for user, flags in held.items():
+    for cache in caches:
+        user = cache.user
+        flags = decoded[1 << user][0]
         if 0 in flags:
-            support, g, j, _ = template[flags.index(0)]
-            raise MissingPacket(f"user {user} never decoded {(demands[user - 1], support, g, j)}")
-        out[user] = bytes(files.pop(user))
+            pid = _packet_id(store, demands[user - 1], flags.index(0))
+            raise MissingPacket(f"user {user} never decoded {pid}")
+        out[user] = bytes(decoded.pop(1 << user)[1])
     return out
+
+
+def _packet_id(store: PacketStore, n: int, pos: int) -> tuple:
+    """``(file, support, coupled_group, index)`` of a packet, for messages."""
+    return (n,) + store.template[pos][:3]
+
+
+def _group_mask(group: tuple[int, ...]) -> int:
+    """The group's members as a bitmask (bit u for member u)."""
+    mask = 0
+    for u in group:
+        if u < 0:
+            raise UndecodableMessage(f"member {u} of group {group} is not a user")
+        mask |= 1 << u
+    return mask
+
+
+def _reject_round(msg: CodedMessage, size_of: dict[int, int]) -> NoReturn:
+    """Raise the named error for a message with an unknown round or a wrong payload size."""
+    if msg.round not in size_of:
+        raise UndecodableMessage(f"round {msg.round} is not a round 1..{len(size_of)}")
+    raise PayloadSizeMismatch(
+        f"round {msg.round} payload of transmitter {msg.transmitter} in group {msg.group} "
+        f"has {len(msg.payload)} bytes, expected {size_of[msg.round]}"
+    )
+
+
+def _reject_constituent(
+    msg: CodedMessage,
+    n: int,
+    pos: int,
+    group_mask: int,
+    masks: dict[int, int],
+    store: PacketStore,
+    demands: Sequence[int],
+) -> NoReturn:
+    """Raise the named error for a constituent that failed ``decode_all``'s mask test."""
+    if pos not in masks:
+        if isinstance(pos, int) and 0 <= pos < len(store.template):
+            raise UndecodableMessage(
+                f"{_packet_id(store, n, pos)} is not a packet of round {msg.round}"
+            )
+        raise UndecodableMessage(f"{(n, pos)} is not a packet of the layout")
+    pid = _packet_id(store, n, pos)
+    lack = group_mask & masks[pos]
+    if lack.bit_count() != 1:
+        raise UndecodableMessage(
+            f"{lack.bit_count()} members of group {msg.group} lack {pid}, expected 1"
+        )
+    owner = lack.bit_length() - 1
+    if owner == msg.transmitter:
+        raise UndecodableMessage(f"transmitter {owner} does not cache {pid}")
+    if not 1 <= owner <= len(demands):
+        raise UndecodableMessage(f"owner {owner} of {pid} is not a user 1..{len(demands)}")
+    if n != demands[owner - 1]:
+        raise UndemandedPacket(f"user {owner} decoded {pid} outside its demand")
+    # Each owner lacks only its own constituent, so it caches all the
+    # others exactly when no two constituents share an owner.
+    raise UndecodableMessage(
+        f"a member of group {msg.group} lacks two constituents of one message"
+    )
 
 
 _LINE = (
     '{"round":%d,"group":[%s],"transmitter":%d,"repeat":%d,'
     '"constituents":[%s],"payload_sha256":"%s"}'
 )
-_CONSTITUENT = '{"file":%d,"support":[%s],"coupled_group":%d,"index":%d}'
 
 
-def transcript_lines(messages: Iterable[CodedMessage]) -> Iterator[str]:
+def transcript_lines(messages: Iterable[CodedMessage], store: PacketStore) -> Iterator[str]:
     """JSON-lines transcript: one record per message, payloads as hashes.
 
     Each line is the compact ``json.dumps`` of ``{"round", "group",
     "transmitter", "repeat", "constituents": [{"file", "support",
-    "coupled_group", "index"}, ...], "payload_sha256"}``, built by formatting.
+    "coupled_group", "index"}, ...], "payload_sha256"}``, built by
+    formatting.  A constituent is the text of its file followed by the text
+    of its flat position, both built once from ``store``; a file the store
+    never materialized or a position outside its layout raises ``KeyError``.
     """
-    support_text: dict[tuple[int, ...], str] = {}
+    file_text = {n: '{"file":%d,' % n for n in store.files}
+    packet_text = {
+        pos: '"support":[%s],"coupled_group":%d,"index":%d}' % (",".join(map(str, support)), g, j)
+        for pos, (support, g, j, _) in enumerate(store.template)
+    }
+    group = None
     for m in messages:
-        parts = []
-        for n, support, g, j in m.constituents:
-            text = support_text.get(support)
-            if text is None:
-                text = support_text[support] = ",".join(map(str, support))
-            parts.append(_CONSTITUENT % (n, text, g, j))
+        if m.group is not group:
+            group = m.group
+            group_text = ",".join(map(str, group))
         yield _LINE % (
             m.round,
-            ",".join(map(str, m.group)),
+            group_text,
             m.transmitter,
             m.repeat,
-            ",".join(parts),
+            ",".join([file_text[n] + packet_text[pos] for n, pos in m.constituents]),
             hashlib.sha256(m.payload).hexdigest(),
         )
 
 
-def write_transcript(messages: Iterable[CodedMessage], path: str) -> None:
+def write_transcript(messages: Iterable[CodedMessage], path: str, store: PacketStore) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for line in transcript_lines(messages):
+        for line in transcript_lines(messages, store):
             fh.write(line + "\n")

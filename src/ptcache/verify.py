@@ -21,6 +21,7 @@ from .analysis import f_jcm, f_pt, gamma_terms, theorem_alpha
 from .combinatorics import hypergeo_pmf, vector_lcm
 from .exchange import (
     CodedMessage,
+    PacketStore,
     build_caches,
     decode_all,
     generate_delivery,
@@ -131,16 +132,17 @@ def _audited_run(
     scheme: SchemeSpec | DerivedScheme,
     demands: Sequence[int] | str,
     seed: int,
-) -> tuple[VerificationReport, list[CodedMessage] | None]:
-    """The body of ``verify_end_to_end``, also returning the audited messages.
+) -> tuple[VerificationReport, list[CodedMessage] | None, PacketStore | None]:
+    """The body of ``verify_end_to_end``, also returning the audited messages and store.
 
-    The messages are None when the run failed before delivery produced them.
+    The messages' constituents name flat positions of that store.  The
+    messages are None when the run failed before delivery produced them.
     Only ``ValueError`` is caught and reported: every named error of the
     package subclasses it, so any other exception is a programming error and
     propagates.
     """
     report = VerificationReport()
-    messages = None
+    messages = store = None
     try:
         derivation = scheme if isinstance(scheme, DerivedScheme) else derive(scheme)
         p = derivation.params
@@ -168,7 +170,7 @@ def _audited_run(
             report.decode_ok[user] = reconstructed[user] == store.file_bytes(demands[user - 1])
     except ValueError as exc:  # report-style: carry the counterexample
         report.failure = f"{type(exc).__name__}: {exc}"
-    return report, messages
+    return report, messages, store
 
 
 def verify_claims(t: int, q: int) -> dict[str, CheckResult]:

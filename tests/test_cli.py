@@ -226,6 +226,13 @@ class TestSweep:
         assert code == 2
         assert "even t required for theorem1 sweep" in err
 
+    def test_odd_t_message_names_a_command_that_runs(self, capsys):
+        _, _, err = run_cli(capsys, "sweep", "--t", "3")
+        command = err.strip().split("ptcache ", 1)[1].split()
+        code, out, _ = run_cli(capsys, *command)
+        assert code == 0
+        assert json.loads(out)["params"]["t"] == 3
+
     def test_output_dir_override(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("PTCACHE_OUTPUT_DIR", str(tmp_path))
         code, _, _ = run_cli(

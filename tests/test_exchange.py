@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import re
+import struct
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -19,8 +20,10 @@ from ptcache.exchange import (
     MissingPacket,
     PacketLayoutMismatch,
     PacketStore,
+    PayloadSizeMismatch,
     UndecodableMessage,
     UndemandedPacket,
+    _shuffled_indices,
     build_caches,
     decode,
     decode_all,
@@ -34,6 +37,21 @@ from ptcache.scheme import SystemParams, derive, preset
 
 def derived(name, K, t, N=None, unit=1):
     return derive(preset(name, SystemParams(K=K, t=t, N=N or K, unit=unit)))
+
+
+def packet_id(store, constituent):
+    """``(file, support, coupled_group, index)`` of a ``(file, position)`` constituent."""
+    n, pos = constituent
+    return (n,) + store.template[pos][:3]
+
+
+def packet_ids(store, m):
+    return [packet_id(store, c) for c in m.constituents]
+
+
+def position(store, support, g, j):
+    """Flat position of packet (support, g, j) found by scanning the template, or None."""
+    return next((pos for pos, e in enumerate(store.template) if e[:3] == (support, g, j)), None)
 
 
 class Overridden:
@@ -192,7 +210,7 @@ class TestDecode:
         for m in msgs:
             if m.transmitter == 1 or 1 not in m.group:
                 continue
-            decoded.extend(pid for pid in m.constituents if 1 not in pid[1])
+            decoded.extend(pid for pid in packet_ids(store, m) if 1 not in pid[1])
         by_kind = Counter((_type_of(pid[1]), pid[2]) for pid in decoded)
         assert by_kind[((1, 1), 1)] == 9   # q^2 packets, first coupled group
         assert by_kind[((1, 1), 2)] == 9   # q^2 packets, second coupled group
@@ -208,7 +226,7 @@ class TestDecode:
             pid
             for m in msgs
             if m.transmitter != 1 and 1 in m.group
-            for pid in m.constituents
+            for pid in packet_ids(store, m)
             if 1 not in pid[1]
         ]
         assert len(mine) == 2 * binom(4, 2)  # t * C(K-1, t)
@@ -237,7 +255,7 @@ class TestDecode:
         for seed in (0, 1):
             msgs = generate_delivery(d, store, demands, seed=seed)
             per_kind = Counter(
-                (pid[1], pid[2]) for m in msgs for pid in m.constituents
+                (pid[1], pid[2]) for m in msgs for pid in packet_ids(store, m)
             )
             runs.append((msgs, per_kind))
         assert runs[0][1] == runs[1][1]          # same coverage
@@ -255,7 +273,7 @@ class TestDecode:
         demands = list(range(1, 8))
         msgs = generate_delivery(d, store, demands, seed=0)
         dup = msgs + [msgs[0]]
-        target = next(pid for pid in msgs[0].constituents)
+        target = packet_ids(store, msgs[0])[0]
         victim = next(u for u in msgs[0].group if u not in target[1])
         with pytest.raises(DuplicateDelivery):
             decode(victim, caches[victim - 1], dup, demands)
@@ -266,9 +284,10 @@ class TestDecode:
         msgs = generate_delivery(d, store, demands, seed=0)
         # graft a foreign constituent so two packets are unknown to the victim
         m = msgs[0]
-        target = next(pid for pid in m.constituents)
+        target = packet_ids(store, m)[0]
         victim = next(u for u in m.group if u not in target[1])
-        foreign = (demands[victim - 1], tuple(x for x in range(1, 8) if x != victim)[:2], 1, 1)
+        support = tuple(x for x in range(1, 8) if x != victim)[:2]
+        foreign = (demands[victim - 1], position(store, support, 1, 1))
         bad = m.__class__(
             round=m.round, group=m.group, transmitter=m.transmitter,
             repeat=m.repeat, payload=m.payload,
@@ -281,17 +300,16 @@ class TestDecode:
         d, _, store, caches = example1
         demands = list(range(1, 8))
         m = generate_delivery(d, store, demands, seed=0)[0]
-        n, support, g, j = m.constituents[0]
-        other = (n % 7 + 1, support, g, j)
+        n, pos = m.constituents[0]
+        other = (n % 7 + 1, pos)
         bad = dataclasses.replace(m, constituents=(other,) + m.constituents[1:])
         with pytest.raises(UndemandedPacket, match="outside its demand"):
             decode_all(caches, [bad], demands)
 
 
-def packet_value(store, pid):
+def packet_value(store, constituent):
     """A packet's payload as an integer, read from the bytes the store split."""
-    n, support, g, j = pid
-    pos = store.index[(support, g, j)]
+    n, pos = constituent
     offset, size = store.offsets[pos], store.template[pos][3]
     return int.from_bytes(store.file_bytes(n)[offset : offset + size], "big")
 
@@ -309,14 +327,14 @@ def swap_user5_constituents(store, msgs):
             assert m.group not in at
             at[m.group] = i
     a, b = at[(1, 5, 6)], at[(1, 5, 7)]
-    pa = next(pid for pid in msgs[a].constituents if 5 not in pid[1])
-    pb = next(pid for pid in msgs[b].constituents if 5 not in pid[1])
+    pa = next(c for c in msgs[a].constituents if 5 not in packet_id(store, c)[1])
+    pb = next(c for c in msgs[b].constituents if 5 not in packet_id(store, c)[1])
     out = list(msgs)
     for i, old, new in ((a, pa, pb), (b, pb, pa)):
-        constituents = tuple(new if pid == old else pid for pid in msgs[i].constituents)
+        constituents = tuple(new if c == old else c for c in msgs[i].constituents)
         payload = 0
-        for pid in constituents:
-            payload ^= packet_value(store, pid)
+        for c in constituents:
+            payload ^= packet_value(store, c)
         out[i] = dataclasses.replace(
             msgs[i],
             constituents=constituents,
@@ -358,9 +376,13 @@ class TestHonestDecodeAll:
         d, _, store, caches = example1
         demands = list(range(1, 8))
         msgs = generate_delivery(d, store, demands, seed=0)
-        m = msgs[0]
-        x = m.transmitter
-        own = (demands[x - 1], tuple(u for u in m.group if u != x), m.round, 1)
+        # The first message whose round has packets cached by all but its transmitter.
+        for m in msgs:
+            x = m.transmitter
+            pos = position(store, tuple(u for u in m.group if u != x), m.round, 1)
+            if pos is not None:
+                break
+        own = (demands[x - 1], pos)
         bad = dataclasses.replace(m, constituents=m.constituents[:-1] + (own,))
         with pytest.raises(UndecodableMessage, match="transmitter"):
             decode_all(caches, [bad], demands)
@@ -374,30 +396,53 @@ class TestHonestDecodeAll:
             decode_all(caches, [bad], demands)
 
 
-def malformed(m, case):
-    """Message ``m`` with one constituent the layout or the users cannot own.
+def malformed(store, m, case):
+    """Message ``m`` made malformed in one way, named by ``case``.
 
-    "unknown_index": its first constituent gets packet index 999.
-    "owner_99"/"owner_0": the group gains member 99 (or 0) and the only
-    constituent is supported on the old group, so that member is its owner.
+    "unknown_index"/"negative_index": its first constituent gets the
+    position one past the layout (or -1); "other_round": a position of the
+    other coupled group.  "owner_99"/"owner_0": the group becomes the first
+    constituent's support plus member 99 (or 0), which is then the only
+    member lacking that constituent, so its owner.  "unknown_round": the
+    round becomes 3 of 2.  "transmitter_outside": the transmitter becomes
+    99, not a member.  "negative_member": the group gains member -1.
     """
-    if case == "unknown_index":
-        n, support, g, _ = m.constituents[0]
-        return dataclasses.replace(m, constituents=((n, support, g, 999),) + m.constituents[1:])
+    n, _ = m.constituents[0]
+    if case in ("unknown_index", "negative_index", "other_round"):
+        pos = {
+            "unknown_index": store.packets_per_file,
+            "negative_index": -1,
+            "other_round": next(p for p, e in enumerate(store.template) if e[1] != m.round),
+        }[case]
+        return dataclasses.replace(m, constituents=((n, pos),) + m.constituents[1:])
+    if case == "unknown_round":
+        return dataclasses.replace(m, round=3)
+    if case == "transmitter_outside":
+        return dataclasses.replace(m, transmitter=99)
+    if case == "negative_member":
+        return dataclasses.replace(m, group=(-1,) + m.group)
     extra = {"owner_99": 99, "owner_0": 0}[case]
-    group = tuple(sorted(m.group + (extra,)))
-    return dataclasses.replace(m, group=group, constituents=((1, m.group, m.round, 1),))
+    _, pos = m.constituents[0]
+    support = store.template[pos][0]
+    return dataclasses.replace(
+        m, group=tuple(sorted(support + (extra,))), transmitter=support[0], constituents=((1, pos),)
+    )
 
 
 MALFORMED = [
     ("unknown_index", "not a packet of the layout"),
     ("owner_99", "owner 99 .* not a user 1..7"),
     ("owner_0", "owner 0 .* not a user 1..7"),
+    ("negative_index", "not a packet of the layout"),
+    ("other_round", "not a packet of round 1"),
+    ("unknown_round", "round 3 is not a round 1..2"),
+    ("transmitter_outside", "transmitter 99 is not a member"),
+    ("negative_member", "member -1 .* is not a user"),
 ]
 
 
 class TestMalformedConstituents:
-    """Constituents outside the layout or the user range raise UndecodableMessage."""
+    """Constituents outside the layout, the round or the user range raise UndecodableMessage."""
 
     @pytest.mark.parametrize("case,reason", MALFORMED)
     def test_decode_all(self, example1, case, reason):
@@ -405,16 +450,16 @@ class TestMalformedConstituents:
         demands = list(range(1, 8))
         m = generate_delivery(d, store, demands, seed=0)[0]
         with pytest.raises(UndecodableMessage, match=reason):
-            decode_all(caches, [malformed(m, case)], demands)
+            decode_all(caches, [malformed(store, m, case)], demands)
 
     @pytest.mark.parametrize("case,reason", MALFORMED)
     def test_verify_reports(self, example1, monkeypatch, case, reason):
         d = example1[0]
         real = verify.generate_delivery
 
-        def tampering(*args, **kwargs):
-            msgs = real(*args, **kwargs)
-            return [malformed(msgs[0], case)] + msgs[1:]
+        def tampering(derivation, store, *args, **kwargs):
+            msgs = real(derivation, store, *args, **kwargs)
+            return [malformed(store, msgs[0], case)] + msgs[1:]
 
         monkeypatch.setattr(verify, "generate_delivery", tampering)
         report = verify.verify_end_to_end(d, "distinct", seed=0)
@@ -428,11 +473,17 @@ def flip_first_payload_bit(msgs):
     return [dataclasses.replace(m, payload=bytes([m.payload[0] ^ 1]) + m.payload[1:])] + msgs[1:]
 
 
+def with_first_payload(msgs, payload):
+    return [dataclasses.replace(msgs[0], payload=payload)] + msgs[1:]
+
+
 TAMPERED = [
     # tamper, failure prefix (None: the run completes), users that fail to decode
     (lambda msgs: msgs[:-1], "MissingPacket", None),
     (lambda msgs: msgs + msgs[:1], "DuplicateDelivery", None),
     (flip_first_payload_bit, None, {5, 6}),
+    (lambda msgs: with_first_payload(msgs, msgs[0].payload + b"\0"), "PayloadSizeMismatch", None),
+    (lambda msgs: with_first_payload(msgs, msgs[0].payload[:-1]), "PayloadSizeMismatch", None),
 ]
 
 
@@ -440,7 +491,8 @@ class TestTampering:
     """A tampered delivery fails ``verify_end_to_end`` with a named reason."""
 
     @pytest.mark.parametrize("tamper,failure,undecoded", TAMPERED,
-                             ids=["drop_last", "duplicate_first", "flip_payload_bit"])
+                             ids=["drop_last", "duplicate_first", "flip_payload_bit",
+                                  "longer_payload", "shorter_payload"])
     def test_verify_reports(self, example1, monkeypatch, tamper, failure, undecoded):
         real = verify.generate_delivery
         monkeypatch.setattr(verify, "generate_delivery",
@@ -466,7 +518,7 @@ class TestDecodeAccounting:
         split_at = d.grouping.sizes[0]
         got = Counter()
         for m in msgs:
-            for pid in m.constituents:
+            for pid in packet_ids(store, m):
                 owner = next(u for u in m.group if u not in pid[1])
                 v = (
                     sum(1 for u in pid[1] if u <= split_at),
@@ -503,11 +555,11 @@ class TestTranscript:
         d, _, store, _ = example1
         demands = list(range(1, 8))
         msgs = generate_delivery(d, store, demands, seed=0)
-        lines = list(transcript_lines(msgs))
+        lines = list(transcript_lines(msgs, store))
         assert len(lines) == len(msgs)
         rec = json.loads(lines[0])
         assert set(rec) == {"round", "group", "transmitter", "repeat", "constituents", "payload_sha256"}
-        assert lines == list(transcript_lines(generate_delivery(d, store, demands, seed=0)))
+        assert lines == list(transcript_lines(generate_delivery(d, store, demands, seed=0), store))
 
     @pytest.mark.parametrize("name,K,t,demands", [
         ("theorem1", 7, 2, [1, 1, 2, 2, 3, 3, 3]),
@@ -527,7 +579,7 @@ class TestTranscript:
                     "repeat": m.repeat,
                     "constituents": [
                         {"file": n, "support": list(s), "coupled_group": g, "index": j}
-                        for n, s, g, j in m.constituents
+                        for n, s, g, j in packet_ids(store, m)
                     ],
                     "payload_sha256": hashlib.sha256(m.payload).hexdigest(),
                 },
@@ -535,4 +587,84 @@ class TestTranscript:
             )
             for m in msgs
         ]
-        assert list(transcript_lines(msgs)) == reference
+        assert list(transcript_lines(msgs, store)) == reference
+
+
+def reference_shuffled_indices(n, key):
+    """The seeded Fisher-Yates loop as first written, kept as the oracle."""
+    out = list(range(1, n + 1))
+    words = []
+    for counter in range((n + 6) // 8):
+        digest = hashlib.blake2b(counter.to_bytes(4, "big"), digest_size=64, key=key).digest()
+        words.extend(struct.unpack(">8Q", digest))
+    for i in range(n - 1, 0, -1):
+        j = words[n - 1 - i] % (i + 1)
+        out[i], out[j] = out[j], out[i]
+    return out
+
+
+def reference_constituents(d, store, demands, seed, m):
+    """Message ``m``'s constituents rebuilt receiver by receiver, hashing every key.
+
+    Each receiver y of the group other than the transmitter, with alpha > 0
+    packets in this round, gets its bijection keyed by blake2b-128 of seed
+    (8 bytes, signed), round (2), the members (4 each) and y (4), all
+    big-endian.  The transmitter carries index ``order[slot * repeats +
+    repeat - 1]``, where slot is its place among y's senders.  Returns the
+    constituents and how many of them go to an alpha = 1 receiver, whose key
+    was hashed here although its permutation can only be [1].
+    """
+    g, group, x = m.round, m.group, m.transmitter
+    comps = [d.grouping.group_of(u) for u in group]
+    k = d.layout.group_types.index(tuple(comps.count(c) for c in range(d.grouping.m)))
+    alpha_of = {c: d.fs.intermediate[g - 1][ti] for c, ti in d.layout.involved[k]}
+    repeats = d.repeats[g - 1][k]
+    daggers = d.spec.plans[g - 1].daggers[k]
+    transmitters = [u for u, c in zip(group, comps) if c in daggers]
+    prefix = seed.to_bytes(8, "big", signed=True) + g.to_bytes(2, "big")
+    prefix += b"".join(u.to_bytes(4, "big") for u in group)
+    out, alpha_one = [], 0
+    for y, c in zip(group, comps):
+        alpha = alpha_of[c]
+        if alpha == 0 or y == x:
+            continue
+        key = hashlib.blake2b(prefix + y.to_bytes(4, "big"), digest_size=16).digest()
+        order = reference_shuffled_indices(alpha, key)
+        alpha_one += alpha == 1
+        senders = [u for u in transmitters if u != y]
+        j = order[senders.index(x) * repeats + m.repeat - 1]
+        support = tuple(u for u in group if u != y)
+        out.append((demands[y - 1], position(store, support, g, j)))
+    return tuple(out), alpha_one
+
+
+class TestBijection:
+    """The receivers' bijections, against the loop and key derivation they replaced."""
+
+    KEYS = [hashlib.blake2b(bytes([i]), digest_size=16).digest() for i in range(16)]
+
+    def test_permutation_matches_reference(self):
+        for n in range(1, 21):
+            for key in self.KEYS:
+                assert _shuffled_indices(n, key) == reference_shuffled_indices(n, key)
+                assert sorted(_shuffled_indices(n, key)) == list(range(1, n + 1))
+
+    @pytest.mark.parametrize("name,K,t,seed,demands,alpha_one", [
+        # alpha_one: constituents for alpha = 1 receivers, of all constituents
+        ("theorem1", 7, 2, 0, "distinct", 120),    # of 180
+        ("theorem1", 11, 4, 3, "distinct", 1540),  # of 8 260
+        ("odd_t3", 9, 3, 1, "uniform", 420),       # of 1 260
+        ("jcm", 5, 2, 2, "distinct", 0),           # of 60
+    ])
+    def test_delivery_skips_no_needed_key(self, name, K, t, seed, demands, alpha_one):
+        """Messages equal the reference's, which also hashes alpha = 1 receivers' keys."""
+        d = derived(name, K, t)
+        demands = verify.demand_vector(demands, K, K)
+        store = split_files(d, FileOracle(), files=set(demands))
+        msgs = generate_delivery(d, store, demands, seed=seed)
+        ones = 0
+        for m in msgs:
+            expected, count = reference_constituents(d, store, demands, seed, m)
+            assert m.constituents == expected
+            ones += count
+        assert ones == alpha_one

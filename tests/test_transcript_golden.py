@@ -25,6 +25,9 @@ GOLDEN = [
      "3392780f93bfc04d0372518553fe223580e1891f5c99d329d30331f12ab47baa", 420),
     ("even_K", 12, 2, 4, "uniform",
      "ad505718ee3ce4659b1946172577b47a8e399ebb51b87af5b116fe26c70527ed", 560),
+    # The benchmark's many_messages point.
+    ("theorem1", 17, 4, 0, "distinct",
+     "5fbd638f202f3611fb7ec729e4b6c25365ad174d06aac4f68d35e532bf67a6c5", 26754),
 ]
 
 
