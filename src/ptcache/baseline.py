@@ -2,14 +2,11 @@
 
 The baseline splits every file into C(K,t) subfiles and each subfile into t
 packets, with everyone transmitting in every multicast group.  It is routed
-through the PT engine as the single-group, all-transmit special case; a tiny
-direct enumeration of the two-layer splitting serves as an independent
-packet-count oracle.
+through the PT engine as the single-group, all-transmit special case.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -23,18 +20,6 @@ from .scheme import DerivedScheme, SystemParams, derive, preset
 def jcm_construct(K: int, t: int, N: int, unit: int = 1) -> DerivedScheme:
     """The baseline as a derived PT scheme: one group, uniform factor t."""
     return derive(preset("jcm", SystemParams(K=K, t=t, N=N, unit=unit)))
-
-
-def jcm_direct_packet_ids(K: int, t: int) -> list[tuple[tuple[int, ...], int]]:
-    """Direct two-layer enumeration: (t-subset, packet index) pairs.
-
-    Independent of the PT engine; used to cross-check packet counts.
-    """
-    return [
-        (support, i)
-        for support in itertools.combinations(range(1, K + 1), t)
-        for i in range(1, t + 1)
-    ]
 
 
 class ComparisonFailed(ValueError):

@@ -21,7 +21,7 @@ import itertools
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, NoReturn, Sequence
+from typing import Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
 from .combinatorics import subsets_by_type
 from .scheme import DerivedScheme
@@ -55,6 +55,10 @@ class UndemandedPacket(ValueError):
 
 class PayloadSizeMismatch(ValueError):
     """A message payload's length differs from its round's packet size."""
+
+
+class SeedOutOfRange(ValueError):
+    """A delivery seed outside the 8 signed bytes of the bijection key."""
 
 
 class PacketLayoutMismatch(ValueError):
@@ -220,8 +224,7 @@ def build_caches(derivation: DerivedScheme, store: PacketStore) -> list[Cache]:
     return caches
 
 
-@dataclass(frozen=True, slots=True)
-class CodedMessage:
+class CodedMessage(NamedTuple):
     """One XOR multicast transmission.
 
     ``constituents`` records the ``(file, position)`` packets XOR-ed into the
@@ -236,46 +239,43 @@ class CodedMessage:
     constituents: tuple[Constituent, ...]
 
 
-_WORDS = struct.Struct(">8Q")
+_WORD = struct.Struct(">Q").unpack_from
 
 
-def _shuffled_indices(n: int, key: bytes) -> list[int]:
-    """Fisher-Yates permutation of 1..n driven by a keyed counter hash."""
-    out = list(range(1, n + 1))
-    words: list[int] = []
-    for counter in range((n + 6) // 8):  # 8 words per digest, n - 1 needed
-        digest = hashlib.blake2b(
-            counter.to_bytes(4, "big"), digest_size=64, key=key
-        ).digest()
-        words.extend(_WORDS.unpack(digest))
-    for i in range(n - 1, 0, -1):
-        j = words[n - 1 - i] % (i + 1)
+def _bijection(key_input: bytes, n: int, first: int) -> list[int]:
+    """Positions ``first .. first + n - 1`` in a receiver's seeded Fisher-Yates order.
+
+    ``key_input``: seed (8 bytes, signed), round (2), members, receiver (4
+    each), big-endian.  Step w swaps entries n-1-w and (word w) mod (n-w);
+    word w is 64-bit word w % 8 of the blake2b of counter w // 8 keyed by
+    the 16-byte blake2b of ``key_input``.
+    """
+    key = hashlib.blake2b(key_input, digest_size=16).digest()
+    digest = hashlib.blake2b(bytes(4), key=key).digest()
+    if n == 2:  # one step, word 0 mod 2: the low bit of byte 7
+        return [first, first + 1] if digest[7] & 1 else [first + 1, first]
+    out = list(range(first, first + n))
+    for w in range(n - 1):
+        if w and w % 8 == 0:
+            digest = hashlib.blake2b((w // 8).to_bytes(4, "big"), key=key).digest()
+        i = n - 1 - w
+        j = _WORD(digest, w % 8 * 8)[0] % (i + 1)
         out[i], out[j] = out[j], out[i]
     return out
 
 
-def _bijection_key(group_prefix: bytes, receiver: int) -> bytes:
-    """Key of a receiver's bijection.
-
-    ``group_prefix`` is seed (8 bytes, signed) + round (2 bytes) + each
-    group member (4 bytes), all big-endian; the receiver follows in 4 bytes.
-    """
-    raw = group_prefix + receiver.to_bytes(4, "big")
-    return hashlib.blake2b(raw, digest_size=16).digest()
-
-
 def _slot_plan(
     derivation: DerivedScheme, g: int, k: int, repeat_count: int, group: tuple[int, ...]
-) -> tuple[list[tuple[int, int]], list[tuple[int, list[tuple[int, int]]]]]:
+) -> tuple[list[tuple[int, int]], list[tuple[int, int, list[tuple[int, int]]]]]:
     """Who receives and who sends what in round g's groups of type k.
 
     A group's members come in component order, so a member slot's
     component, its packet count alpha, and its senders are the same in
     every group of the type; ``group`` is the first one, named in errors.
-    Returns the receiving slots as ``(slot, alpha)`` and, per transmitter
-    slot, the receivers it serves as ``(receiver number, start)``: the
-    receiver's bijection domain is (sender, repeat) in row-major order, so
-    the transmitter's repeats read its indices ``start, start + 1, ...``.
+    Returns the receiving slots as ``(slot, alpha)`` and, per message,
+    ``(transmitter slot, repeat, [(receiver number, entry), ...])``: entry
+    is the message's place in the receiver's (sender, repeat) row-major
+    bijection domain.
     """
     layout = derivation.layout
     alpha_of_comp = {c: derivation.fs.intermediate[g - 1][ti] for c, ti in layout.involved[k]}
@@ -296,9 +296,9 @@ def _slot_plan(
             )
         receivers.append((i, alpha, senders))
     sends = [
-        (a, [(r, senders.index(a) * repeat_count)
-             for r, (i, _, senders) in enumerate(receivers) if i != a])
-        for a in transmitters
+        (a, r + 1, [(ri, senders.index(a) * repeat_count + r)
+                    for ri, (i, _, senders) in enumerate(receivers) if i != a])
+        for a in transmitters for r in range(repeat_count)
     ]
     return [(i, alpha) for i, alpha, _ in receivers], sends
 
@@ -319,7 +319,8 @@ def generate_delivery(
     transmitter, repeat); any order decodes identically.
 
     Raises ``DeliveryCountMismatch`` when a receiver's packet count is not
-    (its transmitters) x (repeats), i.e. the bijection cannot exist.
+    (its transmitters) x (repeats), i.e. the bijection cannot exist, and
+    ``SeedOutOfRange`` for a seed outside 8 signed bytes.
     """
     p = derivation.params
     if len(demands) != p.K:
@@ -327,10 +328,13 @@ def generate_delivery(
     for d in demands:
         if not 1 <= d <= p.N:
             raise DemandOutOfRange(f"demand {d} outside 1..{p.N}")
+    if not -(2**63) <= seed < 2**63:
+        raise SeedOutOfRange(f"seed {seed} does not fit 8 signed bytes")
     store.materialize(set(demands))
 
     grouping = derivation.grouping
     values_of = [None] + [store.file_values(n) for n in demands]  # by user
+    suffix = [y.to_bytes(4, "big") for y in range(p.K + 1)]  # by user
     seed_bytes = seed.to_bytes(8, "big", signed=True)
     messages: list[CodedMessage] = []
     append = messages.append
@@ -349,8 +353,7 @@ def generate_delivery(
             pack_members = struct.Struct(">%dI" % sum(s)).pack
             for group in groups:
                 # Receiver y's packets of (group minus y, g) sit at positions
-                # first, first + 1, ... of its file, taken in bijection order;
-                # per receiver, the (file, position) ids and their values.
+                # first, first + 1, ... of its file, taken in bijection order.
                 prefix = None
                 carried = []
                 group_mask = 0
@@ -358,35 +361,30 @@ def generate_delivery(
                     group_mask |= 1 << u
                 for i, alpha in receivers:
                     y = group[i]
-                    n = demands[y - 1]
-                    values = values_of[y]
                     pos = first[group_mask ^ (1 << y)]
                     if alpha == 1:  # the only permutation of one index: no key to hash
-                        carried.append((((n, pos),), (values[pos],)))
+                        carried.append((demands[y - 1], (pos,), values_of[y]))
                         continue
                     if prefix is None:
                         prefix = round_prefix + pack_members(*group)
-                    base = pos - 1
-                    order = _shuffled_indices(alpha, _bijection_key(prefix, y))
                     carried.append(
-                        ([(n, base + j) for j in order], [values[base + j] for j in order])
+                        (demands[y - 1], _bijection(prefix + suffix[y], alpha, pos), values_of[y])
                     )
-                for a, served in sends:
-                    x = group[a]
-                    for r in range(repeat_count):
-                        payload = 0
-                        constituents = []
-                        for ri, start in served:
-                            ids, values = carried[ri]
-                            payload ^= values[start + r]
-                            constituents.append(ids[start + r])
-                        append(
-                            CodedMessage(
-                                g, group, x, r + 1,
-                                payload.to_bytes(size_bytes, "big"),
-                                tuple(constituents),
-                            )
+                for a, repeat, served in sends:
+                    payload = 0
+                    constituents = []
+                    for ri, j in served:
+                        n, order, values = carried[ri]
+                        pos = order[j]
+                        payload ^= values[pos]
+                        constituents.append((n, pos))
+                    append(
+                        CodedMessage(
+                            g, group, group[a], repeat,
+                            payload.to_bytes(size_bytes, "big"),
+                            tuple(constituents),
                         )
+                    )
     return messages
 
 

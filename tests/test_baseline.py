@@ -1,19 +1,27 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from ptcache import verify
 from ptcache.analysis import f_jcm
-from ptcache.baseline import (
-    ComparisonFailed,
-    compare,
-    jcm_construct,
-    jcm_direct_packet_ids,
-)
+from ptcache.baseline import ComparisonFailed, compare, jcm_construct
 from ptcache.combinatorics import binom
 from ptcache.exchange import FileOracle, split_files
 from ptcache.scheme import SystemParams, derive, preset
 from ptcache.verify import verify_end_to_end
+
+
+def jcm_direct_packet_ids(K: int, t: int) -> list[tuple[tuple[int, ...], int]]:
+    """Direct two-layer enumeration: (t-subset, packet index) pairs.
+
+    Independent of the PT engine; used to cross-check packet counts.
+    """
+    return [
+        (support, i)
+        for support in itertools.combinations(range(1, K + 1), t)
+        for i in range(1, t + 1)
+    ]
 
 
 class TestConstruction:

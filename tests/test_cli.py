@@ -1,12 +1,19 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from ptcache import verify
 from ptcache.cli import main
 from ptcache.exchange import MemoryMismatch
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -130,6 +137,20 @@ class TestSimulate:
         )
         assert code == 1
         assert json.loads(out)["failure"] == "MemoryMismatch: injected"
+        assert not transcript.exists()
+
+    @pytest.mark.parametrize("seed", [str(-(2**63) - 1), str(2**63)])
+    def test_out_of_range_seed_reported(self, tmp_path, seed):
+        transcript = tmp_path / "run.jsonl"
+        result = subprocess.run(
+            [sys.executable, "-m", "ptcache.cli", "simulate", "--preset", "theorem1",
+             "--K", "7", "--t", "2", "--seed", seed, "--transcript", str(transcript)],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert json.loads(result.stdout)["failure"].startswith("SeedOutOfRange: seed " + seed)
         assert not transcript.exists()
 
     def test_strict_flag_removed(self, capsys):

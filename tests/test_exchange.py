@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -23,7 +22,7 @@ from ptcache.exchange import (
     PayloadSizeMismatch,
     UndecodableMessage,
     UndemandedPacket,
-    _shuffled_indices,
+    _bijection,
     build_caches,
     decode,
     decode_all,
@@ -302,7 +301,7 @@ class TestDecode:
         m = generate_delivery(d, store, demands, seed=0)[0]
         n, pos = m.constituents[0]
         other = (n % 7 + 1, pos)
-        bad = dataclasses.replace(m, constituents=(other,) + m.constituents[1:])
+        bad = m._replace(constituents=(other,) + m.constituents[1:])
         with pytest.raises(UndemandedPacket, match="outside its demand"):
             decode_all(caches, [bad], demands)
 
@@ -335,8 +334,7 @@ def swap_user5_constituents(store, msgs):
         payload = 0
         for c in constituents:
             payload ^= packet_value(store, c)
-        out[i] = dataclasses.replace(
-            msgs[i],
+        out[i] = msgs[i]._replace(
             constituents=constituents,
             payload=payload.to_bytes(len(msgs[i].payload), "big"),
         )
@@ -383,7 +381,7 @@ class TestHonestDecodeAll:
             if pos is not None:
                 break
         own = (demands[x - 1], pos)
-        bad = dataclasses.replace(m, constituents=m.constituents[:-1] + (own,))
+        bad = m._replace(constituents=m.constituents[:-1] + (own,))
         with pytest.raises(UndecodableMessage, match="transmitter"):
             decode_all(caches, [bad], demands)
 
@@ -391,7 +389,7 @@ class TestHonestDecodeAll:
         d, _, store, caches = example1
         demands = list(range(1, 8))
         m = generate_delivery(d, store, demands, seed=0)[0]
-        bad = dataclasses.replace(m, constituents=m.constituents + m.constituents[:1])
+        bad = m._replace(constituents=m.constituents + m.constituents[:1])
         with pytest.raises(UndecodableMessage, match="two constituents"):
             decode_all(caches, [bad], demands)
 
@@ -414,18 +412,18 @@ def malformed(store, m, case):
             "negative_index": -1,
             "other_round": next(p for p, e in enumerate(store.template) if e[1] != m.round),
         }[case]
-        return dataclasses.replace(m, constituents=((n, pos),) + m.constituents[1:])
+        return m._replace(constituents=((n, pos),) + m.constituents[1:])
     if case == "unknown_round":
-        return dataclasses.replace(m, round=3)
+        return m._replace(round=3)
     if case == "transmitter_outside":
-        return dataclasses.replace(m, transmitter=99)
+        return m._replace(transmitter=99)
     if case == "negative_member":
-        return dataclasses.replace(m, group=(-1,) + m.group)
+        return m._replace(group=(-1,) + m.group)
     extra = {"owner_99": 99, "owner_0": 0}[case]
     _, pos = m.constituents[0]
     support = store.template[pos][0]
-    return dataclasses.replace(
-        m, group=tuple(sorted(support + (extra,))), transmitter=support[0], constituents=((1, pos),)
+    return m._replace(
+        group=tuple(sorted(support + (extra,))), transmitter=support[0], constituents=((1, pos),)
     )
 
 
@@ -470,11 +468,11 @@ class TestMalformedConstituents:
 
 def flip_first_payload_bit(msgs):
     m = msgs[0]
-    return [dataclasses.replace(m, payload=bytes([m.payload[0] ^ 1]) + m.payload[1:])] + msgs[1:]
+    return [m._replace(payload=bytes([m.payload[0] ^ 1]) + m.payload[1:])] + msgs[1:]
 
 
 def with_first_payload(msgs, payload):
-    return [dataclasses.replace(msgs[0], payload=payload)] + msgs[1:]
+    return [msgs[0]._replace(payload=payload)] + msgs[1:]
 
 
 TAMPERED = [
@@ -641,13 +639,28 @@ def reference_constituents(d, store, demands, seed, m):
 class TestBijection:
     """The receivers' bijections, against the loop and key derivation they replaced."""
 
-    KEYS = [hashlib.blake2b(bytes([i]), digest_size=16).digest() for i in range(16)]
+    # Key inputs shaped like delivery's: seed, round, five members, receiver.
+    KEY_INPUTS = [
+        struct.pack(">qH6I", seed, g, *members, y)
+        for seed, g, members, y in itertools.islice(
+            zip(
+                itertools.cycle([0, -1, 7, 2**63 - 1, -(2**63)]),
+                itertools.cycle([1, 2, 3]),
+                itertools.combinations(range(1, 12), 5),
+                itertools.cycle(range(1, 12)),
+            ),
+            72,
+        )
+    ]
 
     def test_permutation_matches_reference(self):
-        for n in range(1, 21):
-            for key in self.KEYS:
-                assert _shuffled_indices(n, key) == reference_shuffled_indices(n, key)
-                assert sorted(_shuffled_indices(n, key)) == list(range(1, n + 1))
+        """n = 1..40 crosses the 8-words-per-digest boundaries at n = 10, 18, 26 and 34."""
+        for n in range(1, 41):
+            for first, key_input in enumerate(self.KEY_INPUTS, start=1):
+                key = hashlib.blake2b(key_input, digest_size=16).digest()
+                expected = [first - 1 + j for j in reference_shuffled_indices(n, key)]
+                assert _bijection(key_input, n, first) == expected
+                assert sorted(expected) == list(range(first, first + n))
 
     @pytest.mark.parametrize("name,K,t,seed,demands,alpha_one", [
         # alpha_one: constituents for alpha = 1 receivers, of all constituents

@@ -84,6 +84,18 @@ class TestEndToEnd:
         assert not report.passed
         assert report.failure is not None
 
+    @pytest.mark.parametrize("seed,failure", [
+        (-(2**63) - 1, "SeedOutOfRange"),
+        (-(2**63), None),
+        (2**63 - 1, None),
+        (2**63, "SeedOutOfRange"),
+    ])
+    def test_seed_range_reported(self, seed, failure):
+        # the bijection key holds the seed in 8 signed bytes
+        report = verify_end_to_end(preset("theorem1", SystemParams(K=7, t=2, N=7)), "distinct", seed)
+        assert report.passed is (failure is None)
+        assert (report.failure or "").split(":")[0] == (failure or "")
+
     def test_programming_error_propagates(self, monkeypatch):
         # only the package's ValueErrors become a report failure
         monkeypatch.setattr(verify, "generate_delivery", lambda *args, **kwargs: None)
