@@ -336,6 +336,7 @@ def generate_delivery(
     values_of = [None] + [store.file_values(n) for n in demands]  # by user
     suffix = [y.to_bytes(4, "big") for y in range(p.K + 1)]  # by user
     seed_bytes = seed.to_bytes(8, "big", signed=True)
+    groups_of: dict[int, list[tuple[int, ...]]] = {}  # by group type, shared by the rounds
     messages: list[CodedMessage] = []
     append = messages.append
     for g in range(1, derivation.spec.G + 1):
@@ -348,7 +349,9 @@ def generate_delivery(
                 continue
             if any(c > size for c, size in zip(s, grouping.sizes)):
                 continue  # group type with no instances at this grouping
-            groups = subsets_by_type(grouping.groups, s)
+            groups = groups_of.get(k)
+            if groups is None:
+                groups = groups_of[k] = subsets_by_type(grouping.groups, s)
             receivers, sends = _slot_plan(derivation, g, k, repeat_count, groups[0])
             pack_members = struct.Struct(">%dI" % sum(s)).pack
             for group in groups:
@@ -424,17 +427,16 @@ def decode_all(
     uses only its cache, so with ``total`` the payload XOR-ed with every
     constituent, constituent i decodes to ``total ^ v_i``.  A constituent
     outside its owner's demand raises ``UndemandedPacket``, one decoded
-    twice ``DuplicateDelivery``.  Each decoded user's file is its cached
-    packets plus the decoded ones, written at their byte offsets; a packet
-    never decoded raises ``MissingPacket``.  Returns the files by
-    ``cache.user``.
+    twice ``DuplicateDelivery``.  A decoded user holds 0 for a cached packet
+    and ``total`` for a decoded one, so its file is held XOR value per
+    position, joined in canonical order; a packet never decoded raises
+    ``MissingPacket``.  Returns the files by ``cache.user``.
     """
     if not caches:
         raise ValueError("no caches")
     store = caches[0].store
     derivation = store.derivation
     template = store.template
-    offsets = store.offsets
     # Per round, the complement of each of its positions' support masks:
     # ``group_mask & lacking[pos]`` is the set of members lacking the packet.
     lacking: dict[int, dict[int, int]] = {g: {} for g in range(1, derivation.spec.G + 1)}
@@ -444,20 +446,14 @@ def decode_all(
     # A one-bit mask maps to its user's demand; any other mask maps to None.
     demand_of = {1 << u: n for u, n in enumerate(demands, 1)}
     values_of = {n: store.file_values(n) for n in set(demands)}
-    # Each decoded user's file, filled from its cache here and from the
-    # messages below, and a flag per flat position that it holds; by user bit.
-    decoded = {
-        1 << c.user: (bytearray(len(template)), bytearray(store.bytes_per_file)) for c in caches
-    }
+    # By user bit, each decoded user's held int per flat position, None until
+    # held; owners share their message's total, not one total ^ v_i each.
+    held = {1 << c.user: [None] * len(template) for c in caches}
     for support, start, stop in store.support_runs:
-        o = offsets[start]
-        end = offsets[stop - 1] + template[stop - 1][3]
         for user in support:
-            target = decoded.get(1 << user)
-            if target is not None:
-                flags, buf = target
-                flags[start:stop] = b"\1" * (stop - start)
-                buf[o:end] = store.file_bytes(demands[user - 1])[o:end]
+            slots = held.get(1 << user)
+            if slots is not None:
+                slots[start:stop] = [0] * (stop - start)
     group = None
     for msg in messages:
         if msg.group is not group:
@@ -470,9 +466,8 @@ def decode_all(
             )
         transmitter_bit = 1 << transmitter
         payload = msg.payload
-        size = len(payload)
         masks = lacking.get(msg.round)
-        if masks is None or size != size_of[msg.round]:
+        if masks is None or len(payload) != size_of[msg.round]:
             _reject_round(msg, size_of)
         total = int.from_bytes(payload, "big")
         seen = 0
@@ -482,31 +477,30 @@ def decode_all(
             if lack == transmitter_bit or lack & seen or demand_of.get(lack) != n:
                 _reject_constituent(msg, n, pos, group_mask, masks, store, demands)
             seen |= lack
-            value = values_of[n][pos]
-            total ^= value
-            unknowns.append((lack, pos, value))
-        for lack, pos, value in unknowns:
-            target = decoded.get(lack)
-            if target is None:
+            total ^= values_of[n][pos]
+            unknowns.append((lack, pos))
+        for lack, pos in unknowns:
+            slots = held.get(lack)
+            if slots is None:
                 continue
-            flags, buf = target
-            if flags[pos]:
+            if slots[pos] is not None:
                 owner = lack.bit_length() - 1
                 raise DuplicateDelivery(
                     f"user {owner} decoded {_packet_id(store, demands[owner - 1], pos)} twice"
                 )
-            flags[pos] = 1
-            o = offsets[pos]
-            buf[o : o + size] = (total ^ value).to_bytes(size, "big")
-    target = flags = buf = None  # so that each buffer is freed once copied out below
+            slots[pos] = total
+    sizes = [e[3] for e in template]
     out = {}
     for cache in caches:
         user = cache.user
-        flags = decoded[1 << user][0]
-        if 0 in flags:
-            pid = _packet_id(store, demands[user - 1], flags.index(0))
+        slots = held.pop(1 << user)
+        if None in slots:
+            pid = _packet_id(store, demands[user - 1], slots.index(None))
             raise MissingPacket(f"user {user} never decoded {pid}")
-        out[user] = bytes(decoded.pop(1 << user)[1])
+        values = values_of[demands[user - 1]]
+        out[user] = b"".join(
+            map(int.to_bytes, map(int.__xor__, slots, values), sizes, itertools.repeat("big"))
+        )
     return out
 
 

@@ -1,7 +1,7 @@
 """Machine checks for the scheme's verifiable claims.
 
 End-to-end scheme validity runs the real byte pipeline and audits decode
-completeness, the memory identity, the exact rate, and per-message coverage.
+completeness, the memory identity and the exact rate.
 The analytic side checks the cache-difference sign pattern, its zero sum,
 the paired-difference single sign change, the monotone comparison bound,
 the ratio monotonicity and its hypergeometric representation, the grouping
@@ -61,7 +61,14 @@ class CheckResult:
 
 @dataclass
 class VerificationReport:
-    """Audit of one end-to-end run."""
+    """Audit of one end-to-end run.
+
+    No per-message constituent count is kept, as the checks force it: memory
+    leaves L(K-t) units to decode, and a message of s units decodes at most
+    t*s (one packet per member but the transmitter).  Exactly-once decoding
+    makes the decoded units sum to L(K-t) and ``rate_ok`` the s to L(K-t)/t,
+    so every message carries exactly t constituents.
+    """
 
     decode_ok: dict[int, bool] = field(default_factory=dict)
     memory_bytes: dict[int, int] = field(default_factory=dict)
@@ -69,7 +76,6 @@ class VerificationReport:
     memory_ok: bool = False
     rate: Fraction | None = None
     rate_ok: bool = False
-    dof_ok: bool = False
     message_count: int = 0
     packets_per_file: int = 0
     failure: str | None = None
@@ -80,7 +86,6 @@ class VerificationReport:
             self.failure is None
             and self.memory_ok
             and self.rate_ok
-            and self.dof_ok
             and bool(self.decode_ok)
             and all(self.decode_ok.values())
         )
@@ -94,7 +99,6 @@ class VerificationReport:
             "memory_ok": self.memory_ok,
             "rate": frac_str(self.rate) if self.rate is not None else None,
             "rate_ok": self.rate_ok,
-            "dof_ok": self.dof_ok,
             "message_count": self.message_count,
             "packets_per_file": self.packets_per_file,
             "failure": self.failure,
@@ -159,7 +163,6 @@ def _audited_run(
 
         messages = generate_delivery(derivation, store, demands, seed=seed)
         report.message_count = len(messages)
-        report.dof_ok = all(len(m.constituents) == p.t for m in messages)
         report.rate = Fraction(
             total_transmitted_units(messages, derivation), derivation.sizing.L
         )

@@ -3,6 +3,7 @@ import itertools
 import json
 import re
 import struct
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -503,6 +504,29 @@ class TestTampering:
             assert set(report.decode_ok) == set(range(1, 8))
         else:
             assert report.failure.startswith(failure)
+
+
+class TestDecodeMemory:
+    def test_peak_within_twice_the_files(self):
+        """decode_all's traced peak at theorem1 K=17 t=4 stays within 2x the bytes it returns.
+
+        Holding one int per message (shared by its owners) keeps it near
+        1.5x; one fresh int per decoded packet would reach about 2.3x.
+        """
+        d = derived("theorem1", 17, 4)
+        demands = list(range(1, 18))
+        store = split_files(d, files=demands)
+        caches = build_caches(d, store)
+        msgs = generate_delivery(d, store, demands, seed=0)
+        tracemalloc.start()
+        try:
+            out = decode_all(caches, msgs, demands)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(map(len, out.values()))
+        assert returned == 17 * store.bytes_per_file
+        assert peak <= 2 * returned, (peak, returned)
 
 
 class TestDecodeAccounting:

@@ -5,12 +5,15 @@ re-runs delivery/decode across seeds and demand vectors; the smallest point
 of each grid additionally goes through the one-call verifier.
 """
 
+import functools
 import itertools
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ptcache import verify
 from ptcache.exchange import (
     FileOracle,
     build_caches,
@@ -64,6 +67,42 @@ def test_smallest_point_through_verifier(t):
         for seed in (0, 1, 2):
             report = verify_end_to_end(spec, kind, seed=seed)
             assert report.passed, report.failure
+
+
+RANDOM_DEMAND_POINTS = [(7, 2), (9, 2), (11, 2), (13, 2), (11, 4), (13, 4)]
+
+
+@functools.cache
+def _theorem1(K, t):
+    return derive(preset("theorem1", SystemParams(K=K, t=t, N=K)))
+
+
+@st.composite
+def random_runs(draw):
+    """A theorem1 point, a demand vector with repeats, a seed, and a subset of users."""
+    K, t = draw(st.sampled_from(RANDOM_DEMAND_POINTS))
+    demands = draw(st.lists(st.integers(1, K), min_size=K, max_size=K))
+    seed = draw(st.integers(-(2**63), 2**63 - 1))
+    users = draw(st.sets(st.integers(1, K), min_size=1))
+    return K, t, demands, seed, sorted(users)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_runs())
+def test_random_demands_and_seeds(run):
+    """Any demand vector and 8-byte seed passes; decoding a subset of caches changes nothing.
+
+    ``_audited_run`` is ``verify_end_to_end`` returning also the messages and
+    store it audited, so the subset decode sees the same delivery.
+    """
+    K, t, demands, seed, users = run
+    d = _theorem1(K, t)
+    report, messages, store = verify._audited_run(d, demands, seed)
+    assert report.passed, report.failure
+    caches = build_caches(d, store)
+    full = decode_all(caches, messages, demands)
+    subset = decode_all([caches[u - 1] for u in users], messages, demands)
+    assert subset == {u: full[u] for u in users}
 
 
 @pytest.mark.parametrize("t", [2, 4, 6, 8])
