@@ -16,6 +16,7 @@ big integers internally.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import struct
@@ -67,6 +68,10 @@ class PacketLayoutMismatch(ValueError):
 
 class DeliveryCountMismatch(ValueError):
     """A receiver's packet count differs from the messages its group can carry to it."""
+
+
+class CacheMismatch(ValueError):
+    """Caches handed to one decode that name a user twice or split different stores."""
 
 
 class FileOracle:
@@ -331,7 +336,25 @@ def generate_delivery(
     if not -(2**63) <= seed < 2**63:
         raise SeedOutOfRange(f"seed {seed} does not fit 8 signed bytes")
     store.materialize(set(demands))
+    # Every object built below is acyclic (message tuples, ints, bytes), so
+    # the cyclic collector can only waste time on them.  At theorem1 K=17
+    # t=4 (26 754 messages, 2-core host) it ran 232-238 times in here, 1-2
+    # of them full: 23-45 ms of a 200-295 ms delivery.  Paused, it costs one
+    # young collection at the first allocation after it is enabled again.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _build_messages(derivation, store, demands, seed)
+    finally:
+        if enabled:
+            gc.enable()
 
+
+def _build_messages(
+    derivation: DerivedScheme, store: PacketStore, demands: Sequence[int], seed: int
+) -> list[CodedMessage]:
+    """``generate_delivery``'s messages, for checked demands and seed."""
+    p = derivation.params
     grouping = derivation.grouping
     values_of = [None] + [store.file_values(n) for n in demands]  # by user
     suffix = [y.to_bytes(4, "big") for y in range(p.K + 1)]  # by user
@@ -431,6 +454,9 @@ def decode_all(
     and ``total`` for a decoded one, so its file is held XOR value per
     position, joined in canonical order; a packet never decoded raises
     ``MissingPacket``.  Returns the files by ``cache.user``.
+
+    Two caches of one user, or a cache of another store than the first
+    cache's, raise ``CacheMismatch`` before any message is read.
     """
     if not caches:
         raise ValueError("no caches")
@@ -448,7 +474,13 @@ def decode_all(
     values_of = {n: store.file_values(n) for n in set(demands)}
     # By user bit, each decoded user's held int per flat position, None until
     # held; owners share their message's total, not one total ^ v_i each.
-    held = {1 << c.user: [None] * len(template) for c in caches}
+    held: dict[int, list] = {}
+    for cache in caches:
+        if cache.store is not store:
+            raise CacheMismatch(f"the cache of user {cache.user} splits another store")
+        if 1 << cache.user in held:
+            raise CacheMismatch(f"two caches of user {cache.user}")
+        held[1 << cache.user] = [None] * len(template)
     for support, start, stop in store.support_runs:
         for user in support:
             slots = held.get(1 << user)
@@ -565,10 +597,9 @@ def _reject_constituent(
     )
 
 
-_LINE = (
-    '{"round":%d,"group":[%s],"transmitter":%d,"repeat":%d,'
-    '"constituents":[%s],"payload_sha256":"%s"}'
-)
+_HEAD = '{"round":%d,"group":[%s],"transmitter":%d,"repeat":%d,"constituents":['
+_TAIL = '],"payload_sha256":"%s"}'
+_BLOCK = 256  # transcript lines per write; 2048 cost 0.8 MB of peak RSS at K=17 t=4
 
 
 def transcript_lines(messages: Iterable[CodedMessage], store: PacketStore) -> Iterator[str]:
@@ -576,32 +607,41 @@ def transcript_lines(messages: Iterable[CodedMessage], store: PacketStore) -> It
 
     Each line is the compact ``json.dumps`` of ``{"round", "group",
     "transmitter", "repeat", "constituents": [{"file", "support",
-    "coupled_group", "index"}, ...], "payload_sha256"}``, built by
-    formatting.  A constituent is the text of its file followed by the text
-    of its flat position, both built once from ``store``; a file the store
-    never materialized or a position outside its layout raises ``KeyError``.
+    "coupled_group", "index"}, ...], "payload_sha256"}``, built by one
+    ``%`` format per constituent count.  A constituent is the text of its
+    file followed by the text of its flat position, both built once from
+    ``store``.  A file the store never materialized raises ``KeyError``, a
+    position past its layout ``IndexError``; positions are not otherwise
+    checked, which is ``decode_all``'s job.
     """
     file_text = {n: '{"file":%d,' % n for n in store.files}
-    packet_text = {
-        pos: '"support":[%s],"coupled_group":%d,"index":%d}' % (",".join(map(str, support)), g, j)
-        for pos, (support, g, j, _) in enumerate(store.template)
-    }
+    packet_text = [
+        '"support":[%s],"coupled_group":%d,"index":%d}' % (",".join(map(str, support)), g, j)
+        for support, g, j, _ in store.template
+    ]
+    formats: dict[int, str] = {}  # by constituent count
+    sha256 = hashlib.sha256
     group = None
     for m in messages:
-        if m.group is not group:
+        if m.group is not group:  # group tuples are shared by the rounds: no round here
             group = m.group
             group_text = ",".join(map(str, group))
-        yield _LINE % (
-            m.round,
-            group_text,
-            m.transmitter,
-            m.repeat,
-            ",".join([file_text[n] + packet_text[pos] for n, pos in m.constituents]),
-            hashlib.sha256(m.payload).hexdigest(),
-        )
+        count = len(m.constituents)
+        line = formats.get(count)
+        if line is None:
+            line = formats[count] = _HEAD + ",".join(["%s%s"] * count) + _TAIL
+        args = [m.round, group_text, m.transmitter, m.repeat]
+        for n, pos in m.constituents:
+            args.append(file_text[n])
+            args.append(packet_text[pos])
+        args.append(sha256(m.payload).hexdigest())
+        yield line % tuple(args)
 
 
 def write_transcript(messages: Iterable[CodedMessage], path: str, store: PacketStore) -> None:
+    """Write ``transcript_lines`` to ``path``, one newline after each, in blocks of lines."""
+    lines = transcript_lines(messages, store)
     with open(path, "w", encoding="utf-8") as fh:
-        for line in transcript_lines(messages, store):
-            fh.write(line + "\n")
+        while block := list(itertools.islice(lines, _BLOCK)):
+            block.append("")  # the join then ends the block with a newline
+            fh.write("\n".join(block))

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import json
@@ -10,9 +11,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from ptcache import verify
+from ptcache import exchange, verify
 from ptcache.combinatorics import binom
 from ptcache.exchange import (
+    CacheMismatch,
+    CodedMessage,
     DeliveryCountMismatch,
     DemandOutOfRange,
     DuplicateDelivery,
@@ -31,6 +34,7 @@ from ptcache.exchange import (
     split_files,
     total_transmitted_units,
     transcript_lines,
+    write_transcript,
 )
 from ptcache.scheme import SystemParams, derive, preset
 
@@ -175,18 +179,52 @@ class TestDelivery:
 
     def test_repeat_count_mismatch(self, example1):
         d, _, store, _ = example1
-        repeats = [list(row) for row in d.repeats]
-        k = next(k for k, r in enumerate(repeats[0]) if r > 0)
-        repeats[0][k] += 1
-        skewed = Overridden(d, repeats=tuple(tuple(row) for row in repeats))
         with pytest.raises(DeliveryCountMismatch):
-            generate_delivery(skewed, store, list(range(1, 8)), seed=0)
+            generate_delivery(skewed_repeats(d), store, list(range(1, 8)), seed=0)
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc_enabled", "gc_disabled"])
+    @pytest.mark.parametrize("skew", [False, True], ids=["delivers", "count_mismatch"])
+    def test_gc_state_kept(self, example1, monkeypatch, enabled, skew):
+        """Delivery builds its messages with the collector paused, then restores its state.
+
+        The skewed run raises ``DeliveryCountMismatch`` from the slot plan,
+        inside the paused region.
+        """
+        d, _, store, _ = example1
+        real = exchange._slot_plan
+        seen = []
+
+        def recording(*args):
+            seen.append(gc.isenabled())
+            return real(*args)
+
+        monkeypatch.setattr(exchange, "_slot_plan", recording)
+        before = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if skew:
+                with pytest.raises(DeliveryCountMismatch):
+                    generate_delivery(skewed_repeats(d), store, list(range(1, 8)), seed=0)
+            else:
+                generate_delivery(d, store, list(range(1, 8)), seed=0)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if before else gc.disable)()
+        assert seen and not any(seen)
 
     def test_deterministic_for_seed(self, example1):
         d, _, store, _ = example1
         a = generate_delivery(d, store, list(range(1, 8)), seed=9)
         b = generate_delivery(d, store, list(range(1, 8)), seed=9)
         assert a == b
+
+
+def skewed_repeats(d):
+    """``d`` with one round-1 repeat count raised by one, so no bijection exists."""
+    repeats = [list(row) for row in d.repeats]
+    k = next(k for k, r in enumerate(repeats[0]) if r > 0)
+    repeats[0][k] += 1
+    return Overridden(d, repeats=tuple(tuple(row) for row in repeats))
 
 
 def _type_of(support, split_at=4):
@@ -247,6 +285,21 @@ class TestDecode:
         assert decode_all([caches[4]], msgs, demands) == {
             5: oracle.file_bytes(5, store.bytes_per_file)
         }
+
+    def test_duplicate_cache_rejected(self, example1):
+        d, _, store, caches = example1
+        demands = list(range(1, 8))
+        msgs = generate_delivery(d, store, demands, seed=0)
+        with pytest.raises(CacheMismatch, match="two caches of user 1"):
+            decode_all([caches[0], caches[0]], msgs, demands)
+
+    def test_cache_of_another_store_rejected(self, example1):
+        d, _, store, caches = example1
+        demands = list(range(1, 8))
+        msgs = generate_delivery(d, store, demands, seed=0)
+        other = build_caches(d, split_files(d, FileOracle(b"another key")))
+        with pytest.raises(CacheMismatch, match="user 2 splits another store"):
+            decode_all([caches[0], other[1]], msgs, demands)
 
     def test_seed_changes_assignment_not_counts(self, example1):
         d, _, store, caches = example1
@@ -506,18 +559,24 @@ class TestTampering:
             assert report.failure.startswith(failure)
 
 
+@pytest.fixture(scope="module")
+def k17t4():
+    """theorem1 K=17 t=4 with distinct demands: 26 754 messages of 4 constituents."""
+    d = derived("theorem1", 17, 4)
+    demands = list(range(1, 18))
+    store = split_files(d, files=demands)
+    return d, store, demands, generate_delivery(d, store, demands, seed=0)
+
+
 class TestDecodeMemory:
-    def test_peak_within_twice_the_files(self):
+    def test_peak_within_twice_the_files(self, k17t4):
         """decode_all's traced peak at theorem1 K=17 t=4 stays within 2x the bytes it returns.
 
         Holding one int per message (shared by its owners) keeps it near
         1.5x; one fresh int per decoded packet would reach about 2.3x.
         """
-        d = derived("theorem1", 17, 4)
-        demands = list(range(1, 18))
-        store = split_files(d, files=demands)
+        d, store, demands, msgs = k17t4
         caches = build_caches(d, store)
-        msgs = generate_delivery(d, store, demands, seed=0)
         tracemalloc.start()
         try:
             out = decode_all(caches, msgs, demands)
@@ -592,24 +651,59 @@ class TestTranscript:
         d = derived(name, K, t)
         store = split_files(d, FileOracle(), files=set(demands))
         msgs = generate_delivery(d, store, demands, seed=3)
-        reference = [
-            json.dumps(
-                {
-                    "round": m.round,
-                    "group": list(m.group),
-                    "transmitter": m.transmitter,
-                    "repeat": m.repeat,
-                    "constituents": [
-                        {"file": n, "support": list(s), "coupled_group": g, "index": j}
-                        for n, s, g, j in packet_ids(store, m)
-                    ],
-                    "payload_sha256": hashlib.sha256(m.payload).hexdigest(),
-                },
-                separators=(",", ":"),
-            )
-            for m in msgs
+        assert list(transcript_lines(msgs, store)) == [compact_json(store, m) for m in msgs]
+
+    def test_every_constituent_count(self, example1):
+        """Messages of 0, 1 and t + 1 constituents, one group tuple in both rounds.
+
+        Real deliveries carry t constituents per message, so these are built
+        by hand; each count gets its own line format.
+        """
+        d, _, store, _ = example1
+        group = (1, 2, 5)
+        r1 = [p for p, e in enumerate(store.template) if e[1] == 1]
+        r2 = [p for p, e in enumerate(store.template) if e[1] == 2]
+        msgs = [
+            CodedMessage(1, group, 1, 1, b"\x01", ()),
+            CodedMessage(1, group, 2, 1, b"\x02", ((3, r1[0]),)),
+            CodedMessage(2, group, 5, 2, b"\x03", ((1, r2[0]), (7, r2[-1]), (4, r2[5]))),
+            CodedMessage(1, (3, 4, 6), 6, 1, b"", ((2, r1[-1]), (5, r1[1]))),
+            CodedMessage(2, group, 1, 1, b"\x04", ((6, r2[1]),)),
+            CodedMessage(1, group, 2, 3, b"\x05", ()),
         ]
-        assert list(transcript_lines(msgs, store)) == reference
+        assert list(transcript_lines(msgs, store)) == [compact_json(store, m) for m in msgs]
+
+    def test_write_peak_within_a_quarter_of_the_bytes(self, k17t4, tmp_path):
+        """write_transcript holds a block of lines, not the transcript: 1.2 of 10.9 MB."""
+        _, store, _, msgs = k17t4
+        path = tmp_path / "run.jsonl"
+        tracemalloc.start()
+        try:
+            write_transcript(msgs, str(path), store)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        written = path.stat().st_size
+        assert written == sum(len(line) + 1 for line in transcript_lines(msgs, store))
+        assert peak <= written / 4, (peak, written)
+
+
+def compact_json(store, m):
+    """Message ``m``'s transcript line, by ``json.dumps``."""
+    return json.dumps(
+        {
+            "round": m.round,
+            "group": list(m.group),
+            "transmitter": m.transmitter,
+            "repeat": m.repeat,
+            "constituents": [
+                {"file": n, "support": list(s), "coupled_group": g, "index": j}
+                for n, s, g, j in packet_ids(store, m)
+            ],
+            "payload_sha256": hashlib.sha256(m.payload).hexdigest(),
+        },
+        separators=(",", ":"),
+    )
 
 
 def reference_shuffled_indices(n, key):
