@@ -14,9 +14,8 @@ import sys
 from typing import Sequence
 
 from . import analysis, verify
-from .exchange import write_transcript
-# perfbench/spans.py traces the delivery stages through cli's bindings too.
-from .exchange import generate_delivery, split_files  # noqa: F401
+# Not called here: kept because perfbench/spans.py wraps these cli bindings.
+from .exchange import generate_delivery, split_files, write_transcript  # noqa: F401
 from .scheme import (
     SchemeSpec,
     SystemParams,
@@ -86,7 +85,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    """Audit one delivery; the transcript records the messages the audit decoded.
+    """Audit one delivery, writing its transcript while the audit runs.
 
     No transcript is written when the run fails before delivery produced
     any messages.
@@ -94,9 +93,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     derivation = derive(_spec_from(args))
     p = derivation.params
     demands = _parse_demands(args.demands, p.K, p.N)
-    report, messages, store = verify._audited_run(derivation, demands, args.seed)
-    if args.transcript and messages is not None:
-        write_transcript(messages, _out_path(args.transcript), store)
+    report = verify._audited_run(derivation, demands, args.seed, _out_path(args.transcript))
     _emit(report.to_json(), args.output)
     return 0 if report.passed else 1
 

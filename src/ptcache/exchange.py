@@ -22,7 +22,7 @@ import itertools
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence, TextIO
 
 from .combinatorics import subsets_by_type
 from .scheme import DerivedScheme
@@ -308,13 +308,13 @@ def _slot_plan(
     return [(i, alpha) for i, alpha, _ in receivers], sends
 
 
-def generate_delivery(
+def stream_delivery(
     derivation: DerivedScheme,
     store: PacketStore,
     demands: Sequence[int],
     seed: int = 0,
-) -> list[CodedMessage]:
-    """All coded messages of the delivery phase, in a fixed canonical order.
+) -> Iterator[CodedMessage]:
+    """The coded messages of the delivery phase, one at a time, in a fixed canonical order.
 
     Round g serves coupled group g.  Within a multicast group, each
     transmitter sends one message per repeat; the packet index a transmitter
@@ -323,9 +323,12 @@ def generate_delivery(
     indices exactly once.  Messages are ordered by (round, group type, group,
     transmitter, repeat); any order decodes identically.
 
-    Raises ``DeliveryCountMismatch`` when a receiver's packet count is not
-    (its transmitters) x (repeats), i.e. the bijection cannot exist, and
-    ``SeedOutOfRange`` for a seed outside 8 signed bytes.
+    Every check runs in this call, before the first message is built: the
+    demands, the seed, the split of the demanded files and every round's
+    slot plan.  Raises ``DeliveryCountMismatch`` when a receiver's packet
+    count is not (its transmitters) x (repeats), i.e. the bijection cannot
+    exist, and ``SeedOutOfRange`` for a seed outside 8 signed bytes.  The
+    returned iterator builds each message only when it is asked for.
     """
     p = derivation.params
     if len(demands) != p.K:
@@ -336,36 +339,10 @@ def generate_delivery(
     if not -(2**63) <= seed < 2**63:
         raise SeedOutOfRange(f"seed {seed} does not fit 8 signed bytes")
     store.materialize(set(demands))
-    # Every object built below is acyclic (message tuples, ints, bytes), so
-    # the cyclic collector can only waste time on them.  At theorem1 K=17
-    # t=4 (26 754 messages, 2-core host) it ran 232-238 times in here, 1-2
-    # of them full: 23-45 ms of a 200-295 ms delivery.  Paused, it costs one
-    # young collection at the first allocation after it is enabled again.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _build_messages(derivation, store, demands, seed)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _build_messages(
-    derivation: DerivedScheme, store: PacketStore, demands: Sequence[int], seed: int
-) -> list[CodedMessage]:
-    """``generate_delivery``'s messages, for checked demands and seed."""
-    p = derivation.params
     grouping = derivation.grouping
-    values_of = [None] + [store.file_values(n) for n in demands]  # by user
-    suffix = [y.to_bytes(4, "big") for y in range(p.K + 1)]  # by user
-    seed_bytes = seed.to_bytes(8, "big", signed=True)
     groups_of: dict[int, list[tuple[int, ...]]] = {}  # by group type, shared by the rounds
-    messages: list[CodedMessage] = []
-    append = messages.append
+    plans = []
     for g in range(1, derivation.spec.G + 1):
-        size_bytes = derivation.sizing.ell[g - 1] * p.unit
-        round_prefix = seed_bytes + g.to_bytes(2, "big")
-        first = store.first[g - 1]
         for k, s in enumerate(derivation.layout.group_types):
             repeat_count = derivation.repeats[g - 1][k]
             if repeat_count == 0:
@@ -375,43 +352,86 @@ def _build_messages(
             groups = groups_of.get(k)
             if groups is None:
                 groups = groups_of[k] = subsets_by_type(grouping.groups, s)
-            receivers, sends = _slot_plan(derivation, g, k, repeat_count, groups[0])
-            pack_members = struct.Struct(">%dI" % sum(s)).pack
-            for group in groups:
-                # Receiver y's packets of (group minus y, g) sit at positions
-                # first, first + 1, ... of its file, taken in bijection order.
-                prefix = None
-                carried = []
-                group_mask = 0
-                for u in group:
-                    group_mask |= 1 << u
-                for i, alpha in receivers:
-                    y = group[i]
-                    pos = first[group_mask ^ (1 << y)]
-                    if alpha == 1:  # the only permutation of one index: no key to hash
-                        carried.append((demands[y - 1], (pos,), values_of[y]))
-                        continue
-                    if prefix is None:
-                        prefix = round_prefix + pack_members(*group)
-                    carried.append(
-                        (demands[y - 1], _bijection(prefix + suffix[y], alpha, pos), values_of[y])
-                    )
-                for a, repeat, served in sends:
-                    payload = 0
-                    constituents = []
-                    for ri, j in served:
-                        n, order, values = carried[ri]
-                        pos = order[j]
-                        payload ^= values[pos]
-                        constituents.append((n, pos))
-                    append(
-                        CodedMessage(
-                            g, group, group[a], repeat,
-                            payload.to_bytes(size_bytes, "big"),
-                            tuple(constituents),
-                        )
-                    )
-    return messages
+            plans.append((g, s, groups, *_slot_plan(derivation, g, k, repeat_count, groups[0])))
+    return _messages(derivation, store, demands, seed, plans)
+
+
+def generate_delivery(
+    derivation: DerivedScheme,
+    store: PacketStore,
+    demands: Sequence[int],
+    seed: int = 0,
+) -> list[CodedMessage]:
+    """``stream_delivery``'s messages as one list, built with the cyclic collector paused.
+
+    Every object the list keeps is acyclic (message tuples, ints, bytes), so
+    the collector can only waste time on them.  At theorem1 K=17 t=4 (26 754
+    messages, 2-core host) it ran 232-238 times while the list grew, 1-2 of
+    them full: 23-45 ms of a 200-295 ms delivery.  Paused, it costs one
+    young collection at the first allocation after it is enabled again.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return list(stream_delivery(derivation, store, demands, seed))
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _messages(
+    derivation: DerivedScheme,
+    store: PacketStore,
+    demands: Sequence[int],
+    seed: int,
+    plans: list[tuple],
+) -> Iterator[CodedMessage]:
+    """``stream_delivery``'s messages, for checked inputs and their slot plans.
+
+    ``plans`` holds ``(round, group type, groups, receivers, sends)`` per
+    round and group type, in message order; see ``_slot_plan``.
+    """
+    p = derivation.params
+    values_of = [None] + [store.file_values(n) for n in demands]  # by user
+    suffix = [y.to_bytes(4, "big") for y in range(p.K + 1)]  # by user
+    seed_bytes = seed.to_bytes(8, "big", signed=True)
+    for g, s, groups, receivers, sends in plans:
+        size_bytes = derivation.sizing.ell[g - 1] * p.unit
+        round_prefix = seed_bytes + g.to_bytes(2, "big")
+        first = store.first[g - 1]
+        pack_members = struct.Struct(">%dI" % sum(s)).pack
+        for group in groups:
+            # Receiver y's packets of (group minus y, g) sit at positions
+            # first, first + 1, ... of its file, taken in bijection order.
+            prefix = None
+            carried = []
+            group_mask = 0
+            for u in group:
+                group_mask |= 1 << u
+            for i, alpha in receivers:
+                y = group[i]
+                pos = first[group_mask ^ (1 << y)]
+                if alpha == 1:  # the only permutation of one index: no key to hash
+                    carried.append((demands[y - 1], (pos,), values_of[y]))
+                    continue
+                if prefix is None:
+                    prefix = round_prefix + pack_members(*group)
+                carried.append(
+                    (demands[y - 1], _bijection(prefix + suffix[y], alpha, pos), values_of[y])
+                )
+            for a, repeat, served in sends:
+                payload = 0
+                constituents = []
+                for ri, j in served:
+                    n, order, values = carried[ri]
+                    pos = order[j]
+                    payload ^= values[pos]
+                    constituents.append((n, pos))
+                yield CodedMessage(
+                    g, group, group[a], repeat,
+                    payload.to_bytes(size_bytes, "big"),
+                    tuple(constituents),
+                )
 
 
 def total_transmitted_units(messages: Iterable[CodedMessage], derivation: DerivedScheme) -> int:
@@ -437,6 +457,15 @@ def decode_all(
     messages: Iterable[CodedMessage],
     demands: Sequence[int],
 ) -> dict[int, bytes]:
+    """``decode_files`` as one dict: every decoded file by ``cache.user``."""
+    return dict(decode_files(caches, messages, demands))
+
+
+def decode_files(
+    caches: Sequence[Cache],
+    messages: Iterable[CodedMessage],
+    demands: Sequence[int],
+) -> Iterator[tuple[int, bytes]]:
     """Decode the users of ``caches`` in one pass over the messages.
 
     Every message is checked, whoever is decoded.  A round outside 1..G or
@@ -453,10 +482,13 @@ def decode_all(
     twice ``DuplicateDelivery``.  A decoded user holds 0 for a cached packet
     and ``total`` for a decoded one, so its file is held XOR value per
     position, joined in canonical order; a packet never decoded raises
-    ``MissingPacket``.  Returns the files by ``cache.user``.
+    ``MissingPacket``.
 
     Two caches of one user, or a cache of another store than the first
-    cache's, raise ``CacheMismatch`` before any message is read.
+    cache's, raise ``CacheMismatch`` before any message is read.  Every
+    check, ``MissingPacket`` included, runs in this call.  The returned
+    iterator then yields ``(cache.user, file)`` in ``caches`` order,
+    assembling each file only when it is asked for.
     """
     if not caches:
         raise ValueError("no caches")
@@ -521,19 +553,23 @@ def decode_all(
                     f"user {owner} decoded {_packet_id(store, demands[owner - 1], pos)} twice"
                 )
             slots[pos] = total
-    sizes = [e[3] for e in template]
-    out = {}
     for cache in caches:
-        user = cache.user
-        slots = held.pop(1 << user)
+        slots = held[1 << cache.user]
         if None in slots:
-            pid = _packet_id(store, demands[user - 1], slots.index(None))
-            raise MissingPacket(f"user {user} never decoded {pid}")
-        values = values_of[demands[user - 1]]
-        out[user] = b"".join(
-            map(int.to_bytes, map(int.__xor__, slots, values), sizes, itertools.repeat("big"))
-        )
-    return out
+            pid = _packet_id(store, demands[cache.user - 1], slots.index(None))
+            raise MissingPacket(f"user {cache.user} never decoded {pid}")
+    sizes = [e[3] for e in template]
+    return (
+        (c.user, _assemble(held.pop(1 << c.user), values_of[demands[c.user - 1]], sizes))
+        for c in caches
+    )
+
+
+def _assemble(held: list[int], values: list[int], sizes: list[int]) -> bytes:
+    """A decoded file: held XOR value per position, joined in canonical order."""
+    return b"".join(
+        map(int.to_bytes, map(int.__xor__, held, values), sizes, itertools.repeat("big"))
+    )
 
 
 def _packet_id(store: PacketStore, n: int, pos: int) -> tuple:
@@ -602,8 +638,8 @@ _TAIL = '],"payload_sha256":"%s"}'
 _BLOCK = 256  # transcript lines per write; 2048 cost 0.8 MB of peak RSS at K=17 t=4
 
 
-def transcript_lines(messages: Iterable[CodedMessage], store: PacketStore) -> Iterator[str]:
-    """JSON-lines transcript: one record per message, payloads as hashes.
+def _line_format(store: PacketStore) -> Callable[[CodedMessage], str]:
+    """The transcript line of a message, by a function built once for ``store``.
 
     Each line is the compact ``json.dumps`` of ``{"round", "group",
     "transmitter", "repeat", "constituents": [{"file", "support",
@@ -612,7 +648,7 @@ def transcript_lines(messages: Iterable[CodedMessage], store: PacketStore) -> It
     file followed by the text of its flat position, both built once from
     ``store``.  A file the store never materialized raises ``KeyError``, a
     position past its layout ``IndexError``; positions are not otherwise
-    checked, which is ``decode_all``'s job.
+    checked, which is ``decode_files``'s job.
     """
     file_text = {n: '{"file":%d,' % n for n in store.files}
     packet_text = [
@@ -621,27 +657,55 @@ def transcript_lines(messages: Iterable[CodedMessage], store: PacketStore) -> It
     ]
     formats: dict[int, str] = {}  # by constituent count
     sha256 = hashlib.sha256
-    group = None
-    for m in messages:
+    group = group_text = None
+
+    def line(m: CodedMessage) -> str:
+        nonlocal group, group_text
         if m.group is not group:  # group tuples are shared by the rounds: no round here
             group = m.group
             group_text = ",".join(map(str, group))
         count = len(m.constituents)
-        line = formats.get(count)
-        if line is None:
-            line = formats[count] = _HEAD + ",".join(["%s%s"] * count) + _TAIL
+        fmt = formats.get(count)
+        if fmt is None:
+            fmt = formats[count] = _HEAD + ",".join(["%s%s"] * count) + _TAIL
         args = [m.round, group_text, m.transmitter, m.repeat]
         for n, pos in m.constituents:
             args.append(file_text[n])
             args.append(packet_text[pos])
         args.append(sha256(m.payload).hexdigest())
-        yield line % tuple(args)
+        return fmt % tuple(args)
+
+    return line
+
+
+def transcript_lines(messages: Iterable[CodedMessage], store: PacketStore) -> Iterator[str]:
+    """JSON-lines transcript: one record per message, payloads as hashes (``_line_format``)."""
+    return map(_line_format(store), messages)
+
+
+def record_transcript(
+    messages: Iterable[CodedMessage], fh: TextIO, store: PacketStore
+) -> Iterator[CodedMessage]:
+    """Pass ``messages`` through, writing each one's transcript line to ``fh`` on the way.
+
+    Lines are written in blocks of ``_BLOCK``, one newline after each, one
+    join and one write per block; the last block when the messages run out.
+    """
+    line = _line_format(store)
+    block = []
+    for m in messages:
+        block.append(line(m))
+        if len(block) == _BLOCK:
+            block.append("")  # the join then ends the block with a newline
+            fh.write("\n".join(block))
+            block = []
+        yield m
+    block.append("")
+    fh.write("\n".join(block))
 
 
 def write_transcript(messages: Iterable[CodedMessage], path: str, store: PacketStore) -> None:
-    """Write ``transcript_lines`` to ``path``, one newline after each, in blocks of lines."""
-    lines = transcript_lines(messages, store)
+    """Write the transcript of ``messages`` to ``path`` (``record_transcript``)."""
     with open(path, "w", encoding="utf-8") as fh:
-        while block := list(itertools.islice(lines, _BLOCK)):
-            block.append("")  # the join then ends the block with a newline
-            fh.write("\n".join(block))
+        for _ in record_transcript(messages, fh, store):
+            pass

@@ -13,19 +13,24 @@ arithmetic; no checks involve tolerances.
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .analysis import f_jcm, f_pt, gamma_terms, theorem_alpha
 from .combinatorics import hypergeo_pmf, vector_lcm
-from .exchange import (
+# generate_delivery, decode_all and total_transmitted_units are not called
+# here: kept because perfbench/spans.py wraps these verify bindings.
+from .exchange import (  # noqa: F401
     CodedMessage,
-    PacketStore,
     build_caches,
     decode_all,
+    decode_files,
     generate_delivery,
+    record_transcript,
     split_files,
+    stream_delivery,
     total_transmitted_units,
 )
 from .scheme import (
@@ -129,24 +134,30 @@ def verify_end_to_end(
     Never raises on a failing scheme: the report carries the first
     counterexample instead.  Programming errors propagate.
     """
-    return _audited_run(scheme, demands, seed)[0]
+    return _audited_run(scheme, demands, seed)
 
 
 def _audited_run(
     scheme: SchemeSpec | DerivedScheme,
     demands: Sequence[int] | str,
     seed: int,
-) -> tuple[VerificationReport, list[CodedMessage] | None, PacketStore | None]:
-    """The body of ``verify_end_to_end``, also returning the audited messages and store.
+    transcript: str | None = None,
+) -> VerificationReport:
+    """The body of ``verify_end_to_end``, writing the JSON-lines transcript to ``transcript``.
 
-    The messages' constituents name flat positions of that store.  The
-    messages are None when the run failed before delivery produced them.
-    Only ``ValueError`` is caught and reported: every named error of the
-    package subclasses it, so any other exception is a programming error and
-    propagates.
+    One streamed pass: each message goes through the transcript (when a
+    path is given) and a tally of messages and payload units into the
+    decoder, and is then freed; after that, each user's file is assembled,
+    compared with the split's bytes and dropped before the next is built.
+    The transcript is opened only once delivery has passed its up-front
+    checks, so a run that fails before delivery writes none.  When decoding
+    fails part way, the rest of the messages still pass through the
+    transcript and the tally, so the transcript, ``message_count`` and
+    ``rate`` cover every message.  Only ``ValueError`` is caught and
+    reported: every named error of the package subclasses it, so any other
+    exception is a programming error and propagates.
     """
     report = VerificationReport()
-    messages = store = None
     try:
         derivation = scheme if isinstance(scheme, DerivedScheme) else derive(scheme)
         p = derivation.params
@@ -161,19 +172,37 @@ def _audited_run(
         report.memory_bytes = {c.user: c.total_bytes for c in caches}
         report.memory_ok = True
 
-        messages = generate_delivery(derivation, store, demands, seed=seed)
-        report.message_count = len(messages)
-        report.rate = Fraction(
-            total_transmitted_units(messages, derivation), derivation.sizing.L
-        )
-        report.rate_ok = report.rate == p.rate
+        messages = stream_delivery(derivation, store, demands, seed=seed)
+        tally = [0, 0]  # messages, payload units
+        with open(transcript, "w", encoding="utf-8") if transcript else nullcontext() as fh:
+            if fh is not None:
+                messages = record_transcript(messages, fh, store)
+            messages = _tallied(messages, p.unit, tally)
+            try:
+                files = decode_files(caches, messages, demands)
+            except ValueError:
+                for _ in messages:  # the messages a failed decode left unread
+                    pass
+                raise
+            finally:
+                report.message_count = tally[0]
+                report.rate = Fraction(tally[1], derivation.sizing.L)
+                report.rate_ok = report.rate == p.rate
 
-        reconstructed = decode_all(caches, messages, demands)
-        for user in range(1, p.K + 1):
-            report.decode_ok[user] = reconstructed[user] == store.file_bytes(demands[user - 1])
+        for user, data in files:
+            report.decode_ok[user] = data == store.file_bytes(demands[user - 1])
+            del data  # so that one decoded file is alive while the next is assembled
     except ValueError as exc:  # report-style: carry the counterexample
         report.failure = f"{type(exc).__name__}: {exc}"
-    return report, messages, store
+    return report
+
+
+def _tallied(messages: Iterable[CodedMessage], unit: int, tally: list[int]) -> Iterator[CodedMessage]:
+    """Pass ``messages`` through, counting each in ``tally``: messages, then payload units."""
+    for m in messages:
+        tally[0] += 1
+        tally[1] += len(m.payload) // unit
+        yield m
 
 
 def verify_claims(t: int, q: int) -> dict[str, CheckResult]:

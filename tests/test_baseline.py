@@ -108,7 +108,7 @@ class TestComparison:
     def test_one_split_and_one_delivery_per_side(self, exchange_calls):
         pt = derive(preset("theorem1", SystemParams(K=7, t=2, N=7)))
         jcm = jcm_construct(7, 2, 7)
-        calls = exchange_calls("generate_delivery", "split_files")
+        calls = exchange_calls("stream_delivery", "split_files")
         compare(pt, jcm, seed=1)
         for name, args in calls.items():
             assert [a[0] for a in args] == [pt, jcm], name

@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from ptcache import verify
+from ptcache import cli, verify
 from ptcache.cli import main
 from ptcache.exchange import MemoryMismatch
+
+from test_exchange import skewed_repeats
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -126,17 +128,26 @@ class TestSimulate:
         assert json.loads(out)["passed"] is True
 
     def test_no_transcript_when_run_fails_before_delivery(self, capsys, tmp_path, monkeypatch):
+        """Placement fails, or delivery fails its up-front checks: no transcript file."""
         def broken(*args, **kwargs):
             raise MemoryMismatch("injected")
 
-        monkeypatch.setattr(verify, "build_caches", broken)
+        argv = ["simulate", "--preset", "theorem1", "--K", "7", "--t", "2"]
         transcript = tmp_path / "run.jsonl"
-        code, out, _ = run_cli(
-            capsys, "simulate", "--preset", "theorem1", "--K", "7", "--t", "2",
-            "--transcript", str(transcript),
-        )
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "build_caches", broken)
+            code, out, _ = run_cli(capsys, *argv, "--transcript", str(transcript))
         assert code == 1
         assert json.loads(out)["failure"] == "MemoryMismatch: injected"
+        assert not transcript.exists()
+
+        real = cli.derive
+        monkeypatch.setattr(cli, "derive", lambda spec: skewed_repeats(real(spec)))
+        code, out, _ = run_cli(capsys, *argv, "--transcript", str(transcript))
+        assert code == 1
+        report = json.loads(out)
+        assert report["failure"].startswith("DeliveryCountMismatch: receiver")
+        assert report["message_count"] == 0
         assert not transcript.exists()
 
     @pytest.mark.parametrize("seed", [str(-(2**63) - 1), str(2**63)])

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import itertools
@@ -12,6 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 from ptcache import exchange, verify
+from ptcache.cli import main
 from ptcache.combinatorics import binom
 from ptcache.exchange import (
     CacheMismatch,
@@ -224,7 +226,7 @@ def skewed_repeats(d):
     repeats = [list(row) for row in d.repeats]
     k = next(k for k, r in enumerate(repeats[0]) if r > 0)
     repeats[0][k] += 1
-    return Overridden(d, repeats=tuple(tuple(row) for row in repeats))
+    return dataclasses.replace(d, repeats=tuple(tuple(row) for row in repeats))
 
 
 def _type_of(support, split_at=4):
@@ -414,12 +416,12 @@ class TestHonestDecodeAll:
 
     def test_verify_reports_swapped_constituents(self, tampered, monkeypatch):
         d, store, _, _, _ = tampered
-        real = verify.generate_delivery
+        real = verify.stream_delivery
 
         def tampering(*args, **kwargs):
-            return swap_user5_constituents(store, real(*args, **kwargs))
+            return swap_user5_constituents(store, list(real(*args, **kwargs)))
 
-        monkeypatch.setattr(verify, "generate_delivery", tampering)
+        monkeypatch.setattr(verify, "stream_delivery", tampering)
         report = verify.verify_end_to_end(d, "distinct", seed=0)
         assert not report.passed
         assert report.failure.startswith("UndecodableMessage")
@@ -507,13 +509,13 @@ class TestMalformedConstituents:
     @pytest.mark.parametrize("case,reason", MALFORMED)
     def test_verify_reports(self, example1, monkeypatch, case, reason):
         d = example1[0]
-        real = verify.generate_delivery
+        real = verify.stream_delivery
 
         def tampering(derivation, store, *args, **kwargs):
-            msgs = real(derivation, store, *args, **kwargs)
+            msgs = list(real(derivation, store, *args, **kwargs))
             return [malformed(store, msgs[0], case)] + msgs[1:]
 
-        monkeypatch.setattr(verify, "generate_delivery", tampering)
+        monkeypatch.setattr(verify, "stream_delivery", tampering)
         report = verify.verify_end_to_end(d, "distinct", seed=0)
         assert not report.passed
         assert report.failure.startswith("UndecodableMessage")
@@ -546,9 +548,9 @@ class TestTampering:
                              ids=["drop_last", "duplicate_first", "flip_payload_bit",
                                   "longer_payload", "shorter_payload"])
     def test_verify_reports(self, example1, monkeypatch, tamper, failure, undecoded):
-        real = verify.generate_delivery
-        monkeypatch.setattr(verify, "generate_delivery",
-                            lambda *args, **kwargs: tamper(real(*args, **kwargs)))
+        real = verify.stream_delivery
+        monkeypatch.setattr(verify, "stream_delivery",
+                            lambda *args, **kwargs: tamper(list(real(*args, **kwargs))))
         report = verify.verify_end_to_end(example1[0], "distinct", seed=0)
         assert not report.passed
         if failure is None:
@@ -557,6 +559,38 @@ class TestTampering:
             assert set(report.decode_ok) == set(range(1, 8))
         else:
             assert report.failure.startswith(failure)
+
+    @pytest.mark.parametrize("tamper,report_sha,transcript_sha,lines", [
+        (TAMPERED[0][0], "a74de8fe494d1cd51cc790b58b91091df16600e3b03965ee83062a2cbfad94ac",
+         "16d3d648af208fc1f0e87054c5723113a9e37845d54a4e851b32a31ffe828e7d", 89),
+        (TAMPERED[1][0], "7179e1fe5c8de507fe5cebb30b585b09597c8adfffceccbe89d4619f2573e407",
+         "759727295a019c1b7277b7d35ef2fba9a9b4a3087571264dde61d4db8fe5b6d4", 91),
+        (TAMPERED[2][0], "acd13a517e67992b99705f2f5357275f3882718f3887baf98d5ad3d53458802c",
+         "23179693cbf06abf18ff8ffc0c44db6673a32847eb9fcdb3aac645a6d5001ad6", 90),
+        (TAMPERED[3][0], "585cfcb561ed22638bc78e28af89664dd887dbe2a3506fed70205be9d0d1fde0",
+         "94e85558cf72ac346df58a3ed002471b25fcbbd8604302167b7552feee10115f", 90),
+    ], ids=["drop_last", "duplicate_first", "flip_payload_bit", "longer_payload"])
+    def test_simulate_keeps_report_and_transcript(
+        self, tmp_path, monkeypatch, tamper, report_sha, transcript_sha, lines
+    ):
+        """A run that fails in decoding still writes its whole report and transcript.
+
+        The hashes were taken when ``simulate`` wrote the transcript from the
+        full message list after the audit: the messages that decoding did
+        not reach still count in ``message_count`` and ``rate`` and still
+        get their transcript lines.
+        """
+        real = verify.stream_delivery
+        monkeypatch.setattr(verify, "stream_delivery",
+                            lambda *args, **kwargs: tamper(list(real(*args, **kwargs))))
+        transcript, report = tmp_path / "run.jsonl", tmp_path / "report.json"
+        code = main(["simulate", "--preset", "theorem1", "--K", "7", "--t", "2", "--seed", "0",
+                     "--transcript", str(transcript), "--output", str(report)])
+        assert code == 1
+        assert json.loads(report.read_text())["message_count"] == lines
+        assert transcript.read_bytes().count(b"\n") == lines
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == report_sha
+        assert hashlib.sha256(transcript.read_bytes()).hexdigest() == transcript_sha
 
 
 @pytest.fixture(scope="module")

@@ -13,7 +13,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ptcache import verify
 from ptcache.exchange import (
     FileOracle,
     build_caches,
@@ -92,13 +91,15 @@ def random_runs(draw):
 def test_random_demands_and_seeds(run):
     """Any demand vector and 8-byte seed passes; decoding a subset of caches changes nothing.
 
-    ``_audited_run`` is ``verify_end_to_end`` returning also the messages and
-    store it audited, so the subset decode sees the same delivery.
+    The audit keeps no messages, so the subset decode runs on the delivery
+    ``generate_delivery`` builds from the same split at the same seed.
     """
     K, t, demands, seed, users = run
     d = _theorem1(K, t)
-    report, messages, store = verify._audited_run(d, demands, seed)
+    report = verify_end_to_end(d, demands, seed)
     assert report.passed, report.failure
+    store = split_files(d, files=set(demands))
+    messages = generate_delivery(d, store, demands, seed=seed)
     caches = build_caches(d, store)
     full = decode_all(caches, messages, demands)
     subset = decode_all([caches[u - 1] for u in users], messages, demands)

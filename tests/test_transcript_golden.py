@@ -50,11 +50,11 @@ def test_transcript_hash(tmp_path, preset, K, t, seed, demands, sha, lines):
 
 
 def test_one_split_and_one_delivery_per_run(tmp_path, exchange_calls):
-    calls = exchange_calls("generate_delivery", "split_files")
+    calls = exchange_calls("stream_delivery", "split_files")
     transcript = tmp_path / "run.jsonl"
     code = main(simulate_argv("theorem1", 7, 2, 5, "uniform", transcript, tmp_path / "r.json"))
     assert code == 0
     assert {name: len(args) for name, args in calls.items()} == {
-        "generate_delivery": 1, "split_files": 1,
+        "stream_delivery": 1, "split_files": 1,
     }
     assert transcript.read_bytes().count(b"\n") == 90
