@@ -51,7 +51,7 @@ print()
 
 reconstructed = decode_all(caches, messages, demands)
 for user in (1, 5):
-    want = store.file_bytes(demands[user - 1])
+    want = store.oracle.file_bytes(demands[user - 1], store.bytes_per_file)
     print(f"user {user} reconstructs file {demands[user-1]}: "
           f"{'byte-identical' if reconstructed[user] == want else 'MISMATCH'}")
 print()

@@ -3,7 +3,7 @@
 Files come from a deterministic keyed byte oracle, get split into
 heterogeneous packets in a canonical order, are cached at the users whose
 support sets cover them, and are exchanged through two (or G) rounds of XOR
-multicast messages.  Decoding is checked against the bytes the split read.
+multicast messages.  Decoding is checked by its residuals, not by bytes.
 
 A packet is named by its file and its flat position: its place in the
 canonical order of ``PacketStore.template``, whose entry ``(support,
@@ -31,7 +31,11 @@ Constituent = tuple[int, int]  # (file, flat position)
 
 
 class DemandOutOfRange(ValueError):
-    """A demand vector entry names a file outside 1..N."""
+    """A demand vector of the wrong length, or an entry naming a file outside 1..N."""
+
+
+class FileNotSplit(ValueError):
+    """A packet store was asked for a file it never split."""
 
 
 class MemoryMismatch(ValueError):
@@ -103,8 +107,8 @@ class PacketStore:
     position's support as a bitmask (bit u for user u), ``support_runs`` the
     ``(support, start, stop)`` range of positions of each support set, and
     ``first[g - 1]`` maps a support mask to the position of index 1 of its
-    coupled group g packets.  The store also keeps the bytes it split, which
-    decoding is checked against.
+    coupled group g packets.  Each split file is kept once, as its packet
+    payloads (``file_values``); the bytes read for the split are not kept.
     """
 
     def __init__(self, derivation: DerivedScheme, oracle: FileOracle):
@@ -143,7 +147,6 @@ class PacketStore:
             raise PacketLayoutMismatch(
                 f"{len(entries)} packets per file, expected {derivation.packets_per_file}"
             )
-        self._bytes: dict[int, bytes] = {}
         self._values: dict[int, list[int]] = {}
 
     @property
@@ -160,7 +163,6 @@ class PacketStore:
             if slices is None:
                 slices = [slice(o, o + e[3]) for e, o in zip(self.template, self.offsets)]
             raw = self.oracle.file_bytes(n, self.bytes_per_file)
-            self._bytes[n] = raw
             self._values[n] = list(
                 map(int.from_bytes, map(raw.__getitem__, slices), itertools.repeat("big"))
             )
@@ -169,12 +171,10 @@ class PacketStore:
     def files(self) -> tuple[int, ...]:
         return tuple(sorted(self._values))
 
-    def file_bytes(self, n: int) -> bytes:
-        """The bytes of materialized file n, as read for the split."""
-        return self._bytes[n]
-
     def file_values(self, n: int) -> list[int]:
         """File n's packet payloads by canonical position (shared; do not mutate)."""
+        if n not in self._values:
+            raise FileNotSplit(f"file {n} was never split")
         return self._values[n]
 
 
@@ -330,12 +330,7 @@ def stream_delivery(
     exist, and ``SeedOutOfRange`` for a seed outside 8 signed bytes.  The
     returned iterator builds each message only when it is asked for.
     """
-    p = derivation.params
-    if len(demands) != p.K:
-        raise DemandOutOfRange(f"demand vector has length {len(demands)}, expected {p.K}")
-    for d in demands:
-        if not 1 <= d <= p.N:
-            raise DemandOutOfRange(f"demand {d} outside 1..{p.N}")
+    _check_demands(derivation, demands)
     if not -(2**63) <= seed < 2**63:
         raise SeedOutOfRange(f"seed {seed} does not fit 8 signed bytes")
     store.materialize(set(demands))
@@ -354,6 +349,16 @@ def stream_delivery(
                 groups = groups_of[k] = subsets_by_type(grouping.groups, s)
             plans.append((g, s, groups, *_slot_plan(derivation, g, k, repeat_count, groups[0])))
     return _messages(derivation, store, demands, seed, plans)
+
+
+def _check_demands(derivation: DerivedScheme, demands: Sequence[int]) -> None:
+    """Raise ``DemandOutOfRange`` unless ``demands`` names one file in 1..N per user."""
+    p = derivation.params
+    if len(demands) != p.K:
+        raise DemandOutOfRange(f"demand vector has length {len(demands)}, expected {p.K}")
+    for d in demands:
+        if not 1 <= d <= p.N:
+            raise DemandOutOfRange(f"demand {d} outside 1..{p.N}")
 
 
 def generate_delivery(
@@ -445,10 +450,7 @@ def decode(
     messages: Iterable[CodedMessage],
     demands: Sequence[int],
 ) -> bytes:
-    """Reconstruct one user's demanded file; ``user`` is ``cache.user``.
-
-    Runs ``decode_all`` for this cache alone, so every message is checked.
-    """
+    """User ``cache.user``'s file: ``decode_all`` of ``cache`` alone, every message checked."""
     return decode_all([cache], messages, demands)[user]
 
 
@@ -457,16 +459,25 @@ def decode_all(
     messages: Iterable[CodedMessage],
     demands: Sequence[int],
 ) -> dict[int, bytes]:
-    """``decode_files`` as one dict: every decoded file by ``cache.user``."""
-    return dict(decode_files(caches, messages, demands))
+    """Every decoded file by ``cache.user``: residual XOR value per position, in canonical order."""
+    residuals = decode_residuals(caches, messages, demands)
+    store = caches[0].store
+    sizes = [e[3] for e in store.template]
+    return {
+        user: b"".join(map(
+            int.to_bytes, map(int.__xor__, held, store.file_values(demands[user - 1])),
+            sizes, itertools.repeat("big"),
+        ))
+        for user, held in residuals.items()
+    }
 
 
-def decode_files(
+def decode_residuals(
     caches: Sequence[Cache],
     messages: Iterable[CodedMessage],
     demands: Sequence[int],
-) -> Iterator[tuple[int, bytes]]:
-    """Decode the users of ``caches`` in one pass over the messages.
+) -> dict[int, list[int]]:
+    """Decode the users of ``caches`` in one pass over the messages; their residuals by user.
 
     Every message is checked, whoever is decoded.  A round outside 1..G or
     a constituent that is not a packet of the message's round raises
@@ -479,21 +490,21 @@ def decode_files(
     uses only its cache, so with ``total`` the payload XOR-ed with every
     constituent, constituent i decodes to ``total ^ v_i``.  A constituent
     outside its owner's demand raises ``UndemandedPacket``, one decoded
-    twice ``DuplicateDelivery``.  A decoded user holds 0 for a cached packet
-    and ``total`` for a decoded one, so its file is held XOR value per
-    position, joined in canonical order; a packet never decoded raises
-    ``MissingPacket``.
+    twice ``DuplicateDelivery``, one never decoded ``MissingPacket``.
 
-    Two caches of one user, or a cache of another store than the first
-    cache's, raise ``CacheMismatch`` before any message is read.  Every
-    check, ``MissingPacket`` included, runs in this call.  The returned
-    iterator then yields ``(cache.user, file)`` in ``caches`` order,
-    assembling each file only when it is asked for.
+    A user's residual list holds, per flat position, 0 for a cached packet
+    and ``total`` for a decoded one, which is what the decoded packet
+    differs from the split's by: its file is byte-exact exactly when every
+    held value is 0.  Before any message is read, demands outside 1..N
+    raise ``DemandOutOfRange``, one of a file the store never split
+    ``FileNotSplit``, and two caches of one user, or a cache of another
+    store than the first cache's, ``CacheMismatch``.
     """
     if not caches:
         raise ValueError("no caches")
     store = caches[0].store
     derivation = store.derivation
+    _check_demands(derivation, demands)
     template = store.template
     # Per round, the complement of each of its positions' support masks:
     # ``group_mask & lacking[pos]`` is the set of members lacking the packet.
@@ -558,18 +569,7 @@ def decode_files(
         if None in slots:
             pid = _packet_id(store, demands[cache.user - 1], slots.index(None))
             raise MissingPacket(f"user {cache.user} never decoded {pid}")
-    sizes = [e[3] for e in template]
-    return (
-        (c.user, _assemble(held.pop(1 << c.user), values_of[demands[c.user - 1]], sizes))
-        for c in caches
-    )
-
-
-def _assemble(held: list[int], values: list[int], sizes: list[int]) -> bytes:
-    """A decoded file: held XOR value per position, joined in canonical order."""
-    return b"".join(
-        map(int.to_bytes, map(int.__xor__, held, values), sizes, itertools.repeat("big"))
-    )
+    return {c.user: held[1 << c.user] for c in caches}
 
 
 def _packet_id(store: PacketStore, n: int, pos: int) -> tuple:
@@ -606,7 +606,7 @@ def _reject_constituent(
     store: PacketStore,
     demands: Sequence[int],
 ) -> NoReturn:
-    """Raise the named error for a constituent that failed ``decode_all``'s mask test."""
+    """Raise the named error for a constituent that failed ``decode_residuals``'s mask test."""
     if pos not in masks:
         if isinstance(pos, int) and 0 <= pos < len(store.template):
             raise UndecodableMessage(
@@ -648,7 +648,7 @@ def _line_format(store: PacketStore) -> Callable[[CodedMessage], str]:
     file followed by the text of its flat position, both built once from
     ``store``.  A file the store never materialized raises ``KeyError``, a
     position past its layout ``IndexError``; positions are not otherwise
-    checked, which is ``decode_files``'s job.
+    checked, which is ``decode_residuals``'s job.
     """
     file_text = {n: '{"file":%d,' % n for n in store.files}
     packet_text = [

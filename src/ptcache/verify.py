@@ -26,7 +26,7 @@ from .exchange import (  # noqa: F401
     CodedMessage,
     build_caches,
     decode_all,
-    decode_files,
+    decode_residuals,
     generate_delivery,
     record_transcript,
     split_files,
@@ -147,8 +147,9 @@ def _audited_run(
 
     One streamed pass: each message goes through the transcript (when a
     path is given) and a tally of messages and payload units into the
-    decoder, and is then freed; after that, each user's file is assembled,
-    compared with the split's bytes and dropped before the next is built.
+    decoder, and is then freed.  A user decodes its file byte-exact when
+    every residual it holds is 0 (``decode_residuals``), so no file is
+    assembled.
     The transcript is opened only once delivery has passed its up-front
     checks, so a run that fails before delivery writes none.  When decoding
     fails part way, the rest of the messages still pass through the
@@ -179,7 +180,7 @@ def _audited_run(
                 messages = record_transcript(messages, fh, store)
             messages = _tallied(messages, p.unit, tally)
             try:
-                files = decode_files(caches, messages, demands)
+                residuals = decode_residuals(caches, messages, demands)
             except ValueError:
                 for _ in messages:  # the messages a failed decode left unread
                     pass
@@ -189,9 +190,7 @@ def _audited_run(
                 report.rate = Fraction(tally[1], derivation.sizing.L)
                 report.rate_ok = report.rate == p.rate
 
-        for user, data in files:
-            report.decode_ok[user] = data == store.file_bytes(demands[user - 1])
-            del data  # so that one decoded file is alive while the next is assembled
+        report.decode_ok = {user: not any(held) for user, held in residuals.items()}
     except ValueError as exc:  # report-style: carry the counterexample
         report.failure = f"{type(exc).__name__}: {exc}"
     return report

@@ -11,6 +11,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ptcache import exchange, verify
 from ptcache.cli import main
@@ -21,6 +22,7 @@ from ptcache.exchange import (
     DeliveryCountMismatch,
     DemandOutOfRange,
     DuplicateDelivery,
+    FileNotSplit,
     FileOracle,
     MissingPacket,
     PacketLayoutMismatch,
@@ -32,6 +34,7 @@ from ptcache.exchange import (
     build_caches,
     decode,
     decode_all,
+    decode_residuals,
     generate_delivery,
     split_files,
     total_transmitted_units,
@@ -111,7 +114,7 @@ class TestSplit:
             values[pos].to_bytes(size, "big")
             for pos, (_, _, _, size) in enumerate(store.template)
         )
-        assert joined == oracle.file_bytes(3, store.bytes_per_file) == store.file_bytes(3)
+        assert joined == oracle.file_bytes(3, store.bytes_per_file)
 
     def test_layout_mismatch_sizes(self):
         d = derived("theorem1", 7, 2)
@@ -303,6 +306,26 @@ class TestDecode:
         with pytest.raises(CacheMismatch, match="user 2 splits another store"):
             decode_all([caches[0], other[1]], msgs, demands)
 
+    @pytest.mark.parametrize("demands,error", [
+        ([1, 2, 3, 4, 5, 6, 8], FileNotSplit),
+        ([1, 2, 3, 4, 5, 6, 0], DemandOutOfRange),
+        ([1, 2, 3], DemandOutOfRange),
+    ], ids=["unsplit", "zero", "short"])
+    def test_demands_checked_before_any_message(self, demands, error):
+        """At N=9 with files 1..7 split, a demand for 8 or 0 is named, not a KeyError."""
+        d = derived("theorem1", 7, 2, N=9)
+        store = split_files(d, files=range(1, 8))
+        caches = build_caches(d, store)
+
+        def unread():
+            raise AssertionError("a message was read")
+            yield
+
+        with pytest.raises(error):
+            decode_all(caches, unread(), demands)
+        with pytest.raises(error):
+            decode(1, caches[0], unread(), demands)
+
     def test_seed_changes_assignment_not_counts(self, example1):
         d, _, store, caches = example1
         demands = list(range(1, 8))
@@ -363,10 +386,11 @@ class TestDecode:
 
 
 def packet_value(store, constituent):
-    """A packet's payload as an integer, read from the bytes the store split."""
+    """A packet's payload as an integer, read from the bytes of the store's oracle."""
     n, pos = constituent
     offset, size = store.offsets[pos], store.template[pos][3]
-    return int.from_bytes(store.file_bytes(n)[offset : offset + size], "big")
+    data = store.oracle.file_bytes(n, store.bytes_per_file)
+    return int.from_bytes(data[offset : offset + size], "big")
 
 
 def swap_user5_constituents(store, msgs):
@@ -591,6 +615,29 @@ class TestTampering:
         assert transcript.read_bytes().count(b"\n") == lines
         assert hashlib.sha256(report.read_bytes()).hexdigest() == report_sha
         assert hashlib.sha256(transcript.read_bytes()).hexdigest() == transcript_sha
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(-(2**63), 2**63 - 1), data=st.data())
+def test_nonzero_residual_iff_assembled_file_differs(example1, seed, data):
+    """One flipped payload bit: users with a nonzero residual are those whose file differs.
+
+    Both are exactly the owners of the flipped message's constituents: with
+    distinct demands, user n owns the packets of file n.
+    """
+    d, oracle, store, caches = example1
+    demands = list(range(1, 8))
+    msgs = generate_delivery(d, store, demands, seed=seed)
+    i = data.draw(st.integers(0, len(msgs) - 1), label="message")
+    bit = data.draw(st.integers(0, 8 * len(msgs[i].payload) - 1), label="bit")
+    flipped = int.from_bytes(msgs[i].payload, "big") ^ (1 << bit)
+    msgs[i] = msgs[i]._replace(payload=flipped.to_bytes(len(msgs[i].payload), "big"))
+    nonzero = {u for u, held in decode_residuals(caches, msgs, demands).items() if any(held)}
+    differs = {
+        u for u, got in decode_all(caches, msgs, demands).items()
+        if got != oracle.file_bytes(demands[u - 1], store.bytes_per_file)
+    }
+    assert nonzero == differs == {n for n, _ in msgs[i].constituents}
 
 
 @pytest.fixture(scope="module")
