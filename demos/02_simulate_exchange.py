@@ -6,6 +6,7 @@ messages, then audits the whole run: cache budgets, per-message usefulness,
 exact rate, and decode completeness for every user.
 """
 
+import io
 from collections import Counter
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from ptcache import (
     total_transmitted_units,
     verify_end_to_end,
 )
-from ptcache.exchange import decode_all, transcript_lines
+from ptcache.exchange import decode_all, record_transcript
 
 d = derive(preset("theorem1", SystemParams(K=7, t=2, N=7)))
 store = split_files(d)
@@ -41,7 +42,10 @@ print(f"transmitted: {units} units; rate = {Fraction(units, d.sizing.L)} "
 print()
 
 print("First three messages (payloads are XORs of the named packets):")
-for line in list(transcript_lines(messages, store))[:3]:
+transcript = io.StringIO()
+for _ in record_transcript(messages[:3], transcript, store):
+    pass
+for line in transcript.getvalue().splitlines():
     print(" ", line[:120], "...")
 print()
 

@@ -1,6 +1,7 @@
 """Command-line surface: construct, simulate, verify, sweep.
 
-Exit codes: 0 = pass, 1 = verification failure, 2 = invalid configuration.
+Exit codes: 0 = pass, 1 = verification failure, 2 = invalid configuration
+or an output path that cannot be written.
 All output is deterministic given the flags (including --seed); exact
 rationals appear as "p/q" strings.
 """
@@ -93,7 +94,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     derivation = derive(_spec_from(args))
     p = derivation.params
     demands = _parse_demands(args.demands, p.K, p.N)
-    report = verify._audited_run(derivation, demands, args.seed, _out_path(args.transcript))
+    report = verify.verify_end_to_end(derivation, demands, args.seed, _out_path(args.transcript))
     _emit(report.to_json(), args.output)
     return 0 if report.passed else 1
 
@@ -208,7 +209,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # every named error of the package subclasses it
+    except (ValueError, OSError) as exc:  # every named error of the package is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

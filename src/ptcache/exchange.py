@@ -22,7 +22,7 @@ import itertools
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, NoReturn, Sequence, TextIO
 
 from .combinatorics import subsets_by_type
 from .scheme import DerivedScheme
@@ -450,7 +450,12 @@ def decode(
     messages: Iterable[CodedMessage],
     demands: Sequence[int],
 ) -> bytes:
-    """User ``cache.user``'s file: ``decode_all`` of ``cache`` alone, every message checked."""
+    """User ``cache.user``'s file: ``decode_all`` of ``cache`` alone, every message checked.
+
+    A ``user`` other than ``cache.user`` raises ``CacheMismatch``.
+    """
+    if user != cache.user:
+        raise CacheMismatch(f"user {user} given the cache of user {cache.user}")
     return decode_all([cache], messages, demands)[user]
 
 
@@ -638,17 +643,23 @@ _TAIL = '],"payload_sha256":"%s"}'
 _BLOCK = 256  # transcript lines per write; 2048 cost 0.8 MB of peak RSS at K=17 t=4
 
 
-def _line_format(store: PacketStore) -> Callable[[CodedMessage], str]:
-    """The transcript line of a message, by a function built once for ``store``.
+def record_transcript(
+    messages: Iterable[CodedMessage], fh: TextIO, store: PacketStore
+) -> Iterator[CodedMessage]:
+    """Pass ``messages`` through, writing each one's JSON-lines transcript line to ``fh``.
 
     Each line is the compact ``json.dumps`` of ``{"round", "group",
     "transmitter", "repeat", "constituents": [{"file", "support",
     "coupled_group", "index"}, ...], "payload_sha256"}``, built by one
     ``%`` format per constituent count.  A constituent is the text of its
     file followed by the text of its flat position, both built once from
-    ``store``.  A file the store never materialized raises ``KeyError``, a
-    position past its layout ``IndexError``; positions are not otherwise
-    checked, which is ``decode_residuals``'s job.
+    ``store``; a group's text is built once per group tuple, which the
+    rounds share.  A position outside the layout raises the decoder's
+    ``UndecodableMessage`` once the earlier messages' lines are written; a
+    file the store never split is written as given, for
+    ``decode_residuals`` to judge.  Lines are written in blocks
+    of ``_BLOCK``, one newline after each, one join and one write per block;
+    the last block when the messages run out.
     """
     file_text = {n: '{"file":%d,' % n for n in store.files}
     packet_text = [
@@ -658,10 +669,9 @@ def _line_format(store: PacketStore) -> Callable[[CodedMessage], str]:
     formats: dict[int, str] = {}  # by constituent count
     sha256 = hashlib.sha256
     group = group_text = None
-
-    def line(m: CodedMessage) -> str:
-        nonlocal group, group_text
-        if m.group is not group:  # group tuples are shared by the rounds: no round here
+    block = []
+    for m in messages:
+        if m.group is not group:
             group = m.group
             group_text = ",".join(map(str, group))
         count = len(m.constituents)
@@ -669,32 +679,23 @@ def _line_format(store: PacketStore) -> Callable[[CodedMessage], str]:
         if fmt is None:
             fmt = formats[count] = _HEAD + ",".join(["%s%s"] * count) + _TAIL
         args = [m.round, group_text, m.transmitter, m.repeat]
-        for n, pos in m.constituents:
-            args.append(file_text[n])
-            args.append(packet_text[pos])
+        try:
+            for n, pos in m.constituents:
+                if pos < 0:  # a list index from the end, not a position
+                    raise IndexError(pos)
+                args.append(file_text[n])
+                args.append(packet_text[pos])
+        except (KeyError, IndexError):
+            del args[4:]
+            for n, pos in m.constituents:
+                if not 0 <= pos < len(packet_text):  # the lines so far are written, not this one
+                    block.append("")
+                    fh.write("\n".join(block))
+                    raise UndecodableMessage(f"{(n, pos)} is not a packet of the layout") from None
+                args.append('{"file":%d,' % n)
+                args.append(packet_text[pos])
         args.append(sha256(m.payload).hexdigest())
-        return fmt % tuple(args)
-
-    return line
-
-
-def transcript_lines(messages: Iterable[CodedMessage], store: PacketStore) -> Iterator[str]:
-    """JSON-lines transcript: one record per message, payloads as hashes (``_line_format``)."""
-    return map(_line_format(store), messages)
-
-
-def record_transcript(
-    messages: Iterable[CodedMessage], fh: TextIO, store: PacketStore
-) -> Iterator[CodedMessage]:
-    """Pass ``messages`` through, writing each one's transcript line to ``fh`` on the way.
-
-    Lines are written in blocks of ``_BLOCK``, one newline after each, one
-    join and one write per block; the last block when the messages run out.
-    """
-    line = _line_format(store)
-    block = []
-    for m in messages:
-        block.append(line(m))
+        block.append(fmt % tuple(args))
         if len(block) == _BLOCK:
             block.append("")  # the join then ends the block with a newline
             fh.write("\n".join(block))

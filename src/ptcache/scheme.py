@@ -125,16 +125,6 @@ class UserGrouping:
     def groups(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self.members(i) for i in range(self.m))
 
-    def group_of(self, user: int) -> int:
-        if not 1 <= user <= self.K:
-            raise ValueError(f"user {user} outside 1..{self.K}")
-        acc = 0
-        for i, s in enumerate(self.sizes):
-            acc += s
-            if user <= acc:
-                return i
-        raise AssertionError("unreachable")
-
 
 @dataclass(frozen=True)
 class TransmitterSelection:

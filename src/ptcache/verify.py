@@ -128,35 +128,28 @@ def verify_end_to_end(
     scheme: SchemeSpec | DerivedScheme,
     demands: Sequence[int] | str = "distinct",
     seed: int = 0,
-) -> VerificationReport:
-    """Split, place, deliver, and decode, auditing every invariant.
-
-    Never raises on a failing scheme: the report carries the first
-    counterexample instead.  Programming errors propagate.
-    """
-    return _audited_run(scheme, demands, seed)
-
-
-def _audited_run(
-    scheme: SchemeSpec | DerivedScheme,
-    demands: Sequence[int] | str,
-    seed: int,
     transcript: str | None = None,
 ) -> VerificationReport:
-    """The body of ``verify_end_to_end``, writing the JSON-lines transcript to ``transcript``.
+    """Split, place, deliver and decode, auditing every invariant.
 
-    One streamed pass: each message goes through the transcript (when a
-    path is given) and a tally of messages and payload units into the
-    decoder, and is then freed.  A user decodes its file byte-exact when
-    every residual it holds is 0 (``decode_residuals``), so no file is
-    assembled.
+    One streamed pass: each message goes through the JSON-lines transcript
+    (when a ``transcript`` path is given) and a tally of messages and
+    payload units into the decoder, and is then freed.  A user decodes its
+    file byte-exact when every residual it holds is 0
+    (``decode_residuals``), so no file is assembled.
     The transcript is opened only once delivery has passed its up-front
     checks, so a run that fails before delivery writes none.  When decoding
     fails part way, the rest of the messages still pass through the
     transcript and the tally, so the transcript, ``message_count`` and
-    ``rate`` cover every message.  Only ``ValueError`` is caught and
-    reported: every named error of the package subclasses it, so any other
-    exception is a programming error and propagates.
+    ``rate`` cover every message.  A constituent outside the layout stops
+    the transcript with the decoder's error, so the three then cover the
+    messages before it.
+
+    Never raises on a failing scheme: the report carries the first
+    counterexample instead.  Only ``ValueError`` is caught and reported:
+    every named error of the package subclasses it, so any other exception
+    (a programming error, or an ``OSError`` from the transcript path)
+    propagates.
     """
     report = VerificationReport()
     try:

@@ -24,6 +24,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_module(*argv):
+    """``python -m ptcache.cli`` in a fresh interpreter: what a shell user sees."""
+    return subprocess.run(
+        [sys.executable, "-m", "ptcache.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=120,
+    )
+
+
 class TestConstruct:
     def test_example1_document(self, capsys):
         code, out, _ = run_cli(
@@ -68,6 +77,14 @@ class TestConstruct:
         )
         assert code == 2
         assert "error" in err
+
+    def test_output_in_missing_directory_exit2(self, tmp_path):
+        missing = tmp_path / "missing" / "blueprint.json"
+        result = run_module("construct", "--preset", "theorem1", "--K", "7", "--t", "2",
+                            "--output", str(missing))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: ") and str(missing) in result.stderr
 
 
 class TestSimulate:
@@ -153,16 +170,21 @@ class TestSimulate:
     @pytest.mark.parametrize("seed", [str(-(2**63) - 1), str(2**63)])
     def test_out_of_range_seed_reported(self, tmp_path, seed):
         transcript = tmp_path / "run.jsonl"
-        result = subprocess.run(
-            [sys.executable, "-m", "ptcache.cli", "simulate", "--preset", "theorem1",
-             "--K", "7", "--t", "2", "--seed", seed, "--transcript", str(transcript)],
-            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-            capture_output=True, text=True, timeout=120,
-        )
+        result = run_module("simulate", "--preset", "theorem1", "--K", "7", "--t", "2",
+                            "--seed", seed, "--transcript", str(transcript))
         assert result.returncode == 1
         assert "Traceback" not in result.stderr
         assert json.loads(result.stdout)["failure"].startswith("SeedOutOfRange: seed " + seed)
         assert not transcript.exists()
+
+    def test_transcript_in_missing_directory_exit2(self, tmp_path):
+        missing = tmp_path / "missing" / "run.jsonl"
+        result = run_module("simulate", "--preset", "theorem1", "--K", "7", "--t", "2",
+                            "--transcript", str(missing))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: ") and str(missing) in result.stderr
+        assert result.stdout == ""
 
     def test_strict_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,8 @@
+import bisect
 import dataclasses
 import gc
 import hashlib
+import io
 import itertools
 import json
 import re
@@ -36,9 +38,9 @@ from ptcache.exchange import (
     decode_all,
     decode_residuals,
     generate_delivery,
+    record_transcript,
     split_files,
     total_transmitted_units,
-    transcript_lines,
     write_transcript,
 )
 from ptcache.scheme import SystemParams, derive, preset
@@ -306,6 +308,13 @@ class TestDecode:
         with pytest.raises(CacheMismatch, match="user 2 splits another store"):
             decode_all([caches[0], other[1]], msgs, demands)
 
+    def test_user_of_another_cache_rejected(self, example1):
+        d, _, store, caches = example1
+        demands = list(range(1, 8))
+        msgs = generate_delivery(d, store, demands, seed=0)
+        with pytest.raises(CacheMismatch, match="user 1 given the cache of user 5"):
+            decode(1, caches[4], msgs, demands)
+
     @pytest.mark.parametrize("demands,error", [
         ([1, 2, 3, 4, 5, 6, 8], FileNotSplit),
         ([1, 2, 3, 4, 5, 6, 0], DemandOutOfRange),
@@ -484,8 +493,11 @@ def malformed(store, m, case):
     member lacking that constituent, so its owner.  "unknown_round": the
     round becomes 3 of 2.  "transmitter_outside": the transmitter becomes
     99, not a member.  "negative_member": the group gains member -1.
+    "file_99": its first constituent names file 99, which no user demands.
     """
     n, _ = m.constituents[0]
+    if case == "file_99":
+        return m._replace(constituents=((99, m.constituents[0][1]),) + m.constituents[1:])
     if case in ("unknown_index", "negative_index", "other_round"):
         pos = {
             "unknown_index": store.packets_per_file,
@@ -544,6 +556,30 @@ class TestMalformedConstituents:
         assert not report.passed
         assert report.failure.startswith("UndecodableMessage")
         assert re.search(reason, report.failure)
+
+    @pytest.mark.parametrize("case", [case for case, _ in MALFORMED] + ["file_99"])
+    def test_transcript_keeps_the_failure(self, example1, monkeypatch, tmp_path, case):
+        """With a transcript, the run reports the failure of the run without one.
+
+        The second message is malformed.  A position outside the layout stops
+        the transcript after the first message's line; any other fault is
+        the decoder's to find, and every message still gets its line.
+        """
+        real = verify.stream_delivery
+
+        def tampering(derivation, store, *args, **kwargs):
+            msgs = list(real(derivation, store, *args, **kwargs))
+            return msgs[:1] + [malformed(store, msgs[1], case)] + msgs[2:]
+
+        monkeypatch.setattr(verify, "stream_delivery", tampering)
+        plain = verify.verify_end_to_end(example1[0], "distinct", seed=0)
+        path = tmp_path / "run.jsonl"
+        logged = verify.verify_end_to_end(example1[0], "distinct", seed=0, transcript=str(path))
+        assert plain.failure.startswith(("UndecodableMessage", "UndemandedPacket"))
+        assert logged.failure == plain.failure
+        lines = path.read_text(encoding="utf-8").count("\n")
+        assert lines == logged.message_count
+        assert lines == (1 if case in ("unknown_index", "negative_index") else plain.message_count)
 
 
 def flip_first_payload_bit(msgs):
@@ -717,11 +753,11 @@ class TestTranscript:
         d, _, store, _ = example1
         demands = list(range(1, 8))
         msgs = generate_delivery(d, store, demands, seed=0)
-        lines = list(transcript_lines(msgs, store))
+        lines = transcript_of(msgs, store)
         assert len(lines) == len(msgs)
         rec = json.loads(lines[0])
         assert set(rec) == {"round", "group", "transmitter", "repeat", "constituents", "payload_sha256"}
-        assert lines == list(transcript_lines(generate_delivery(d, store, demands, seed=0), store))
+        assert lines == transcript_of(generate_delivery(d, store, demands, seed=0), store)
 
     @pytest.mark.parametrize("name,K,t,demands", [
         ("theorem1", 7, 2, [1, 1, 2, 2, 3, 3, 3]),
@@ -732,7 +768,7 @@ class TestTranscript:
         d = derived(name, K, t)
         store = split_files(d, FileOracle(), files=set(demands))
         msgs = generate_delivery(d, store, demands, seed=3)
-        assert list(transcript_lines(msgs, store)) == [compact_json(store, m) for m in msgs]
+        assert transcript_of(msgs, store) == [compact_json(store, m) for m in msgs]
 
     def test_every_constituent_count(self, example1):
         """Messages of 0, 1 and t + 1 constituents, one group tuple in both rounds.
@@ -752,7 +788,7 @@ class TestTranscript:
             CodedMessage(2, group, 1, 1, b"\x04", ((6, r2[1]),)),
             CodedMessage(1, group, 2, 3, b"\x05", ()),
         ]
-        assert list(transcript_lines(msgs, store)) == [compact_json(store, m) for m in msgs]
+        assert transcript_of(msgs, store) == [compact_json(store, m) for m in msgs]
 
     def test_write_peak_within_a_quarter_of_the_bytes(self, k17t4, tmp_path):
         """write_transcript holds a block of lines, not the transcript: 1.2 of 10.9 MB."""
@@ -765,8 +801,16 @@ class TestTranscript:
         finally:
             tracemalloc.stop()
         written = path.stat().st_size
-        assert written == sum(len(line) + 1 for line in transcript_lines(msgs, store))
+        assert written == sum(len(line) + 1 for line in transcript_of(msgs, store))
         assert peak <= written / 4, (peak, written)
+
+
+def transcript_of(msgs, store):
+    """The transcript lines ``record_transcript`` writes for ``msgs``."""
+    fh = io.StringIO()
+    for _ in record_transcript(msgs, fh, store):
+        pass
+    return fh.getvalue().splitlines()
 
 
 def compact_json(store, m):
@@ -812,7 +856,8 @@ def reference_constituents(d, store, demands, seed, m):
     was hashed here although its permutation can only be [1].
     """
     g, group, x = m.round, m.group, m.transmitter
-    comps = [d.grouping.group_of(u) for u in group]
+    bounds = list(itertools.accumulate(d.grouping.sizes))  # last user of each component
+    comps = [bisect.bisect_left(bounds, u) for u in group]
     k = d.layout.group_types.index(tuple(comps.count(c) for c in range(d.grouping.m)))
     alpha_of = {c: d.fs.intermediate[g - 1][ti] for c, ti in d.layout.involved[k]}
     repeats = d.repeats[g - 1][k]

@@ -76,7 +76,6 @@ class TestGrouping:
         g = UserGrouping((4, 3))
         assert g.members(0) == (1, 2, 3, 4)
         assert g.members(1) == (5, 6, 7)
-        assert g.group_of(4) == 0 and g.group_of(5) == 1
         assert g.n_distinct == 2
 
     def test_ordering_enforced(self):
