@@ -27,7 +27,7 @@ from .scheme import (
 
 
 def _out_path(path: str | None) -> str | None:
-    """Resolve --output against the PTCACHE_OUTPUT_DIR override."""
+    """Resolve --output or --transcript against the PTCACHE_OUTPUT_DIR override."""
     if path is None:
         return None
     base = os.environ.get("PTCACHE_OUTPUT_DIR")
@@ -88,12 +88,16 @@ def cmd_construct(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     """Audit one delivery, writing its transcript while the audit runs.
 
-    No transcript is written when the run fails before delivery produced
-    any messages.
+    The report's --output file is opened (created if missing, not yet
+    written) before the audit starts, so a path that cannot be written
+    fails the command before any transcript is.  No transcript is written
+    when the run fails before delivery produced any messages.
     """
     derivation = derive(_spec_from(args))
     p = derivation.params
     demands = _parse_demands(args.demands, p.K, p.N)
+    if args.output is not None:  # created, not truncated: _emit writes it after the audit
+        os.close(os.open(_out_path(args.output), os.O_WRONLY | os.O_CREAT, 0o666))
     report = verify.verify_end_to_end(derivation, demands, args.seed, _out_path(args.transcript))
     _emit(report.to_json(), args.output)
     return 0 if report.passed else 1

@@ -16,7 +16,6 @@ big integers internally.
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import itertools
 import struct
@@ -107,11 +106,15 @@ class PacketStore:
     position's support as a bitmask (bit u for user u), ``support_runs`` the
     ``(support, start, stop)`` range of positions of each support set, and
     ``first[g - 1]`` maps a support mask to the position of index 1 of its
-    coupled group g packets.  Each split file is kept once, as its packet
-    payloads (``file_values``); the bytes read for the split are not kept.
+    coupled group g packets.
+
+    The store splits ``files`` when it is built and never grows afterwards.
+    Each file is kept once, as its packet payloads (``file_values``); its
+    bytes are read one file at a time and not kept.  A file outside 1..N
+    raises ``DemandOutOfRange``.
     """
 
-    def __init__(self, derivation: DerivedScheme, oracle: FileOracle):
+    def __init__(self, derivation: DerivedScheme, oracle: FileOracle, files: Iterable[int]):
         self.derivation = derivation
         self.oracle = oracle
         unit = derivation.params.unit
@@ -147,25 +150,22 @@ class PacketStore:
             raise PacketLayoutMismatch(
                 f"{len(entries)} packets per file, expected {derivation.packets_per_file}"
             )
+        slices = [slice(o, o + e[3]) for e, o in zip(entries, self.offsets)]
         self._values: dict[int, list[int]] = {}
+        for n in files:
+            if n in self._values:
+                continue
+            if not 1 <= n <= derivation.params.N:
+                raise DemandOutOfRange(f"file {n} outside 1..{derivation.params.N}")
+            raw = oracle.file_bytes(n, self.bytes_per_file)
+            self._values[n] = list(
+                map(int.from_bytes, map(raw.__getitem__, slices), itertools.repeat("big"))
+            )
+            del raw  # freed before the next file is read, not while it is
 
     @property
     def packets_per_file(self) -> int:
         return len(self.template)
-
-    def materialize(self, files: Iterable[int]) -> None:
-        slices = None
-        for n in files:
-            if n in self._values:
-                continue
-            if not 1 <= n <= self.derivation.params.N:
-                raise DemandOutOfRange(f"file {n} outside 1..{self.derivation.params.N}")
-            if slices is None:
-                slices = [slice(o, o + e[3]) for e, o in zip(self.template, self.offsets)]
-            raw = self.oracle.file_bytes(n, self.bytes_per_file)
-            self._values[n] = list(
-                map(int.from_bytes, map(raw.__getitem__, slices), itertools.repeat("big"))
-            )
 
     @property
     def files(self) -> tuple[int, ...]:
@@ -183,10 +183,9 @@ def split_files(
     oracle: FileOracle | None = None,
     files: Iterable[int] | None = None,
 ) -> PacketStore:
-    """Split files into packets; by default all N files are materialized."""
-    store = PacketStore(derivation, oracle or FileOracle())
-    store.materialize(range(1, derivation.params.N + 1) if files is None else files)
-    return store
+    """A ``PacketStore`` of ``files``, by default all N of them."""
+    files = range(1, derivation.params.N + 1) if files is None else files
+    return PacketStore(derivation, oracle or FileOracle(), files)
 
 
 @dataclass(frozen=True)
@@ -325,15 +324,19 @@ def stream_delivery(
 
     Every check runs in this call, before the first message is built: the
     demands, the seed, the split of the demanded files and every round's
-    slot plan.  Raises ``DeliveryCountMismatch`` when a receiver's packet
+    slot plan.  Raises ``DemandOutOfRange`` for demands outside 1..N,
+    ``SeedOutOfRange`` for a seed outside 8 signed bytes, ``FileNotSplit``
+    for a demanded file ``store`` does not hold (the store is read, never
+    split further), and ``DeliveryCountMismatch`` when a receiver's packet
     count is not (its transmitters) x (repeats), i.e. the bijection cannot
-    exist, and ``SeedOutOfRange`` for a seed outside 8 signed bytes.  The
-    returned iterator builds each message only when it is asked for.
+    exist.  The returned iterator builds each message only when it is
+    asked for.
     """
     _check_demands(derivation, demands)
     if not -(2**63) <= seed < 2**63:
         raise SeedOutOfRange(f"seed {seed} does not fit 8 signed bytes")
-    store.materialize(set(demands))
+    for n in set(demands):
+        store.file_values(n)  # FileNotSplit for a file the store lacks
     grouping = derivation.grouping
     groups_of: dict[int, list[tuple[int, ...]]] = {}  # by group type, shared by the rounds
     plans = []
@@ -367,21 +370,8 @@ def generate_delivery(
     demands: Sequence[int],
     seed: int = 0,
 ) -> list[CodedMessage]:
-    """``stream_delivery``'s messages as one list, built with the cyclic collector paused.
-
-    Every object the list keeps is acyclic (message tuples, ints, bytes), so
-    the collector can only waste time on them.  At theorem1 K=17 t=4 (26 754
-    messages, 2-core host) it ran 232-238 times while the list grew, 1-2 of
-    them full: 23-45 ms of a 200-295 ms delivery.  Paused, it costs one
-    young collection at the first allocation after it is enabled again.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return list(stream_delivery(derivation, store, demands, seed))
-    finally:
-        if enabled:
-            gc.enable()
+    """``stream_delivery``'s messages as one list."""
+    return list(stream_delivery(derivation, store, demands, seed))
 
 
 def _messages(

@@ -273,9 +273,12 @@ def intermediate_fs(plan: TransmitterSelection, layout: TypeLayout) -> tuple[int
 
     Entries are the vector-LCM of the contributing local factors (a zero
     local excludes the type).  Raises IncompatibleLocals when the merge is
-    not deliverable: a nonzero local survives for an excluded type outside
-    the omitted-group-type pattern, or one group type would need different
-    repeat counts for its two sides.
+    not deliverable: one group type would need different repeat counts for
+    its two sides.
+
+    A zero local (a lone daggered user: (1, t) daggered {0} or (t, 1)
+    daggered {1}) excludes only an end type, (0, t) or (t, 0), whose one
+    other group type, (0, t+1) or (t+1, 0), has no other side to deliver.
     """
     return _fs_and_repeats(plan, layout)[0]
 
@@ -292,14 +295,6 @@ def _fs_and_repeats(
     """
     per_type = _locals_by_type(plan, layout)
     entries = [vector_lcm(list(d.values())) for d in per_type]
-    for ti, contributions in enumerate(per_type):
-        if entries[ti] == 0 and any(f > 0 for f in contributions.values()):
-            for k, f in contributions.items():
-                if f > 0 and any(entries[tj] > 0 for tj in layout.involved_types(k)):
-                    raise IncompatibleLocals(
-                        f"type {layout.subfile_types[ti]} is excluded by a zero local "
-                        f"but group type {layout.group_types[k]} still delivers it"
-                    )
     repeats = []
     for k in range(len(layout.group_types)):
         counts = {
@@ -444,7 +439,7 @@ def integer_packet_sizes(
 
 @dataclass(frozen=True)
 class DerivedScheme:
-    """A scheme blueprint with all of its static algebra materialized."""
+    """A scheme blueprint with all of its static algebra computed."""
 
     spec: SchemeSpec
     layout: TypeLayout

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -186,6 +187,33 @@ class TestSimulate:
         assert result.stderr.startswith("error: ") and str(missing) in result.stderr
         assert result.stdout == ""
 
+    def test_output_in_missing_directory_exit2(self, tmp_path):
+        """The report path is opened before the audit, so no transcript is left without it."""
+        transcript = tmp_path / "run.jsonl"
+        missing = tmp_path / "missing" / "report.json"
+        result = run_module("simulate", "--preset", "theorem1", "--K", "7", "--t", "2",
+                            "--transcript", str(transcript), "--output", str(missing))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: ") and str(missing) in result.stderr
+        assert not transcript.exists()
+
+    def test_output_dir_override_transcript(self, capsys, tmp_path, monkeypatch):
+        """--transcript resolves against PTCACHE_OUTPUT_DIR as --output does."""
+        out, cwd = tmp_path / "out", tmp_path / "cwd"
+        out.mkdir()
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        monkeypatch.setenv("PTCACHE_OUTPUT_DIR", str(out))
+        code, _, _ = run_cli(
+            capsys, "simulate", "--preset", "theorem1", "--K", "7", "--t", "2",
+            "--transcript", "run.jsonl", "--output", "report.json",
+        )
+        assert code == 0
+        assert json.loads((out / "report.json").read_text())["message_count"] == 90
+        assert len((out / "run.jsonl").read_text().splitlines()) == 90
+        assert not any(cwd.iterdir())
+
     def test_strict_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--preset", "jcm", "--K", "5", "--t", "2", "--strict"])
@@ -294,3 +322,28 @@ class TestSweep:
         )
         assert code == 0
         assert (tmp_path / "ratios.csv").exists()
+
+
+def readme_commands():
+    """The ``ptcache ...`` commands of README's CLI block, continuation lines joined."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = (line.split("#", 1)[0] for line in block.replace("\\\n", " ").splitlines())
+    return [shlex.split(line) for line in lines if line.strip()]
+
+
+README_COMMANDS = readme_commands()
+
+
+def test_readme_cli_block_covers_every_command():
+    assert all(argv[0] == "ptcache" for argv in README_COMMANDS)
+    assert {argv[1] for argv in README_COMMANDS} == {"construct", "simulate", "verify", "sweep"}
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=[" ".join(a[1:]) for a in README_COMMANDS])
+def test_readme_command_runs(argv, capsys, tmp_path, monkeypatch):
+    """Each documented command parses and exits 0, run in a temporary directory."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PTCACHE_OUTPUT_DIR", raising=False)
+    code, _, err = run_cli(capsys, *argv[1:])
+    assert code == 0, err

@@ -1,6 +1,5 @@
 import bisect
 import dataclasses
-import gc
 import hashlib
 import io
 import itertools
@@ -26,6 +25,7 @@ from ptcache.exchange import (
     DuplicateDelivery,
     FileNotSplit,
     FileOracle,
+    MemoryMismatch,
     MissingPacket,
     PacketLayoutMismatch,
     PacketStore,
@@ -40,6 +40,7 @@ from ptcache.exchange import (
     generate_delivery,
     record_transcript,
     split_files,
+    stream_delivery,
     total_transmitted_units,
     write_transcript,
 )
@@ -122,17 +123,30 @@ class TestSplit:
         d = derived("theorem1", 7, 2)
         sizing = SimpleNamespace(ell=d.sizing.ell, L=d.sizing.L + 1)
         with pytest.raises(PacketLayoutMismatch, match="bytes"):
-            PacketStore(Overridden(d, sizing=sizing), FileOracle())
+            PacketStore(Overridden(d, sizing=sizing), FileOracle(), [1])
 
     def test_layout_mismatch_count(self):
         d = derived("theorem1", 7, 2)
         with pytest.raises(PacketLayoutMismatch, match="packets per file"):
-            PacketStore(Overridden(d, packets_per_file=d.packets_per_file + 1), FileOracle())
+            PacketStore(Overridden(d, packets_per_file=d.packets_per_file + 1), FileOracle(), [1])
 
     def test_unit_scales_bytes(self):
         d = derived("theorem1", 7, 2, unit=16)
         store = split_files(d, FileOracle(), files=[1])
         assert store.bytes_per_file == 84 * 16
+
+    @pytest.mark.parametrize("n", [0, 10])
+    def test_file_outside_range(self, n):
+        d = derived("theorem1", 7, 2, N=9)
+        with pytest.raises(DemandOutOfRange, match=f"file {n} outside 1..9"):
+            split_files(d, files=[1, n])
+
+    def test_files_split_once(self):
+        d = derived("theorem1", 7, 2, N=9)
+        store = split_files(d, files=[3, 1, 3])
+        assert store.files == (1, 3)
+        with pytest.raises(FileNotSplit, match="file 2 was never split"):
+            store.file_values(2)
 
 
 class TestCaches:
@@ -153,6 +167,13 @@ class TestCaches:
         store = split_files(d, FileOracle(), files=[1])
         totals = {c.units_per_file for c in build_caches(d, store)}
         assert len(totals) == 1
+
+    def test_memory_mismatch(self, example1):
+        """A derivation whose file length disagrees with the store's packets fails the audit."""
+        d, _, store, _ = example1
+        sizing = SimpleNamespace(ell=d.sizing.ell, L=d.sizing.L + 1)
+        with pytest.raises(MemoryMismatch, match="differ from target 170/7"):
+            build_caches(Overridden(d, sizing=sizing), store)
 
 
 class TestDelivery:
@@ -188,36 +209,6 @@ class TestDelivery:
         d, _, store, _ = example1
         with pytest.raises(DeliveryCountMismatch):
             generate_delivery(skewed_repeats(d), store, list(range(1, 8)), seed=0)
-
-    @pytest.mark.parametrize("enabled", [True, False], ids=["gc_enabled", "gc_disabled"])
-    @pytest.mark.parametrize("skew", [False, True], ids=["delivers", "count_mismatch"])
-    def test_gc_state_kept(self, example1, monkeypatch, enabled, skew):
-        """Delivery builds its messages with the collector paused, then restores its state.
-
-        The skewed run raises ``DeliveryCountMismatch`` from the slot plan,
-        inside the paused region.
-        """
-        d, _, store, _ = example1
-        real = exchange._slot_plan
-        seen = []
-
-        def recording(*args):
-            seen.append(gc.isenabled())
-            return real(*args)
-
-        monkeypatch.setattr(exchange, "_slot_plan", recording)
-        before = gc.isenabled()
-        (gc.enable if enabled else gc.disable)()
-        try:
-            if skew:
-                with pytest.raises(DeliveryCountMismatch):
-                    generate_delivery(skewed_repeats(d), store, list(range(1, 8)), seed=0)
-            else:
-                generate_delivery(d, store, list(range(1, 8)), seed=0)
-            assert gc.isenabled() is enabled
-        finally:
-            (gc.enable if before else gc.disable)()
-        assert seen and not any(seen)
 
     def test_deterministic_for_seed(self, example1):
         d, _, store, _ = example1
@@ -321,7 +312,11 @@ class TestDecode:
         ([1, 2, 3], DemandOutOfRange),
     ], ids=["unsplit", "zero", "short"])
     def test_demands_checked_before_any_message(self, demands, error):
-        """At N=9 with files 1..7 split, a demand for 8 or 0 is named, not a KeyError."""
+        """At N=9 with files 1..7 split, a demand for 8 or 0 is named, not a KeyError.
+
+        Delivery raises it from the call itself, before the first message,
+        and leaves the store as it was split.
+        """
         d = derived("theorem1", 7, 2, N=9)
         store = split_files(d, files=range(1, 8))
         caches = build_caches(d, store)
@@ -331,9 +326,16 @@ class TestDecode:
             yield
 
         with pytest.raises(error):
+            stream_delivery(d, store, demands)
+        assert store.files == tuple(range(1, 8))
+        with pytest.raises(error):
             decode_all(caches, unread(), demands)
         with pytest.raises(error):
             decode(1, caches[0], unread(), demands)
+
+    def test_no_caches(self):
+        with pytest.raises(ValueError, match="no caches"):
+            decode_residuals([], [], list(range(1, 8)))
 
     def test_seed_changes_assignment_not_counts(self, example1):
         d, _, store, caches = example1

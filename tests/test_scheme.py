@@ -1,6 +1,7 @@
 import ast
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -138,6 +139,42 @@ class TestFsVectors:
         bad = TransmitterSelection.from_lists(_hill_daggers(5, 2))
         with pytest.raises(IncompatibleLocals):
             intermediate_fs(bad, layout)
+
+    def test_excluded_type_is_never_delivered(self):
+        """Every single selection at small points: a zero local excludes only an end type.
+
+        Dagger sets of one or two occupied components per group type, every
+        grouping q1 > q2 >= t.  A zero local lands only on (0, t) or (t, 0);
+        a group type with a nonzero local on an excluded type delivers no
+        type at all; every rejection names conflicting repeat counts.
+        """
+        outcomes = Counter()
+        for K, t in [(7, 2), (9, 2), (9, 3), (11, 3), (11, 4), (13, 4), (13, 5), (15, 6)]:
+            for q2 in range(t, (K + 1) // 2):
+                layout = derive_types(params(K, t), UserGrouping((K - q2, q2)))
+                choices = [
+                    [frozenset(c) for n in (1, 2) for c in itertools.combinations(
+                        [i for i, c in enumerate(s) if c > 0], n)]
+                    for s in layout.group_types
+                ]
+                for daggers in itertools.product(*choices):
+                    plan = TransmitterSelection(daggers)
+                    entries = scheme.raw_fs_vector(plan, layout)
+                    for k, s in enumerate(layout.group_types):
+                        factors = local_fs(s, daggers[k])
+                        for comp, ti in layout.involved[k]:
+                            if factors[comp] == 0:
+                                assert layout.subfile_types[ti] in {(0, t), (t, 0)}
+                            elif entries[ti] == 0:
+                                assert not any(entries[tj] for tj in layout.involved_types(k))
+                    try:
+                        intermediate_fs(plan, layout)
+                    except IncompatibleLocals as exc:
+                        assert "conflicting repeat counts" in str(exc)
+                        outcomes["conflicting"] += 1
+                    else:
+                        outcomes["accepted"] += 1
+        assert outcomes == {"accepted": 200, "conflicting": 2329}
 
 
 class TestCountVectors:
