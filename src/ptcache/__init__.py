@@ -24,6 +24,7 @@ from .scheme import (
     local_fs,
     memory_residuals,
     preset,
+    selections,
     solve_packet_ratio,
 )
 from .exchange import (

@@ -90,24 +90,33 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     The report's --output file is opened (created if missing, not yet
     written) before the audit starts, so a path that cannot be written
-    fails the command before any transcript is.  No transcript is written
-    when the run fails before delivery produced any messages.
+    fails the command before any transcript is; a file it created is removed
+    if the command then fails.  No transcript is written when the run fails
+    before delivery produced any messages.
     """
     derivation = derive(_spec_from(args))
     p = derivation.params
     demands = _parse_demands(args.demands, p.K, p.N)
-    if args.output is not None:  # created, not truncated: _emit writes it after the audit
-        os.close(os.open(_out_path(args.output), os.O_WRONLY | os.O_CREAT, 0o666))
-    report = verify.verify_end_to_end(derivation, demands, args.seed, _out_path(args.transcript))
-    _emit(report.to_json(), args.output)
+    output = _out_path(args.output)
+    created = output is not None and not os.path.exists(output)
+    if output is not None:  # created, not truncated: _emit writes it after the audit
+        os.close(os.open(output, os.O_WRONLY | os.O_CREAT, 0o666))
+    try:
+        report = verify.verify_end_to_end(derivation, demands, args.seed, _out_path(args.transcript))
+        _emit(report.to_json(), args.output)
+        created = False  # the report is written, so it stays
+    finally:
+        if created:
+            os.remove(output)
     return 0 if report.passed else 1
 
 
 def _parse_range(raw: str) -> list[int]:
-    if ":" in raw:
-        lo, hi = raw.split(":")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(raw)]
+    lo, hi = raw.split(":") if ":" in raw else (raw, raw)
+    values = list(range(int(lo), int(hi) + 1))
+    if not values:
+        raise ValueError(f"range {raw} has no points (need lo <= hi)")
+    return values
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -134,10 +143,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         checks.append(verify.verify_lemma3((args.K - 1) // 2, args.t // 2))
     if args.remark3:
         ran_any = True
-        if args.q is None and args.q_range is None:
-            raise ValueError("--remark3 needs --q or --q-range")
-        qs = _parse_range(args.q_range) if args.q_range else [args.q]
-        for q in qs:
+        if args.q_range is None:
+            raise ValueError("--remark3 needs --q-range")
+        for q in _parse_range(args.q_range):
             res = verify.verify_remark3(q)
             checks.append(verify.CheckResult(f"{res.name}[q={q}]", res.passed, res.witness))
     if args.odd_t:
@@ -193,9 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--odd-t", dest="odd_t", action="store_true")
     p.add_argument("--K", type=int, default=None)
     p.add_argument("--t", type=int, default=None)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--q-range", default=None, help="inclusive range lo:hi")
-    p.add_argument("--r-range", default=None, help="inclusive range lo:hi")
+    p.add_argument("--q-range", default=None, help="inclusive range lo:hi, or one value")
+    p.add_argument("--r-range", default=None, help="inclusive range lo:hi, or one value")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_verify)
 

@@ -31,7 +31,7 @@ def binom(n: int, k: int) -> int:
 
 
 def vector_lcm(factors: Sequence[int]) -> int:
-    """LCM of a set of splitting factors, with lcm(0, x) = 0.
+    """LCM of a set of splitting factors, with ``math.lcm``'s own rule lcm(0, x) = 0.
 
     A zero factor means the subfile type is excluded from the coupled
     group, which annihilates any other contribution.
@@ -40,8 +40,6 @@ def vector_lcm(factors: Sequence[int]) -> int:
         raise ValueError("no factors to merge")
     if any(f < 0 for f in factors):
         raise ValueError(f"factors must be non-negative, got {factors}")
-    if 0 in factors:
-        return 0
     return math.lcm(*factors)
 
 

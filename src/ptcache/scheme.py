@@ -19,11 +19,12 @@ Conventions
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .combinatorics import binom, vector_lcm
 
@@ -230,6 +231,14 @@ def derive_types(params: SystemParams, grouping: UserGrouping) -> TypeLayout:
     return TypeLayout(subfile_types, group_types, tuple(involved))
 
 
+def selections(layout: TypeLayout) -> Iterator[TransmitterSelection]:
+    """Every selection: per group type, each non-empty set of its occupied components."""
+    occupied = ([i for i, c in enumerate(s) if c > 0] for s in layout.group_types)
+    choices = [[frozenset(c) for n in range(1, len(o) + 1) for c in itertools.combinations(o, n)]
+               for o in occupied]
+    return map(TransmitterSelection, itertools.product(*choices))
+
+
 def local_fs(s: TypeVec, daggers: frozenset[int]) -> dict[int, int]:
     """Local FS factor per involved component of one group type.
 
@@ -323,14 +332,13 @@ def aggregate_fs(intermediates: Sequence[Sequence[int]]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class FsVectors:
-    """Per-coupled-group intermediate FS vectors and their aggregate."""
+    """Per-coupled-group intermediate FS vectors and their aggregate, computed here."""
 
     intermediate: tuple[tuple[int, ...], ...]
-    aggregate: tuple[int, ...]
+    aggregate: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.aggregate != aggregate_fs(self.intermediate):
-            raise ValueError("aggregate is not the entrywise sum of the intermediates")
+        object.__setattr__(self, "aggregate", aggregate_fs(self.intermediate))
         if any(e < 0 for v in self.intermediate for e in v):
             raise ValueError("FS entries must be non-negative")
 
@@ -410,17 +418,17 @@ def solve_packet_ratio(fs: FsVectors, counts: CountVectors) -> tuple[Fraction, .
 
 @dataclass(frozen=True)
 class PacketSizing:
-    """Exact ratios, integer per-coupled-group packet sizes, and file length (units)."""
+    """Integer per-coupled-group packet sizes, file length (units), and the ratios
+    ``gamma`` (ell_g/ell_1) that the sizes realise: the solved ratios by construction."""
 
-    gamma: tuple[Fraction, ...]
+    gamma: tuple[Fraction, ...] = field(init=False)
     ell: tuple[int, ...]
     L: int
 
     def __post_init__(self) -> None:
         if any(e <= 0 for e in self.ell):
             raise ValueError(f"packet sizes must be positive, got {self.ell}")
-        if any(Fraction(e, self.ell[0]) != g for e, g in zip(self.ell, self.gamma)):
-            raise ValueError("packet sizes do not realize the exact ratios")
+        object.__setattr__(self, "gamma", tuple(Fraction(e, self.ell[0]) for e in self.ell))
 
 
 def integer_packet_sizes(
@@ -434,7 +442,7 @@ def integer_packet_sizes(
     ell1 = math.lcm(*(g.denominator for g in gammas))
     ell = tuple(int(g * ell1) for g in gammas)
     L = sum(_dot(v, counts.F) * e for v, e in zip(fs.intermediate, ell))
-    return PacketSizing(gamma=tuple(Fraction(g) for g in gammas), ell=ell, L=L)
+    return PacketSizing(ell=ell, L=L)
 
 
 @dataclass(frozen=True)
@@ -519,7 +527,7 @@ def derive(spec: SchemeSpec) -> DerivedScheme:
     """Run the full static pipeline: types, FS vectors, ratios, sizes."""
     layout = derive_types(spec.params, spec.grouping)
     intermediates, repeats = zip(*(_fs_and_repeats(plan, layout) for plan in spec.plans))
-    fs = FsVectors(intermediate=intermediates, aggregate=aggregate_fs(intermediates))
+    fs = FsVectors(intermediate=intermediates)
     counts = count_vectors(spec.params, spec.grouping)
     gammas = solve_packet_ratio(fs, counts)
     residuals = memory_residuals(gammas, fs, counts)

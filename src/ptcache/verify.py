@@ -37,7 +37,6 @@ from .scheme import (
     DerivedScheme,
     SchemeSpec,
     SystemParams,
-    TransmitterSelection,
     UserGrouping,
     count_vectors,
     derive,
@@ -45,6 +44,7 @@ from .scheme import (
     frac_str,
     local_fs,
     raw_fs_vector,
+    selections,
 )
 
 
@@ -301,6 +301,8 @@ def verify_lemma1(t: int, q_range: Sequence[int]) -> CheckResult:
         raise ValueError(f"t must be even and positive, got {t}")
     r = t // 2
     qs = sorted(q_range)
+    if not qs:
+        raise EmptyRange("no q values to check")
     if any(q < t + 1 for q in qs):
         raise ValueError(f"need q >= t+1 throughout, got {qs}")
     ratios = [Fraction(f_pt(q, r), f_jcm(2 * q + 1, t)) for q in qs]
@@ -343,9 +345,9 @@ def verify_lemma3(q: int, r: int) -> CheckResult:
 def verify_remark3(q: int) -> CheckResult:
     """With t = 2 and homogeneous sizing, only the uniform vector (2,2,2) fits.
 
-    Enumerates all nine transmitter strategies (three for each of the two
-    mixed group types), merges locals by vector LCM, and checks each
-    resulting vector's memory residual.
+    Enumerates the nine transmitter selections of the layout from
+    ``selections`` (three for each of the two mixed group types), merges
+    locals by vector LCM, and checks each resulting vector's memory residual.
     """
     if q < 3:
         raise ValueError(f"need q >= 3, got {q}")
@@ -354,15 +356,8 @@ def verify_remark3(q: int) -> CheckResult:
     grouping = UserGrouping((q + 1, q))
     layout = derive_types(params, grouping)
     delta = count_vectors(params, grouping).deltas[0]
-    choices = [frozenset({0}), frozenset({1}), frozenset({0, 1})]
-    residuals: dict[tuple[int, ...], int] = {}
-    for d2 in choices:
-        for d3 in choices:
-            plan = TransmitterSelection(
-                (frozenset({1}), d2, d3, frozenset({0}))
-            )
-            vec = raw_fs_vector(plan, layout)
-            residuals[vec] = sum(a * d for a, d in zip(vec, delta))
+    vectors = (raw_fs_vector(plan, layout) for plan in selections(layout))
+    residuals = {vec: sum(a * d for a, d in zip(vec, delta)) for vec in vectors}
     zero_vectors = {vec for vec, res in residuals.items() if res == 0}
     return CheckResult(
         "remark3_homogeneous_uniqueness",

@@ -198,6 +198,25 @@ class TestSimulate:
         assert result.stderr.startswith("error: ") and str(missing) in result.stderr
         assert not transcript.exists()
 
+    def test_failed_run_removes_the_report_it_created(self, capsys, tmp_path):
+        report = tmp_path / "report.json"
+        code, _, err = run_cli(
+            capsys, "simulate", "--preset", "theorem1", "--K", "7", "--t", "2",
+            "--transcript", str(tmp_path / "missing" / "run.jsonl"), "--output", str(report),
+        )
+        assert code == 2 and err.startswith("error: [Errno 2]")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_run_keeps_an_existing_report(self, capsys, tmp_path):
+        report = tmp_path / "report.json"
+        report.write_bytes(b"an earlier report\n")
+        code, _, _ = run_cli(
+            capsys, "simulate", "--preset", "theorem1", "--K", "7", "--t", "2",
+            "--transcript", str(tmp_path / "missing" / "run.jsonl"), "--output", str(report),
+        )
+        assert code == 2
+        assert report.read_bytes() == b"an earlier report\n"
+
     def test_output_dir_override_transcript(self, capsys, tmp_path, monkeypatch):
         """--transcript resolves against PTCACHE_OUTPUT_DIR as --output does."""
         out, cwd = tmp_path / "out", tmp_path / "cwd"
@@ -239,10 +258,17 @@ class TestVerify:
         assert doc["passed"] is True
 
     def test_remark3(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--remark3", "--q", "3")
+        code, out, _ = run_cli(capsys, "verify", "--remark3", "--q-range", "3")
         assert code == 0
         doc = json.loads(out)
         assert doc["checks"][0]["witness"]["mc_satisfying"] == [[2, 2, 2]]
+
+    def test_q_abbreviates_q_range(self, capsys):
+        """``--q`` is gone; argparse reads it as the prefix of ``--q-range``."""
+        code, out, _ = run_cli(capsys, "verify", "--remark3", "--q", "3")
+        assert code == 0
+        assert run_cli(capsys, "verify", "--remark3", "--q-range", "3") == (0, out, "")
+        assert "--q " not in cli.build_parser().format_help()
 
     def test_lemma3(self, capsys):
         code, out, _ = run_cli(
@@ -264,7 +290,7 @@ class TestVerify:
             verify, "verify_remark3",
             lambda q: verify.CheckResult("remark3_homogeneous_uniqueness", False, {}),
         )
-        code, out, _ = run_cli(capsys, "verify", "--remark3", "--q", "3")
+        code, out, _ = run_cli(capsys, "verify", "--remark3", "--q-range", "3")
         assert code == 1
         doc = json.loads(out)
         assert doc["passed"] is False
@@ -272,7 +298,7 @@ class TestVerify:
 
     def test_strict_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "--remark3", "--q", "3", "--strict"])
+            main(["verify", "--remark3", "--q-range", "3", "--strict"])
         assert exc.value.code == 2
         assert "--strict" in capsys.readouterr().err
 
@@ -280,6 +306,24 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify")
         assert code == 2
         assert "nothing to verify" in err
+
+    MISSING_OR_EMPTY = {
+        "--claims --t 4": "--claims needs --t and --q-range",
+        "--lemma1 --q-range 3:5": "--lemma1 needs --t and --q-range",
+        "--lemma3 --t 2": "--lemma3 needs --K and --t",
+        "--lemma3 --K 12 --t 2": "--lemma3 needs odd K and even t",
+        "--remark3": "--remark3 needs --q-range",
+        "--odd-t": "--odd-t needs --r-range",
+        "--claims --t 4 --q-range 9:5": "range 9:5 has no points (need lo <= hi)",
+        "--lemma1 --t 2 --q-range 9:5": "range 9:5 has no points (need lo <= hi)",
+        "--remark3 --q-range 9:5": "range 9:5 has no points (need lo <= hi)",
+        "--odd-t --r-range 3:1": "range 3:1 has no points (need lo <= hi)",
+    }
+
+    @pytest.mark.parametrize("argv", list(MISSING_OR_EMPTY))
+    def test_missing_or_empty_input_exit2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv.split())
+        assert (code, out, err) == (2, "", f"error: {self.MISSING_OR_EMPTY[argv]}\n")
 
 
 class TestSweep:

@@ -126,8 +126,24 @@ def test_vector_lcm():
     assert vector_lcm([1, 2]) == 2
     assert vector_lcm([2, 3]) == 6
     assert vector_lcm([0, 5]) == 0
+    assert vector_lcm([3, 0]) == vector_lcm([0]) == 0  # math.lcm's own zero rule
     assert vector_lcm([4]) == 4
     with pytest.raises(ValueError):
         vector_lcm([])
     with pytest.raises(ValueError):
         vector_lcm([-1, 2])
+
+
+@pytest.mark.parametrize("call,error,match", [
+    pytest.param(lambda: subsets_by_type([(1, 2), (3,)], (1,)), ValueError,
+                 r"^type vector length 1 != number of groups 2$", id="subsets-length"),
+    pytest.param(lambda: subsets_by_type([(1, 2), (3,)], (1, -1)), ComponentTooLarge,
+                 r"^negative component -1$", id="subsets-negative"),
+    pytest.param(lambda: hypergeo_pmf(0, 1, 0), ValueError,
+                 r"^need q >= 1 and t >= 1, got q=0, t=1$", id="pmf-q0"),
+    pytest.param(lambda: hypergeo_pmf(3, 0, 0), ValueError,
+                 r"^need q >= 1 and t >= 1, got q=3, t=0$", id="pmf-t0"),
+])
+def test_input_checks(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -27,11 +27,11 @@ from ptcache.scheme import (
     InvalidRatio,
     SchemeSpec,
     SystemParams,
-    TransmitterSelection,
     UserGrouping,
     derive,
     derive_types,
     preset,
+    selections,
 )
 from ptcache.verify import demand_vector, verify_claims, verify_end_to_end
 
@@ -125,8 +125,8 @@ def test_aggregate_capped_at_t(t):
 def test_every_accepted_plan_pair_executes():
     """Exhaust every two-coupled-group blueprint at K in {7, 9}, t in {2, 3}.
 
-    Each grouping q1 > q2 >= t is paired with every pair of selections that
-    daggers a non-empty set of occupied components in each group type.
+    Each grouping q1 > q2 >= t is paired with every pair of its
+    ``selections``: a non-empty set of occupied components per group type.
     Every pair must either fail derivation with a named validation error or
     pass the full byte pipeline for distinct and uniform demands.  The
     outcome counts are pinned, so a change to what ``derive`` accepts shows.
@@ -136,15 +136,7 @@ def test_every_accepted_plan_pair_executes():
         p = SystemParams(K=K, t=t, N=K)
         for q2 in range(t, (K + 1) // 2):
             grouping = UserGrouping((K - q2, q2))
-            occupied = [
-                [i for i, c in enumerate(s) if c > 0]
-                for s in derive_types(p, grouping).group_types
-            ]
-            choices = [
-                [frozenset(c) for n in (1, 2) for c in itertools.combinations(comps, n)]
-                for comps in occupied
-            ]
-            plans = [TransmitterSelection(daggers) for daggers in itertools.product(*choices)]
+            plans = list(selections(derive_types(p, grouping)))
             for p1, p2 in itertools.product(plans, plans):
                 try:
                     d = derive(SchemeSpec(p, grouping, (p1, p2)))

@@ -15,7 +15,9 @@ from ptcache.scheme import (
     FsVectors,
     IncompatibleLocals,
     InvalidRatio,
+    LengthMismatch,
     NonzeroResidual,
+    PacketSizing,
     PresetConstraintViolated,
     SchemeSpec,
     SystemParams,
@@ -31,6 +33,7 @@ from ptcache.scheme import (
     local_fs,
     memory_residuals,
     preset,
+    selections,
     solve_packet_ratio,
     _hill_daggers,
     _staircase_daggers,
@@ -101,6 +104,26 @@ class TestLocalFs:
             local_fs((3, 0), frozenset({1}))
 
 
+class TestSelections:
+    def test_theorem1_k7_t2_yields_nine(self):
+        """Three dagger sets on each mixed type; each end type has one occupied component."""
+        layout = derive(preset("theorem1", params(7, 2))).layout
+        sides = [frozenset({0}), frozenset({1}), frozenset({0, 1})]
+        assert list(selections(layout)) == [
+            TransmitterSelection((frozenset({1}), d2, d3, frozenset({0})))
+            for d2 in sides for d3 in sides
+        ]
+
+    def test_preset_plans_are_selections(self):
+        for name, K, t in [("theorem1", 11, 4), ("odd_t3", 9, 3), ("even_K", 12, 4), ("jcm", 5, 2)]:
+            d = derive(preset(name, params(K, t)))
+            assert set(d.spec.plans) <= set(selections(d.layout))
+
+    def test_single_group(self):
+        layout = derive_types(params(5, 2), UserGrouping((5,)))
+        assert list(selections(layout)) == [TransmitterSelection((frozenset({0}),))]
+
+
 class TestFsVectors:
     def test_example_intermediates(self):
         layout = derive_types(params(7, 2), UserGrouping((4, 3)))
@@ -127,9 +150,10 @@ class TestFsVectors:
         assert aggregate_fs([(0, 1, 2), (0, 1, 0)]) == (0, 2, 2)
         assert aggregate_fs([(0, 1, 2)]) == (0, 1, 2)
 
-    def test_aggregate_length_mismatch(self):
-        from ptcache.scheme import LengthMismatch
+    def test_aggregate_is_computed(self):
+        assert FsVectors(intermediate=((0, 1, 2), (0, 1, 0))).aggregate == (0, 2, 2)
 
+    def test_aggregate_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             aggregate_fs([(0, 1), (0, 1, 2)])
 
@@ -143,25 +167,19 @@ class TestFsVectors:
     def test_excluded_type_is_never_delivered(self):
         """Every single selection at small points: a zero local excludes only an end type.
 
-        Dagger sets of one or two occupied components per group type, every
-        grouping q1 > q2 >= t.  A zero local lands only on (0, t) or (t, 0);
-        a group type with a nonzero local on an excluded type delivers no
-        type at all; every rejection names conflicting repeat counts.
+        Every selection (``selections``) of every grouping q1 > q2 >= t.  A
+        zero local lands only on (0, t) or (t, 0); a group type with a nonzero
+        local on an excluded type delivers no type at all; every rejection
+        names conflicting repeat counts.
         """
         outcomes = Counter()
         for K, t in [(7, 2), (9, 2), (9, 3), (11, 3), (11, 4), (13, 4), (13, 5), (15, 6)]:
             for q2 in range(t, (K + 1) // 2):
                 layout = derive_types(params(K, t), UserGrouping((K - q2, q2)))
-                choices = [
-                    [frozenset(c) for n in (1, 2) for c in itertools.combinations(
-                        [i for i, c in enumerate(s) if c > 0], n)]
-                    for s in layout.group_types
-                ]
-                for daggers in itertools.product(*choices):
-                    plan = TransmitterSelection(daggers)
+                for plan in selections(layout):
                     entries = scheme.raw_fs_vector(plan, layout)
                     for k, s in enumerate(layout.group_types):
-                        factors = local_fs(s, daggers[k])
+                        factors = local_fs(s, plan.daggers[k])
                         for comp, ti in layout.involved[k]:
                             if factors[comp] == 0:
                                 assert layout.subfile_types[ti] in {(0, t), (t, 0)}
@@ -213,16 +231,13 @@ class TestPacketRatio:
         # 2(2q-1)/(q+4); at q=4 that is 7/4.
         K = 2 * q + 1
         counts = count_vectors(params(K, 3), UserGrouping((q + 1, q)))
-        fs = FsVectors(
-            intermediate=((0, 1, 2, 3), (0, 2, 1, 0)),
-            aggregate=(0, 3, 3, 3),
-        )
+        fs = FsVectors(intermediate=((0, 1, 2, 3), (0, 2, 1, 0)))
         gammas = solve_packet_ratio(fs, counts)
         assert gammas[1] == Fraction(2 * (2 * q - 1), q + 4)
 
     def test_single_coupled_group(self):
         counts = count_vectors(params(5, 2), UserGrouping((5,)))
-        fs = FsVectors(intermediate=((2,),), aggregate=(2,))
+        fs = FsVectors(intermediate=((2,),))
         assert solve_packet_ratio(fs, counts) == (1,)
 
     def test_degenerate_system(self):
@@ -235,13 +250,13 @@ class TestPacketRatio:
             (two, ((0, 1, 2), (0, 2, 2), (2, 2, 2)), "1 memory equations for 2 free ratios"),
         ]
         for counts, intermediate, match in cases:
-            fs = FsVectors(intermediate=intermediate, aggregate=aggregate_fs(intermediate))
+            fs = FsVectors(intermediate=intermediate)
             with pytest.raises(DegenerateSystem, match=match):
                 solve_packet_ratio(fs, counts)
 
     def test_invalid_ratio(self):
         counts = count_vectors(params(7, 2), UserGrouping((4, 3)))
-        fs = FsVectors(intermediate=((0, 1, 0), (0, 2, 0)), aggregate=(0, 3, 0))
+        fs = FsVectors(intermediate=((0, 1, 0), (0, 2, 0)))
         with pytest.raises(InvalidRatio):
             solve_packet_ratio(fs, counts)
 
@@ -254,10 +269,13 @@ class TestIntegerSizes:
 
     def test_rational_scaling(self):
         counts = count_vectors(params(9, 3), UserGrouping((5, 4)))
-        fs = FsVectors(intermediate=((0, 1, 2, 3), (0, 2, 1, 0)), aggregate=(0, 3, 3, 3))
+        fs = FsVectors(intermediate=((0, 1, 2, 3), (0, 2, 1, 0)))
         sizing = integer_packet_sizes(solve_packet_ratio(fs, counts), fs, counts)
         assert sizing.ell == (4, 7)
         assert sizing.L == 1260
+
+    def test_gamma_is_the_realised_ratio(self):
+        assert PacketSizing(ell=(4, 7), L=1260).gamma == (1, Fraction(7, 4))
 
     def test_uniform_case(self):
         d = derive(preset("jcm", params(5, 2)))
@@ -362,6 +380,44 @@ class TestSerialization:
         a = derive(preset("theorem1", params(7, 2))).to_json()
         b = derive(preset("theorem1", params(7, 2))).to_json()
         assert a == b
+
+
+K7_T2_LAYOUT = derive_types(params(7, 2), UserGrouping((4, 3)))
+
+
+@pytest.mark.parametrize("build,error,match", [
+    pytest.param(lambda: SystemParams(K=3, t=0, N=3), ValueError,
+                 r"^t must be >= 1, got 0$", id="params-t"),
+    pytest.param(lambda: SystemParams(K=2, t=2, N=2), ValueError,
+                 r"^K must be >= t\+1, got K=2, t=2$", id="params-K"),
+    pytest.param(lambda: SystemParams(K=5, t=2, N=4), ValueError,
+                 r"^N must be >= K, got N=4, K=5$", id="params-N"),
+    pytest.param(lambda: SystemParams(K=5, t=2, N=5, unit=0), ValueError,
+                 r"^unit must be >= 1, got 0$", id="params-unit"),
+    pytest.param(lambda: UserGrouping((4, 0)), UnsupportedGrouping,
+                 r"^group sizes must be positive, got \(4, 0\)$", id="grouping-zero"),
+    pytest.param(lambda: SchemeSpec(params(7, 2), UserGrouping((4, 3)), ()), ValueError,
+                 r"^need at least one coupled group$", id="spec-no-plans"),
+    pytest.param(lambda: intermediate_fs(TransmitterSelection.from_lists([{0}]), K7_T2_LAYOUT),
+                 LengthMismatch, r"^plan covers 1 group types, layout has 4$", id="plan-length"),
+    pytest.param(lambda: aggregate_fs([]), LengthMismatch,
+                 r"^no intermediate vectors$", id="aggregate-empty"),
+    pytest.param(lambda: FsVectors(intermediate=((0, -1, 2),)), ValueError,
+                 r"^FS entries must be non-negative$", id="fs-negative"),
+    pytest.param(lambda: PacketSizing(ell=(1, 0), L=5), ValueError,
+                 r"^packet sizes must be positive, got \(1, 0\)$", id="sizing-zero"),
+    pytest.param(lambda: preset("odd_t3", params(9, 2)), PresetConstraintViolated,
+                 r"^preset is for t = 3, got t=2$", id="odd_t3-t"),
+    pytest.param(lambda: preset("odd_t3", params(10, 3)), PresetConstraintViolated,
+                 r"^K must be odd \(K = 2q\+1\)$", id="odd_t3-K"),
+    pytest.param(lambda: preset("even_K", params(10, 3)), PresetConstraintViolated,
+                 r"^t must be even \(t = 2r\)$", id="even_K-t"),
+    pytest.param(lambda: preset("even_K", params(8, 4)), PresetConstraintViolated,
+                 r"^need q >= 2r\+1, got q=4, t=4$", id="even_K-q"),
+])
+def test_input_checks(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
 
 
 def library_nodes():

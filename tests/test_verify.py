@@ -194,6 +194,10 @@ class TestLemma1:
                 rho_expect = ratio_expectation(t, q)
                 assert rho_formula == rho_split == rho_expect
 
+    def test_empty_range(self):
+        with pytest.raises(EmptyRange, match="^no q values to check$"):
+            verify_lemma1(2, [])
+
 
 class TestLemma3:
     def test_k13(self):
@@ -244,3 +248,19 @@ class TestOddTObstruction:
         assert res.passed
         assert res.witness["merged"] == r * (r + 1) > 2 * r + 1
         assert res.witness["pivot_factors"] == [r, r + 1]
+
+
+@pytest.mark.parametrize("call,match", [
+    pytest.param(lambda: demand_vector("distinct", 5, 4),
+                 r"^distinct demands need N >= K, got N=4, K=5$", id="distinct-N-below-K"),
+    # f_pt takes r = t/2: an odd t would silently check the ratios of t - 1
+    pytest.param(lambda: verify_lemma1(3, [4, 5]),
+                 r"^t must be even and positive, got 3$", id="lemma1-odd-t"),
+    pytest.param(lambda: verify_lemma1(4, [5, 4]),
+                 r"^need q >= t\+1 throughout, got \[4, 5\]$", id="lemma1-small-q"),
+    pytest.param(lambda: verify_remark3(2), r"^need q >= 3, got 2$", id="remark3-small-q"),
+    pytest.param(lambda: verify_odd_t_obstruction(0), r"^need r >= 1, got 0$", id="odd-t-r0"),
+])
+def test_input_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
