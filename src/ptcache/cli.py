@@ -111,11 +111,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _parse_range(raw: str) -> list[int]:
-    lo, hi = raw.split(":") if ":" in raw else (raw, raw)
-    values = list(range(int(lo), int(hi) + 1))
+def _parse_range(flag: str, raw: str) -> list[int]:
+    parts = raw.split(":")
+    try:
+        lo, hi = map(int, parts if len(parts) > 1 else parts * 2)
+    except ValueError:
+        raise ValueError(f"{flag} {raw} is not lo:hi or one integer") from None
+    values = list(range(lo, hi + 1))
     if not values:
-        raise ValueError(f"range {raw} has no points (need lo <= hi)")
+        raise ValueError(f"{flag} {raw} has no points (need lo <= hi)")
     return values
 
 
@@ -126,14 +130,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ran_any = True
         if args.t is None or args.q_range is None:
             raise ValueError("--claims needs --t and --q-range")
-        for q in _parse_range(args.q_range):
+        for q in _parse_range("--q-range", args.q_range):
             for name, res in verify.verify_claims(args.t, q).items():
                 checks.append(verify.CheckResult(f"{name}[t={args.t},q={q}]", res.passed, res.witness))
     if args.lemma1:
         ran_any = True
         if args.t is None or args.q_range is None:
             raise ValueError("--lemma1 needs --t and --q-range")
-        checks.append(verify.verify_lemma1(args.t, _parse_range(args.q_range)))
+        checks.append(verify.verify_lemma1(args.t, _parse_range("--q-range", args.q_range)))
     if args.lemma3:
         ran_any = True
         if args.K is None or args.t is None:
@@ -145,14 +149,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ran_any = True
         if args.q_range is None:
             raise ValueError("--remark3 needs --q-range")
-        for q in _parse_range(args.q_range):
+        for q in _parse_range("--q-range", args.q_range):
             res = verify.verify_remark3(q)
             checks.append(verify.CheckResult(f"{res.name}[q={q}]", res.passed, res.witness))
     if args.odd_t:
         ran_any = True
         if args.r_range is None:
             raise ValueError("--odd-t needs --r-range")
-        for r in _parse_range(args.r_range):
+        for r in _parse_range("--r-range", args.r_range):
             res = verify.verify_odd_t_obstruction(r)
             checks.append(verify.CheckResult(f"{res.name}[r={r}]", res.passed, res.witness))
     if not ran_any:

@@ -125,7 +125,7 @@ def test_criterion_05_lemma2_and_claims():
             ok &= all(r.passed for r in results.values())
             checked += 1
     report(5, ok, f"gamma>0, product signs, delta pattern, zero sum, single sign "
-                  f"change, beta identity on {checked} points (zero tolerance)")
+                  f"change, comparison-bound implication on {checked} points (zero tolerance)")
 
 
 def test_criterion_06_grouping_minimality():

@@ -314,10 +314,14 @@ class TestVerify:
         "--lemma3 --K 12 --t 2": "--lemma3 needs odd K and even t",
         "--remark3": "--remark3 needs --q-range",
         "--odd-t": "--odd-t needs --r-range",
-        "--claims --t 4 --q-range 9:5": "range 9:5 has no points (need lo <= hi)",
-        "--lemma1 --t 2 --q-range 9:5": "range 9:5 has no points (need lo <= hi)",
-        "--remark3 --q-range 9:5": "range 9:5 has no points (need lo <= hi)",
-        "--odd-t --r-range 3:1": "range 3:1 has no points (need lo <= hi)",
+        "--claims --t 4 --q-range 9:5": "--q-range 9:5 has no points (need lo <= hi)",
+        "--lemma1 --t 2 --q-range 9:5": "--q-range 9:5 has no points (need lo <= hi)",
+        "--remark3 --q-range 9:5": "--q-range 9:5 has no points (need lo <= hi)",
+        "--odd-t --r-range 3:1": "--r-range 3:1 has no points (need lo <= hi)",
+        "--lemma1 --t 4 --q-range 5": "one q value (5) to check: a decrease needs two",
+        "--remark3 --q-range 3:4:5": "--q-range 3:4:5 is not lo:hi or one integer",
+        "--lemma1 --t 2 --q-range 3:": "--q-range 3: is not lo:hi or one integer",
+        "--odd-t --r-range 1:x": "--r-range 1:x is not lo:hi or one integer",
     }
 
     @pytest.mark.parametrize("argv", list(MISSING_OR_EMPTY))

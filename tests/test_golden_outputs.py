@@ -1,8 +1,11 @@
-"""Golden analytic outputs: the sweep CSV and `ptcache construct` JSON, pinned by SHA-256.
+"""Golden analytic outputs: the sweep CSV, `ptcache construct` JSON and
+`ptcache verify` JSON, pinned by SHA-256.
 
-The hashes were taken while `analysis` still kept its own copy of the
-subfile-count formula; any change to a count, γ, a ratio or the output
-format shows up here.
+The sweep and construct hashes were taken while `analysis` still kept its
+own copy of the subfile-count formula, and the verify hashes but the
+`--claims` one while `verify` still kept its own copies of F_PT, F_JCM and
+α·F.  Any change to a count, γ, a ratio, a witness or the output format
+shows up here.
 """
 
 import hashlib
@@ -23,6 +26,18 @@ CONSTRUCT = [
     ("jcm", 13, 4, "c49b3fa7f7e220412a46a6f880521ae829902c645671b71f005c737e3122fb22"),
 ]
 
+VERIFY = [
+    # ptcache verify flags, sha256 of the emitted JSON
+    ("--lemma1 --t 2 --q-range 3:20", "c9a3059b1c91e09a8e93df34924894711cc36fc10711516f68f52356aa4890fb"),
+    ("--lemma3 --K 13 --t 2", "6125a93cf9bf8bc1e8ca4c98d44f20ff050fb01b372ca7f0ea25142735148b24"),
+    ("--lemma3 --K 17 --t 4", "d487a4f249c0121ef67443b74949e6ced27dc9699ef835201ef67125a1e6f1b7"),
+    ("--lemma3 --K 27 --t 8", "e606db7f9add36a0aabd167f51ada2772c027c92706eb979a9e136556e404dcd"),
+    ("--remark3 --q-range 3:29", "c6c9bbb836d5d1b609c3af58c07844f21f21d52c159d81834b9292f432541601"),
+    ("--odd-t --r-range 1:6", "52edc5324678702403c0bd79fc4fd4a28ffd18c7011778345e3750c555716675"),
+    # claim 4's witness lists the k its implication compared ([11] at each q)
+    ("--claims --t 24 --q-range 25:27", "41c26a4613207049a39953ee2900f5f445c83cc4c99f4dcf944e3ca525f1a9e8"),
+]
+
 
 def test_sweep_csv_hash():
     text = records_to_csv(sweep([2, 4, 6, 8], q_max=400))
@@ -36,4 +51,11 @@ def test_construct_hash(tmp_path, preset, K, t, sha):
     code = main(["construct", "--preset", preset, "--K", str(K), "--t", str(t),
                  "--output", str(out)])
     assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
+
+
+@pytest.mark.parametrize("flags,sha", VERIFY, ids=[f for f, _ in VERIFY])
+def test_verify_hash(tmp_path, flags, sha):
+    out = tmp_path / "checks.json"
+    assert main(["verify", *flags.split(), "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha

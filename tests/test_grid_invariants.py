@@ -30,6 +30,7 @@ from ptcache.scheme import (
     UserGrouping,
     derive,
     derive_types,
+    memory_residuals,
     preset,
     selections,
 )
@@ -128,8 +129,9 @@ def test_every_accepted_plan_pair_executes():
     Each grouping q1 > q2 >= t is paired with every pair of its
     ``selections``: a non-empty set of occupied components per group type.
     Every pair must either fail derivation with a named validation error or
-    pass the full byte pipeline for distinct and uniform demands.  The
-    outcome counts are pinned, so a change to what ``derive`` accepts shows.
+    leave no memory residual and pass the full byte pipeline for distinct
+    and uniform demands.  The outcome counts are pinned, so a change to what
+    ``derive`` accepts shows.
     """
     outcomes = Counter()
     for K, t in itertools.product((7, 9), (2, 3)):
@@ -144,6 +146,7 @@ def test_every_accepted_plan_pair_executes():
                     outcomes[type(exc).__name__] += 1
                     continue
                 outcomes["derived"] += 1
+                assert memory_residuals(d.gamma, d.fs, d.counts) == (0,), (K, t, p1, p2)
                 for kind in ("distinct", "uniform"):
                     report = verify_end_to_end(d, kind, seed=0)
                     assert report.passed, (K, t, p1, p2, kind, report.failure)

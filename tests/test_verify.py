@@ -1,5 +1,7 @@
+import itertools
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -7,6 +9,7 @@ from ptcache import verify
 from ptcache.analysis import f_jcm, f_pt
 from ptcache.exchange import FileOracle, split_files
 from ptcache.scheme import (
+    CountVectors,
     SchemeSpec,
     SystemParams,
     TransmitterSelection,
@@ -162,7 +165,25 @@ class TestClaims:
     def test_claim4_nonvacuous_at_t24(self):
         res = verify_claims(24, 25)
         assert res["claim4_phi_monotone"].passed
-        assert res["claim4_phi_monotone"].witness["beta"]  # window pairs exist
+        assert res["claim4_phi_monotone"].witness["compared"] == [11]  # the leg ran
+
+    def test_claim4_beta_identity(self):
+        """A(k+1)B(k) - A(k)B(k+1) = 2t(t-1)(2k-(t+1)) as polynomials in t and k.
+
+        Both sides have degree <= 4 in t and in k, so agreeing on the 5 x 5
+        grid t, k in {0..4} makes their difference the zero polynomial.
+        """
+        for t, k in itertools.product(range(5), range(5)):
+            lhs = verify._A(t, k + 1) * verify._B(t, k) - verify._A(t, k) * verify._B(t, k + 1)
+            assert lhs == 2 * t * (t - 1) * (2 * k - (t + 1)), (t, k)
+
+    @pytest.mark.parametrize("t", range(2, 41, 2))
+    def test_claim4_phi_decreases_on_window(self, t):
+        """B > 0 on the window and 2k < t+1 for k <= r-1, so the identity makes phi fall."""
+        phi = {k: Fraction(verify._A(t, k), verify._B(t, k)) for k in range(2, t + 2) if verify._B(t, k) > 0}
+        pairs = [k for k in phi if k + 1 in phi and k <= t // 2 - 1]
+        assert pairs or t < 18  # the window first holds such a pair at t = 18
+        assert all(phi[k + 1] < phi[k] for k in pairs)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -197,6 +218,11 @@ class TestLemma1:
     def test_empty_range(self):
         with pytest.raises(EmptyRange, match="^no q values to check$"):
             verify_lemma1(2, [])
+
+    def test_one_point_range(self):
+        # a decrease needs two ratios; one q compared nothing yet passed
+        with pytest.raises(EmptyRange, match=r"^one q value \(5\) to check: a decrease needs two$"):
+            verify_lemma1(4, [5])
 
 
 class TestLemma3:
@@ -264,3 +290,101 @@ class TestOddTObstruction:
 def test_input_checks(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+def _failed_checks():
+    """Names of the analytic checks that fail, each run at one point.
+
+    Claims at t = 24, q = 25, where claim 4 compares k = 11; lemma 3 at
+    K = 17, t = 4, whose argmin is q1 = 9; the odd-t check at both r = 1
+    (not obstructed) and r = 2 (obstructed).
+    """
+    results = [
+        *verify_claims(24, 25).values(),
+        verify_lemma1(4, range(5, 9)),
+        verify_lemma3(8, 2),
+        verify_remark3(4),
+        verify_odd_t_obstruction(1),
+        verify_odd_t_obstruction(2),
+    ]
+    return {res.name for res in results if not res.passed}
+
+
+def _moved(i, j, amount):
+    """gamma_terms with amount(delta, t) moved from delta[j] (from nowhere if j is None) to delta[i]."""
+    def perturb(real):
+        def gamma_terms(q, t):
+            delta, a1, a2 = real(q, t)
+            d = list(delta)
+            x = amount(d, t)
+            d[i] += x
+            if j is not None:
+                d[j] -= x
+            return tuple(d), a1, a2
+        return gamma_terms
+    return perturb
+
+
+def _zeroing_pair(i):
+    """The amount that brings pair[i] = delta[i] + delta[t-i] to 0."""
+    return lambda d, t: -(d[i] + d[t - i])
+
+
+def _gamma_terms_with(a1=1, a2=1):
+    """gamma_terms with its dot products scaled by a1 and a2."""
+    def perturb(real):
+        def gamma_terms(q, t):
+            delta, b1, b2 = real(q, t)
+            return delta, a1 * b1, a2 * b2
+        return gamma_terms
+    return perturb
+
+
+def _derive_inflating_q1(q1):
+    """derive, with the grouping (q1, K-q1) counting a million packets more."""
+    def perturb(real):
+        def derive(spec):
+            extra = 10**6 if spec.grouping.sizes[0] == q1 else 0
+            return SimpleNamespace(packets_per_file=real(spec).packets_per_file + extra)
+        return derive
+    return perturb
+
+
+def _count_vectors_shifted(real):
+    """count_vectors with delta[0] moved by 1, so (2, 2, 2) leaves a residual."""
+    def count_vectors(params, grouping):
+        counts = real(params, grouping)
+        delta = (counts.deltas[0][0] + 1,) + counts.deltas[0][1:]
+        return CountVectors(F=counts.F, per_set=counts.per_set, deltas=(delta,))
+    return count_vectors
+
+
+@pytest.mark.parametrize("attr,perturb,failed", [
+    pytest.param("gamma_terms", _moved(0, None, lambda d, t: 1), {"claim2_zero_sum"}, id="delta-sum"),
+    # delta[13] and delta[11] share pair[11]: delta[13] reaches 0, no pair sum moves
+    pytest.param("gamma_terms", _moved(13, 11, lambda d, t: -d[13]), {"claim1_sign_pattern"},
+                 id="delta-sign"),
+    # pair[5] reaches 0 between negative pair sums
+    pytest.param("gamma_terms", _moved(5, 6, _zeroing_pair(5)), {"claim3_single_change"}, id="pair-gap"),
+    # pair[10] (k = 11, the one compared) reaches 0; claim 3 moves its change point to 10
+    pytest.param("gamma_terms", _moved(10, 11, _zeroing_pair(10)), {"claim4_phi_monotone"},
+                 id="claim4-leg"),
+    pytest.param("gamma_terms", _gamma_terms_with(a2=-1), {"lemma2_ratio_positive"}, id="a2-negated"),
+    pytest.param("gamma_terms", _gamma_terms_with(a1=-1), {"lemma2_ratio_positive"}, id="a1-negated"),
+    pytest.param("ratio", lambda real: lambda q, r: real(q, r) if q != 6 else real(5, r),
+                 {"lemma1_ratio_decreasing"}, id="ratio-flat"),
+    pytest.param("hypergeo_pmf", lambda real: lambda q, t, j: 2 * real(q, t, j),
+                 {"lemma1_ratio_decreasing"}, id="expectation-doubled"),
+    pytest.param("derive", _derive_inflating_q1(9), {"lemma3_grouping_minimality"}, id="argmin-inflated"),
+    pytest.param("count_vectors", _count_vectors_shifted,
+                 {"remark3_homogeneous_uniqueness"}, id="remark3-delta"),
+    pytest.param("raw_fs_vector", lambda real: lambda plan, layout: tuple(2 * e for e in real(plan, layout)),
+                 {"remark3_homogeneous_uniqueness"}, id="remark3-vectors-doubled"),
+    pytest.param("local_fs", lambda real: lambda s, daggers: {i: 1 for i, si in enumerate(s) if si > 0},
+                 {"odd_t_pivot_obstruction"}, id="odd-t-unit-factors"),
+])
+def test_every_analytic_check_can_fail(monkeypatch, attr, perturb, failed):
+    """Perturbing the one input a check reads flips exactly the checks that read it."""
+    assert _failed_checks() == set()
+    monkeypatch.setattr(verify, attr, perturb(getattr(verify, attr)))
+    assert _failed_checks() == failed
