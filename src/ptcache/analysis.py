@@ -1,14 +1,15 @@
 """Closed-form subpacketization analytics and parameter sweeps.
 
 The construction for odd K = 2q+1, even t = 2r splits each file into
-F_PT = sum_k alpha_k * f_k packets with alpha = (0, 2, 4, ..., t-2, t, ..., t)
-and f_k = C(q+1, k-1) * C(q, t-k+1); the baseline uses t * C(K, t).  For
-fixed t the ratio falls strictly with q toward 1 - C(t, r) / 2^(t+1).
+F_PT = alpha . F packets: alpha and gamma from one ``derive`` per t, F from
+``count_vectors``; the baseline uses t * C(K, t).  For fixed t the ratio
+falls strictly with q toward 1 - C(t, r) / 2^(t+1).
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -17,15 +18,16 @@ from fractions import Fraction
 from typing import Sequence
 
 from .combinatorics import binom
-from .scheme import CountVectors, SystemParams, UserGrouping, count_vectors, frac_str
+from .scheme import (CountVectors, FsVectors, SystemParams, UserGrouping, count_vectors,
+                     derive, frac_str, preset, solve_packet_ratio)
 
 
-def theorem_alpha(t: int) -> tuple[int, ...]:
-    """Aggregate FS vector (0, 2, ..., t-2, then t repeated r+1 times)."""
-    if t % 2 != 0 or t < 2:
-        raise ValueError(f"t must be even and positive, got {t}")
-    r = t // 2
-    return tuple(2 * (k - 1) for k in range(1, r + 1)) + (t,) * (r + 1)
+@functools.cache
+def theorem1_fs(t: int) -> FsVectors:
+    """Theorem 1's FS vectors at cache size t, derived once: the two-group
+    types do not depend on q once q2 >= t, so q = t+1 serves every q."""
+    K = 2 * t + 3
+    return derive(preset("theorem1", SystemParams(K=K, t=t, N=K))).fs
 
 
 def _counts(q: int, t: int) -> CountVectors:
@@ -36,7 +38,7 @@ def _counts(q: int, t: int) -> CountVectors:
 
 def _packets(counts: CountVectors, t: int) -> int:
     """F_PT = alpha . F for the construction's aggregate FS vector alpha."""
-    return sum(a * f for a, f in zip(theorem_alpha(t), counts.F))
+    return sum(a * f for a, f in zip(theorem1_fs(t).aggregate, counts.F))
 
 
 def f_pt(q: int, r: int) -> int:
@@ -80,16 +82,11 @@ def gamma_terms(q: int, t: int) -> tuple[tuple[int, ...], int, int]:
 
     Returns the cache-difference vector delta (per subfile type, a
     second-group user's cached count minus a first-group user's) and its dot
-    products with the staircase vector (0, 1, ..., t) and the hill vector
-    min(k-1, t+1-k); the packet-size ratio is -(first) / (second).
+    products with theorem 1's two intermediate FS vectors; the packet-size
+    ratio is -(first) / (second).
     """
-    return _delta_terms(_counts(q, t), t)
-
-
-def _delta_terms(counts: CountVectors, t: int) -> tuple[tuple[int, ...], int, int]:
-    delta = counts.deltas[0]
-    a1 = sum((k - 1) * d for k, d in enumerate(delta, start=1))
-    a2 = sum(min(k - 1, t + 1 - k) * d for k, d in enumerate(delta, start=1))
+    delta = _counts(q, t).deltas[0]
+    a1, a2 = (sum(a * d for a, d in zip(v, delta)) for v in theorem1_fs(t).intermediate)
     return delta, a1, a2
 
 
@@ -109,18 +106,20 @@ class RatioRecord:
 
 
 def sweep(t_list: Sequence[int], q_max: int | None = None) -> list[RatioRecord]:
-    """Ratio records over a (t, q) grid, sorted by (t, q).
+    """Ratio records over a (t, q) grid, sorted by (t, q), one per point.
 
-    For each t, q runs from t+1 up to q_max (default t+50).
+    For each t, q runs from t+1 up to q_max (default t+50); no q is a ValueError.
     """
     records = []
-    for t in sorted(t_list):
+    for t in sorted(set(t_list)):
         asymptote = asymptotic_ratio(t)[0]
-        for q in range(t + 1, (q_max if q_max is not None else t + 50) + 1):
+        qs = range(t + 1, (q_max if q_max is not None else t + 50) + 1)
+        if not qs:
+            raise ValueError(f"q_max={q_max} leaves t={t} no point (need q_max >= {t + 1})")
+        for q in qs:
             counts = _counts(q, t)
             F_PT = _packets(counts, t)
             F_JCM = f_jcm(2 * q + 1, t)
-            _, a1, a2 = _delta_terms(counts, t)
             records.append(
                 RatioRecord(
                     K=2 * q + 1,
@@ -131,7 +130,7 @@ def sweep(t_list: Sequence[int], q_max: int | None = None) -> list[RatioRecord]:
                     F_JCM=F_JCM,
                     ratio=Fraction(F_PT, F_JCM),
                     asymptote=asymptote,
-                    gamma=Fraction(-a1, a2),
+                    gamma=solve_packet_ratio(theorem1_fs(t), counts)[1],
                 )
             )
     return records

@@ -48,7 +48,7 @@ def _emit(text: str, path: str | None) -> None:
 def _parse_demands(raw: str, K: int, N: int) -> list[int]:
     if raw in ("distinct", "uniform"):
         return verify.demand_vector(raw, K, N)
-    values = [int(x) for x in raw.split(",")]
+    values = _parse_ints("--demands", raw)
     if len(values) != K:
         raise ValueError(f"demand vector has {len(values)} entries, expected {K}")
     return values
@@ -62,8 +62,8 @@ def _params_from(args: argparse.Namespace) -> SystemParams:
 def _spec_from(args: argparse.Namespace) -> SchemeSpec:
     spec = preset(args.preset, _params_from(args))
     if args.grouping:
-        sizes = tuple(int(x) for x in args.grouping.split(","))
-        spec = SchemeSpec(spec.params, UserGrouping(sizes), spec.plans)
+        sizes = _parse_ints("--grouping", args.grouping)
+        spec = SchemeSpec(spec.params, UserGrouping(tuple(sizes)), spec.plans)
     return spec
 
 
@@ -123,43 +123,44 @@ def _parse_range(flag: str, raw: str) -> list[int]:
     return values
 
 
+def _parse_ints(flag: str, raw: str) -> list[int]:
+    try:
+        return [int(x) for x in raw.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} {raw} is not a comma-separated list of integers") from None
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     checks: list[verify.CheckResult] = []
-    ran_any = False
     if args.claims:
-        ran_any = True
         if args.t is None or args.q_range is None:
             raise ValueError("--claims needs --t and --q-range")
         for q in _parse_range("--q-range", args.q_range):
             for name, res in verify.verify_claims(args.t, q).items():
                 checks.append(verify.CheckResult(f"{name}[t={args.t},q={q}]", res.passed, res.witness))
     if args.lemma1:
-        ran_any = True
         if args.t is None or args.q_range is None:
             raise ValueError("--lemma1 needs --t and --q-range")
         checks.append(verify.verify_lemma1(args.t, _parse_range("--q-range", args.q_range)))
     if args.lemma3:
-        ran_any = True
         if args.K is None or args.t is None:
             raise ValueError("--lemma3 needs --K and --t")
         if args.K % 2 == 0 or args.t % 2 == 1:
             raise ValueError("--lemma3 needs odd K and even t")
         checks.append(verify.verify_lemma3((args.K - 1) // 2, args.t // 2))
     if args.remark3:
-        ran_any = True
         if args.q_range is None:
             raise ValueError("--remark3 needs --q-range")
         for q in _parse_range("--q-range", args.q_range):
             res = verify.verify_remark3(q)
             checks.append(verify.CheckResult(f"{res.name}[q={q}]", res.passed, res.witness))
     if args.odd_t:
-        ran_any = True
         if args.r_range is None:
             raise ValueError("--odd-t needs --r-range")
         for r in _parse_range("--r-range", args.r_range):
             res = verify.verify_odd_t_obstruction(r)
             checks.append(verify.CheckResult(f"{res.name}[r={r}]", res.passed, res.witness))
-    if not ran_any:
+    if not checks:
         raise ValueError("nothing to verify: pass --claims/--lemma1/--lemma3/--remark3/--odd-t")
     passed = all(c.passed for c in checks)
     doc = {"passed": passed, "checks": [c.to_json_dict() for c in checks]}
@@ -168,7 +169,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    records = analysis.sweep([int(x) for x in args.t.split(",")], q_max=args.q_max)
+    records = analysis.sweep(_parse_ints("--t", args.t), q_max=args.q_max)
     text = (
         analysis.records_to_csv(records)
         if args.format == "csv"

@@ -4,6 +4,15 @@ import pytest
 
 from ptcache import exchange
 
+# A child interpreter with this one's -O, -X dev and -W flags, so that a
+# subprocess test runs under the same checks as the suite.
+PYTHON = [
+    sys.executable,
+    *["-O"] * sys.flags.optimize,
+    *(["-X", "dev"] if sys.flags.dev_mode else []),
+    *(f"-W{w}" for w in sys.warnoptions),
+]
+
 
 @pytest.fixture
 def exchange_calls(monkeypatch):

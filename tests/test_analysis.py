@@ -14,16 +14,21 @@ from ptcache.analysis import (
     records_to_csv,
     records_to_json,
     sweep,
-    theorem_alpha,
+    theorem1_fs,
 )
-from ptcache.scheme import SystemParams, derive, preset
+from ptcache.scheme import PresetConstraintViolated, SystemParams, derive, preset
 
 
 def brute_force_f_pt(q, r):
-    """Classify every t-subset of [2q+1] and sum its aggregate FS entry."""
+    """Classify every t-subset of [2q+1] and sum its aggregate FS entry.
+
+    The aggregate (0, 2, ..., t-2, then t repeated r+1 times) is written here,
+    not read from the engine, so that this stays an independent reference.
+    """
     t = 2 * r
     K = 2 * q + 1
-    alpha = dict(zip(((k, t - k) for k in range(t + 1)), theorem_alpha(t)))
+    alpha = dict(zip(((k, t - k) for k in range(t + 1)),
+                     tuple(2 * k for k in range(r)) + (t,) * (r + 1)))
     total = 0
     for sub in itertools.combinations(range(1, K + 1), t):
         v = (sum(1 for u in sub if u <= q + 1), sum(1 for u in sub if u > q + 1))
@@ -64,8 +69,8 @@ class TestClosedForms:
             assert ratio(q, 1) == Fraction(3, 4) * (1 + Fraction(1, K))
 
     def test_errors(self):
-        with pytest.raises(ValueError):
-            theorem_alpha(3)
+        with pytest.raises(PresetConstraintViolated):
+            theorem1_fs(3)
         with pytest.raises(ValueError):
             f_pt(4, 2)  # q < t+1
         with pytest.raises(ValueError):
@@ -104,6 +109,21 @@ class TestSweep:
     def test_gamma_t2_formula(self):
         recs = sweep([2], q_max=8)
         assert all(r.gamma == r.K - 2 for r in recs)
+
+    def test_repeated_t_sweeps_once(self):
+        assert sweep([2, 2], q_max=4) == sweep([2], q_max=4)
+
+    def test_one_derive_per_t(self, monkeypatch):
+        calls = []
+
+        def counted(spec):
+            calls.append(spec.params.t)
+            return derive(spec)
+
+        monkeypatch.setattr("ptcache.analysis.derive", counted)
+        theorem1_fs.cache_clear()
+        sweep([2, 4, 6, 8], q_max=400)
+        assert calls == [2, 4, 6, 8]
 
     def test_odd_t_rejected(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,6 @@ import json
 import os
 import shlex
 import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +12,7 @@ from ptcache import cli, verify
 from ptcache.cli import main
 from ptcache.exchange import MemoryMismatch
 
+from conftest import PYTHON
 from test_exchange import skewed_repeats
 
 
@@ -28,7 +28,7 @@ def run_cli(capsys, *argv):
 def run_module(*argv):
     """``python -m ptcache.cli`` in a fresh interpreter: what a shell user sees."""
     return subprocess.run(
-        [sys.executable, "-m", "ptcache.cli", *argv],
+        [*PYTHON, "-m", "ptcache.cli", *argv],
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         capture_output=True, text=True, timeout=120,
     )
@@ -308,25 +308,34 @@ class TestVerify:
         assert "nothing to verify" in err
 
     MISSING_OR_EMPTY = {
-        "--claims --t 4": "--claims needs --t and --q-range",
-        "--lemma1 --q-range 3:5": "--lemma1 needs --t and --q-range",
-        "--lemma3 --t 2": "--lemma3 needs --K and --t",
-        "--lemma3 --K 12 --t 2": "--lemma3 needs odd K and even t",
-        "--remark3": "--remark3 needs --q-range",
-        "--odd-t": "--odd-t needs --r-range",
-        "--claims --t 4 --q-range 9:5": "--q-range 9:5 has no points (need lo <= hi)",
-        "--lemma1 --t 2 --q-range 9:5": "--q-range 9:5 has no points (need lo <= hi)",
-        "--remark3 --q-range 9:5": "--q-range 9:5 has no points (need lo <= hi)",
-        "--odd-t --r-range 3:1": "--r-range 3:1 has no points (need lo <= hi)",
-        "--lemma1 --t 4 --q-range 5": "one q value (5) to check: a decrease needs two",
-        "--remark3 --q-range 3:4:5": "--q-range 3:4:5 is not lo:hi or one integer",
-        "--lemma1 --t 2 --q-range 3:": "--q-range 3: is not lo:hi or one integer",
-        "--odd-t --r-range 1:x": "--r-range 1:x is not lo:hi or one integer",
+        "verify --claims --t 4": "--claims needs --t and --q-range",
+        "verify --lemma1 --q-range 3:5": "--lemma1 needs --t and --q-range",
+        "verify --lemma3 --t 2": "--lemma3 needs --K and --t",
+        "verify --lemma3 --K 12 --t 2": "--lemma3 needs odd K and even t",
+        "verify --remark3": "--remark3 needs --q-range",
+        "verify --odd-t": "--odd-t needs --r-range",
+        "verify --claims --t 4 --q-range 9:5": "--q-range 9:5 has no points (need lo <= hi)",
+        "verify --lemma1 --t 2 --q-range 9:5": "--q-range 9:5 has no points (need lo <= hi)",
+        "verify --remark3 --q-range 9:5": "--q-range 9:5 has no points (need lo <= hi)",
+        "verify --odd-t --r-range 3:1": "--r-range 3:1 has no points (need lo <= hi)",
+        "verify --lemma1 --t 4 --q-range 5": "one q value (5) to check: a decrease needs two",
+        "verify --remark3 --q-range 3:4:5": "--q-range 3:4:5 is not lo:hi or one integer",
+        "verify --lemma1 --t 2 --q-range 3:": "--q-range 3: is not lo:hi or one integer",
+        "verify --odd-t --r-range 1:x": "--r-range 1:x is not lo:hi or one integer",
+        "sweep --t 2,x": "--t 2,x is not a comma-separated list of integers",
+        "construct --preset theorem1 --K 13 --t 2 --grouping 8,x":
+            "--grouping 8,x is not a comma-separated list of integers",
+        "simulate --preset jcm --K 5 --t 2 --demands 1,2,3,4,x":
+            "--demands 1,2,3,4,x is not a comma-separated list of integers",
+        "sweep --t 2 --q-max 2": "q_max=2 leaves t=2 no point (need q_max >= 3)",
+        "sweep --t 2 --q-max -5": "q_max=-5 leaves t=2 no point (need q_max >= 3)",
+        "sweep --t 2,8 --q-max 6": "q_max=6 leaves t=8 no point (need q_max >= 9)",
     }
 
-    @pytest.mark.parametrize("argv", list(MISSING_OR_EMPTY))
+    @pytest.mark.parametrize("argv", list(MISSING_OR_EMPTY),
+                             ids=lambda argv: argv.removeprefix("verify "))
     def test_missing_or_empty_input_exit2(self, capsys, argv):
-        code, out, err = run_cli(capsys, "verify", *argv.split())
+        code, out, err = run_cli(capsys, *argv.split())
         assert (code, out, err) == (2, "", f"error: {self.MISSING_OR_EMPTY[argv]}\n")
 
 
