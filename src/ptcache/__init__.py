@@ -4,7 +4,7 @@ Construction engine, bit-exact simulator, and verification toolkit for
 device-to-device coded caching schemes with type-dependent packet sizes.
 """
 
-from .combinatorics import binom, hypergeo_pmf, subsets_by_type, vector_lcm
+from .combinatorics import binom, hypergeo_pmf, hypergeo_weights, subsets_by_type, vector_lcm
 from .scheme import (
     CountVectors,
     DerivedScheme,

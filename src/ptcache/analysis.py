@@ -3,7 +3,8 @@
 The construction for odd K = 2q+1, even t = 2r splits each file into
 F_PT = alpha . F packets: alpha and gamma from one ``derive`` per t, F from
 ``count_vectors``; the baseline uses t * C(K, t).  For fixed t the ratio
-falls strictly with q toward 1 - C(t, r) / 2^(t+1).
+falls strictly with q toward 1 - C(t, r) / 2^(t+1).  Counts stay integer;
+a ``Fraction`` is built only for a reported ratio, asymptote or gamma.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import functools
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -38,7 +40,7 @@ def _counts(q: int, t: int) -> CountVectors:
 
 def _packets(counts: CountVectors, t: int) -> int:
     """F_PT = alpha . F for the construction's aggregate FS vector alpha."""
-    return sum(a * f for a, f in zip(theorem1_fs(t).aggregate, counts.F))
+    return sum(map(operator.mul, theorem1_fs(t).aggregate, counts.F))
 
 
 def f_pt(q: int, r: int) -> int:
@@ -86,7 +88,7 @@ def gamma_terms(q: int, t: int) -> tuple[tuple[int, ...], int, int]:
     ratio is -(first) / (second).
     """
     delta = _counts(q, t).deltas[0]
-    a1, a2 = (sum(a * d for a, d in zip(v, delta)) for v in theorem1_fs(t).intermediate)
+    a1, a2 = (sum(map(operator.mul, v, delta)) for v in theorem1_fs(t).intermediate)
     return delta, a1, a2
 
 
@@ -164,10 +166,9 @@ def record_row(rec: RatioRecord) -> dict[str, object]:
 
 def records_to_csv(records: Sequence[RatioRecord]) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=_CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for rec in records:
-        writer.writerow(record_row(rec))
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(_CSV_COLUMNS)
+    writer.writerows(record_row(rec).values() for rec in records)  # streamed, one row alive
     return buf.getvalue()
 
 

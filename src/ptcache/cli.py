@@ -61,7 +61,7 @@ def _params_from(args: argparse.Namespace) -> SystemParams:
 
 def _spec_from(args: argparse.Namespace) -> SchemeSpec:
     spec = preset(args.preset, _params_from(args))
-    if args.grouping:
+    if args.grouping is not None:
         sizes = _parse_ints("--grouping", args.grouping)
         spec = SchemeSpec(spec.params, UserGrouping(tuple(sizes)), spec.plans)
     return spec

@@ -2,7 +2,7 @@
 
 Everything here is integer or rational and exact: binomial coefficients via
 big integers, subset enumeration classified by projection type, and the
-hypergeometric pmf used in the subpacketization-ratio analysis.  No floats.
+hypergeometric law of the ratio analysis as integer weights.  No floats.
 """
 
 from __future__ import annotations
@@ -66,18 +66,24 @@ def subsets_by_type(groups: Sequence[Sequence[int]], type_vec: Sequence[int]) ->
     return [tuple(itertools.chain.from_iterable(parts)) for parts in itertools.product(*per_group)]
 
 
-def hypergeo_pmf(q: int, t: int, j: int) -> Fraction:
-    """Pr(J = j) for J ~ Hypergeo(2q+1, q+1, t), exactly.
+def hypergeo_weights(q: int, t: int) -> tuple[tuple[int, ...], int]:
+    """J ~ Hypergeo(2q+1, q+1, t) in integers: Pr(J = j) = weights[j] / total.
 
-    J counts how many of t draws (without replacement from a population of
-    2q+1 split as q+1 marked / q unmarked) are marked; this is also the
-    distribution of the first type component of a uniformly random t-subset
-    under the (q+1, q) grouping.
+    weights[j] = C(q+1, j) C(q, t-j) for j = 0..t, total = C(2q+1, t).  J counts
+    the marked among t draws without replacement from 2q+1 (q+1 marked, q not):
+    the first type component of a uniformly random t-subset under (q+1, q).
     """
     if q < 1 or t < 1:
         raise ValueError(f"need q >= 1 and t >= 1, got q={q}, t={t}")
     if t > q:
         raise ValueError(f"need t <= q, got t={t}, q={q}")
+    weights = tuple(math.comb(q + 1, j) * math.comb(q, t - j) for j in range(t + 1))
+    return weights, math.comb(2 * q + 1, t)
+
+
+def hypergeo_pmf(q: int, t: int, j: int) -> Fraction:
+    """Pr(J = j) for J ~ Hypergeo(2q+1, q+1, t), exactly (see ``hypergeo_weights``)."""
+    weights, total = hypergeo_weights(q, t)
     if j < 0 or j > t:
         raise OutOfSupport(f"j={j} outside support [0:{t}]")
-    return Fraction(binom(q + 1, j) * binom(q, t - j), binom(2 * q + 1, t))
+    return Fraction(weights[j], total)

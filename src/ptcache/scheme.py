@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -351,10 +352,10 @@ class CountVectors:
 def count_vectors(params: SystemParams, grouping: UserGrouping) -> CountVectors:
     """Subfile-count and user-cache vectors of the layout.
 
-    Two-group layout: F(v_k) = C(q1,k-1)C(q2,t-k+1), a user in the first
-    group caches C(q1-1,k-2)C(q2,t-k+1) of them, one in the second
-    C(q1,k-1)C(q2-1,t-k).  Only here are these products written; the
-    closed forms of ``analysis`` read them from here.
+    Two-group layout: F(v_k) = C(q1,k-1)C(q2,t-k+1); a user in the first
+    group caches C(q1-1,k-2)C(q2,t-k+1) = F(v_k)(k-1)/q1 of them, one in the
+    second C(q1,k-1)C(q2-1,t-k) = F(v_k)(t-k+1)/q2 (C(n-1,j-1) = C(n,j)j/n,
+    exactly).  Only here are these counts written; ``analysis`` reads them.
     """
     t = params.t
     if grouping.m == 1:
@@ -364,15 +365,17 @@ def count_vectors(params: SystemParams, grouping: UserGrouping) -> CountVectors:
             deltas=(),
         )
     q1, q2 = _two_group_sizes(grouping, t)
-    F = tuple(binom(q1, k - 1) * binom(q2, t - k + 1) for k in range(1, t + 2))
-    F1 = tuple(binom(q1 - 1, k - 2) * binom(q2, t - k + 1) for k in range(1, t + 2))
-    F2 = tuple(binom(q1, k - 1) * binom(q2 - 1, t - k) for k in range(1, t + 2))
-    delta = tuple(b - a for a, b in zip(F1, F2))
-    return CountVectors(F=F, per_set=(F1, F2), deltas=(delta,))
+    F = [math.comb(q1, j) * math.comb(q2, t - j) for j in range(t + 1)]  # j = k-1
+    F1 = tuple(f * j // q1 for j, f in enumerate(F))
+    F2 = tuple(f * (t - j) // q2 for j, f in enumerate(F))
+    delta = tuple(map(operator.sub, F2, F1))
+    return CountVectors(F=tuple(F), per_set=(F1, F2), deltas=(delta,))
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise LengthMismatch(f"dot product of lengths {len(a)} and {len(b)}")
+    return sum(map(operator.mul, a, b))
 
 
 def memory_residuals(

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .analysis import gamma_terms, ratio
-from .combinatorics import hypergeo_pmf, vector_lcm
+from .combinatorics import hypergeo_weights, vector_lcm
 # generate_delivery, decode_all and total_transmitted_units are not called
 # here: kept because perfbench/spans.py wraps these verify bindings.
 from .exchange import (  # noqa: F401
@@ -275,13 +275,13 @@ def ratio_expectation(t: int, q: int) -> Fraction:
     """The subpacketization ratio as a hypergeometric expectation.
 
     E[h(J)] with J ~ Hypergeo(2q+1, q+1, t) and h(j) = 2j/t below the
-    midpoint, 1 from the midpoint up; equals F_PT/F_JCM exactly.
+    midpoint, 1 from the midpoint up; equals F_PT/F_JCM exactly.  One
+    Fraction over t * C(2q+1, t), of an integer sum.
     """
+    weights, total = hypergeo_weights(q, t)
     r = t // 2
-    return sum(
-        hypergeo_pmf(q, t, j) * (Fraction(2 * j, t) if j <= r - 1 else Fraction(1))
-        for j in range(t + 1)
-    )
+    below = sum(2 * j * w for j, w in enumerate(weights[:r]))
+    return Fraction(below + t * sum(weights[r:]), t * total)
 
 
 def verify_lemma1(t: int, q_range: Sequence[int]) -> CheckResult:

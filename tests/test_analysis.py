@@ -16,7 +16,7 @@ from ptcache.analysis import (
     sweep,
     theorem1_fs,
 )
-from ptcache.scheme import PresetConstraintViolated, SystemParams, derive, preset
+from ptcache.scheme import PresetConstraintViolated, SystemParams, count_vectors, derive, preset
 
 
 def brute_force_f_pt(q, r):
@@ -124,6 +124,18 @@ class TestSweep:
         theorem1_fs.cache_clear()
         sweep([2, 4, 6, 8], q_max=400)
         assert calls == [2, 4, 6, 8]
+
+    def test_one_count_vectors_per_record(self, monkeypatch):
+        """The work a sweep does, pinned by call count rather than by time."""
+        calls = []
+
+        def counted(params, grouping):
+            calls.append(params.t)
+            return count_vectors(params, grouping)
+
+        monkeypatch.setattr("ptcache.analysis.count_vectors", counted)
+        records = sweep([2, 4, 6, 8], q_max=400)
+        assert len(calls) == len(records) == 1580
 
     def test_odd_t_rejected(self):
         with pytest.raises(ValueError):

@@ -325,6 +325,8 @@ class TestVerify:
         "sweep --t 2,x": "--t 2,x is not a comma-separated list of integers",
         "construct --preset theorem1 --K 13 --t 2 --grouping 8,x":
             "--grouping 8,x is not a comma-separated list of integers",
+        "construct --preset theorem1 --K 13 --t 2 --grouping=":
+            "--grouping  is not a comma-separated list of integers",
         "simulate --preset jcm --K 5 --t 2 --demands 1,2,3,4,x":
             "--demands 1,2,3,4,x is not a comma-separated list of integers",
         "sweep --t 2 --q-max 2": "q_max=2 leaves t=2 no point (need q_max >= 3)",

@@ -9,6 +9,7 @@ from ptcache.combinatorics import (
     OutOfSupport,
     binom,
     hypergeo_pmf,
+    hypergeo_weights,
     subsets_by_type,
     vector_lcm,
 )
@@ -91,6 +92,7 @@ def test_types_partition_all_subsets(q1, q2, t):
 
 
 def test_hypergeo_pmf_values():
+    assert hypergeo_weights(3, 2) == ((3, 12, 6), 21)
     assert hypergeo_pmf(3, 2, 1) == Fraction(12, 21)
     assert hypergeo_pmf(3, 2, 0) == Fraction(3, 21)
     assert hypergeo_pmf(3, 2, 2) == Fraction(6, 21)

@@ -36,6 +36,17 @@ VERIFY = [
     ("--odd-t --r-range 1:6", "52edc5324678702403c0bd79fc4fd4a28ffd18c7011778345e3750c555716675"),
     # claim 4's witness lists the k its implication compared ([11] at each q)
     ("--claims --t 24 --q-range 25:27", "41c26a4613207049a39953ee2900f5f445c83cc4c99f4dcf944e3ca525f1a9e8"),
+    # a grid over the analytic_sweep workload's range, taken while count_vectors
+    # still called binom 6(t+1) times and ratio_expectation summed one Fraction per j
+    ("--claims --t 2 --q-range 2:41", "1a6b7ffa974d5ccdbfa1590736a3b6e5dba758ea066c44c565863f5ed0859181"),
+    ("--claims --t 4 --q-range 4:44", "14571fdec3dbea03b311b9a76bf1029beb298b2dd3072fd30e0369cf4a8094fb"),
+    ("--claims --t 6 --q-range 6:46", "590c1ccc8a266448927ef30d2db182a8d8bcc0a3dc757bb3d0fa320796f2d3a3"),
+    ("--claims --t 8 --q-range 8:48", "d655697830e12108b48a948eca670434002d9d09d23ef48c7a634f7897154652"),
+    ("--lemma1 --t 4 --q-range 5:104", "e17a127ad7cbd94671fcd0e9843584712e2a670d55dc3dfae114ce86bfa5477d"),
+    ("--lemma1 --t 6 --q-range 7:106", "79d5e53c75d7b00f1e718c4713b9d97f17b76d2dc2c38f495a2a3091dc7ab1cd"),
+    ("--lemma1 --t 8 --q-range 9:108", "0efe264b62972171cfbda670a35575109fb7335c2bf6367734303ab6775032f5"),
+    ("--lemma1 --t 10 --q-range 11:70", "97a50b634f9cda7c31486dc91a9f44b5623900bc0ae7b9c95cdab234a73c138a"),
+    ("--remark3 --q-range 30:60", "593cd1d019d6af8f345e85bce84db10c45f586d44dc0d6df3fffa18817fa305d"),
 ]
 
 

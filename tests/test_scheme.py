@@ -10,6 +10,7 @@ import pytest
 from ptcache import scheme
 from ptcache.combinatorics import binom
 from ptcache.scheme import (
+    CountVectors,
     DegenerateSystem,
     EmptySelection,
     FsVectors,
@@ -216,6 +217,25 @@ class TestCountVectors:
         counts = count_vectors(params(11, 4), UserGrouping((6, 5)))
         assert counts.F == (5, 60, 150, 100, 15)
 
+    @pytest.mark.parametrize("t", range(1, 9))
+    def test_equals_the_three_binomial_products(self, t):
+        """The cache counts are quotients of F; each equals its binomial product."""
+        for q2 in range(t, t + 41):
+            for q1 in (q2 + 1, q2 + 3):
+                counts = count_vectors(params(q1 + q2, t), UserGrouping((q1, q2)))
+                ks = range(1, t + 2)
+                F = tuple(binom(q1, k - 1) * binom(q2, t - k + 1) for k in ks)
+                F1 = tuple(binom(q1 - 1, k - 2) * binom(q2, t - k + 1) for k in ks)
+                F2 = tuple(binom(q1, k - 1) * binom(q2 - 1, t - k) for k in ks)
+                assert counts == CountVectors(
+                    F=F, per_set=(F1, F2), deltas=(tuple(b - a for a, b in zip(F1, F2)),)
+                )
+
+    @pytest.mark.parametrize("K,t", [(2, 1), (5, 2), (13, 4), (17, 8)])
+    def test_one_group_equals_its_binomials(self, K, t):
+        counts = count_vectors(params(K, t), UserGrouping((K,)))
+        assert counts == CountVectors(F=(binom(K, t),), per_set=((binom(K - 1, t - 1),),), deltas=())
+
 
 class TestPacketRatio:
     def test_example_is_K_minus_2(self):
@@ -390,6 +410,9 @@ K7_T2_LAYOUT = derive_types(params(7, 2), UserGrouping((4, 3)))
                  LengthMismatch, r"^plan covers 1 group types, layout has 4$", id="plan-length"),
     pytest.param(lambda: aggregate_fs([]), LengthMismatch,
                  r"^no intermediate vectors$", id="aggregate-empty"),
+    pytest.param(lambda: solve_packet_ratio(FsVectors(((1, 2, 3), (3, 2, 1))),
+                                            count_vectors(params(9, 3), UserGrouping((5, 4)))),
+                 LengthMismatch, r"^dot product of lengths 3 and 4$", id="dot-length"),
     pytest.param(lambda: FsVectors(intermediate=((0, -1, 2),)), ValueError,
                  r"^FS entries must be non-negative$", id="fs-negative"),
     pytest.param(lambda: PacketSizing(ell=(1, 0), L=5), ValueError,

@@ -7,6 +7,7 @@ import pytest
 
 from ptcache import verify
 from ptcache.analysis import f_jcm, f_pt
+from ptcache.combinatorics import hypergeo_pmf
 from ptcache.exchange import FileOracle, split_files
 from ptcache.scheme import (
     CountVectors,
@@ -215,6 +216,33 @@ class TestLemma1:
                 rho_expect = ratio_expectation(t, q)
                 assert rho_formula == rho_split == rho_expect
 
+    @pytest.mark.parametrize("t", [2, 4, 6, 8, 10])
+    def test_expectation_equals_per_term_fraction_sum(self, t):
+        """The integer-weighted expectation equals the sum of pmf * h(j), one Fraction per term."""
+        r = t // 2
+        for q in range(t + 1, t + 61):
+            reference = sum(
+                hypergeo_pmf(q, t, j) * (Fraction(2 * j, t) if j <= r - 1 else Fraction(1))
+                for j in range(t + 1)
+            )
+            assert ratio_expectation(t, q) == reference
+
+    def test_expectation_below_support_raises(self):
+        with pytest.raises(ValueError, match=r"^need t <= q, got t=4, q=3$"):
+            ratio_expectation(4, 3)
+
+    def test_one_fraction_per_q(self, monkeypatch):
+        """The identity leg's work, pinned by count rather than by time: one Fraction per q."""
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(verify, "Fraction", counted)
+        assert verify_lemma1(4, range(5, 105)).passed
+        assert len(built) == 100
+
     def test_empty_range(self):
         with pytest.raises(EmptyRange, match="^no q values to check$"):
             verify_lemma1(2, [])
@@ -350,6 +378,14 @@ def _derive_inflating_q1(q1):
     return perturb
 
 
+def _weights_doubled(real):
+    """hypergeo_weights with every weight doubled over the same total, so the expectation doubles."""
+    def hypergeo_weights(q, t):
+        weights, total = real(q, t)
+        return tuple(2 * w for w in weights), total
+    return hypergeo_weights
+
+
 def _count_vectors_shifted(real):
     """count_vectors with delta[0] moved by 1, so (2, 2, 2) leaves a residual."""
     def count_vectors(params, grouping):
@@ -373,8 +409,8 @@ def _count_vectors_shifted(real):
     pytest.param("gamma_terms", _gamma_terms_with(a1=-1), {"lemma2_ratio_positive"}, id="a1-negated"),
     pytest.param("ratio", lambda real: lambda q, r: real(q, r) if q != 6 else real(5, r),
                  {"lemma1_ratio_decreasing"}, id="ratio-flat"),
-    pytest.param("hypergeo_pmf", lambda real: lambda q, t, j: 2 * real(q, t, j),
-                 {"lemma1_ratio_decreasing"}, id="expectation-doubled"),
+    pytest.param("hypergeo_weights", _weights_doubled, {"lemma1_ratio_decreasing"},
+                 id="expectation-doubled"),
     pytest.param("derive", _derive_inflating_q1(9), {"lemma3_grouping_minimality"}, id="argmin-inflated"),
     pytest.param("count_vectors", _count_vectors_shifted,
                  {"remark3_homogeneous_uniqueness"}, id="remark3-delta"),
