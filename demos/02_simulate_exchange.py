@@ -1,9 +1,12 @@
 """Run the full byte-level exchange: split, cache, deliver, decode.
 
 Files are deterministic keyed byte streams, so every reconstruction can be
-checked byte for byte without touching disk.  The demo prints a few coded
-messages, then audits the whole run: cache budgets, per-message usefulness,
-exact rate, and decode completeness for every user.
+checked byte for byte without touching disk.  The packet store is built from
+the demand vector: of each demanded file it keeps only the packets that a
+demander lacks, since no message carries a packet every demander caches.
+The demo prints a few coded messages, then audits the whole run: cache
+budgets, per-message usefulness, exact rate, and decode completeness for
+every user.
 """
 
 import io
@@ -23,9 +26,9 @@ from ptcache import (
 from ptcache.exchange import decode_all, record_transcript
 
 d = derive(preset("theorem1", SystemParams(K=7, t=2, N=7)))
-store = split_files(d)
-caches = build_caches(d, store)
 demands = [1, 2, 3, 4, 5, 6, 7]
+store = split_files(d, demands)  # keeps only the packets the demanders lack
+caches = build_caches(d, store)
 messages = generate_delivery(d, store, demands, seed=0)
 
 print("=" * 64)
@@ -34,6 +37,9 @@ print("=" * 64)
 print(f"packets per file: {store.packets_per_file}, file size: {store.bytes_per_file} bytes")
 print(f"cached per user:  {caches[0].total_bytes} bytes "
       f"(= t/K of the library, exactly)")
+kept = sum(e[3] for e, v in zip(store.template, store.file_values(1)) if v is not None)
+print(f"store keeps of file 1: {kept} of {store.bytes_per_file} bytes "
+      f"(what user 1 lacks: (K-t)/K of the file)")
 per_round = Counter(m.round for m in messages)
 print(f"messages: {len(messages)} total, per round {dict(per_round)}")
 units = total_transmitted_units(messages, d)

@@ -50,7 +50,10 @@ def _parse_demands(raw: str, K: int, N: int) -> list[int]:
         return verify.demand_vector(raw, K, N)
     values = _parse_ints("--demands", raw)
     if len(values) != K:
-        raise ValueError(f"demand vector has {len(values)} entries, expected {K}")
+        raise ValueError(f"--demands {raw} has {len(values)} entries, expected {K}")
+    for n in values:
+        if not 1 <= n <= N:
+            raise ValueError(f"--demands {raw} names file {n}, outside 1..{N}")
     return values
 
 
@@ -127,7 +130,8 @@ def _parse_ints(flag: str, raw: str) -> list[int]:
     try:
         return [int(x) for x in raw.split(",")]
     except ValueError:
-        raise ValueError(f"{flag} {raw} is not a comma-separated list of integers") from None
+        shown = raw or "''"  # an empty value, quoted so that it shows
+        raise ValueError(f"{flag} {shown} is not a comma-separated list of integers") from None
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

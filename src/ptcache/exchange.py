@@ -37,6 +37,10 @@ class FileNotSplit(ValueError):
     """A packet store was asked for a file it never split."""
 
 
+class DemandNotCovered(ValueError):
+    """A demand its packet store does not cover: it may have dropped a packet the user lacks."""
+
+
 class MemoryMismatch(ValueError):
     """A user's cached byte total differs from the memory budget."""
 
@@ -97,7 +101,7 @@ class FileOracle:
 
 
 class PacketStore:
-    """Per-file packet payloads in canonical order.
+    """The packets of the demanded files that their demanders lack, in canonical order.
 
     The canonical order is: subfile type ascending, support set
     lexicographic, coupled group ascending, packet index ascending.
@@ -108,13 +112,16 @@ class PacketStore:
     ``first[g - 1]`` maps a support mask to the position of index 1 of its
     coupled group g packets.
 
-    The store splits ``files`` when it is built and never grows afterwards.
-    Each file is kept once, as its packet payloads (``file_values``); its
-    bytes are read one file at a time and not kept.  A file outside 1..N
-    raises ``DemandOutOfRange``.
+    The store is keyed by the demand vector ``demands``: it splits each
+    demanded file once, when it is built, and never grows afterwards.  A
+    file is kept once, as its packet payloads (``file_values``), except
+    that a position every demander of the file caches holds ``None``: no
+    message carries it and no decoder XORs it.  A file's bytes are read one
+    file at a time and not kept.  ``check_covers`` tells whether another
+    demand vector can be served from what is held.
     """
 
-    def __init__(self, derivation: DerivedScheme, oracle: FileOracle, files: Iterable[int]):
+    def __init__(self, derivation: DerivedScheme, oracle: FileOracle, demands: Sequence[int]):
         self.derivation = derivation
         self.oracle = oracle
         unit = derivation.params.unit
@@ -150,18 +157,34 @@ class PacketStore:
             raise PacketLayoutMismatch(
                 f"{len(entries)} packets per file, expected {derivation.packets_per_file}"
             )
+        _check_demands(derivation, demands)
+        self.demands = tuple(demands)
+        demanders: dict[int, int] = {}  # by file, the mask of its demanders
+        for u, n in enumerate(demands, 1):
+            demanders[n] = demanders.get(n, 0) | 1 << u
         slices = [slice(o, o + e[3]) for e, o in zip(entries, self.offsets)]
-        self._values: dict[int, list[int]] = {}
-        for n in files:
-            if n in self._values:
-                continue
-            if not 1 <= n <= derivation.params.N:
-                raise DemandOutOfRange(f"file {n} outside 1..{derivation.params.N}")
+        self._values: dict[int, list] = {}
+        for n, users in sorted(demanders.items()):
             raw = oracle.file_bytes(n, self.bytes_per_file)
-            self._values[n] = list(
+            values = list(
                 map(int.from_bytes, map(raw.__getitem__, slices), itertools.repeat("big"))
             )
             del raw  # freed before the next file is read, not while it is
+            for start, stop in self.cached_ranges(users):
+                values[start:stop] = itertools.repeat(None, stop - start)
+            self._values[n] = values
+
+    def cached_ranges(self, users: int) -> list[tuple[int, int]]:
+        """The ``(start, stop)`` position ranges whose support holds every user of
+        the mask ``users``, in order, merged where they touch."""
+        ranges: list[tuple[int, int]] = []
+        for _, start, stop in self.support_runs:
+            if self.support_mask[start] & users == users:
+                if ranges and ranges[-1][1] == start:
+                    ranges[-1] = (ranges[-1][0], stop)
+                else:
+                    ranges.append((start, stop))
+        return ranges
 
     @property
     def packets_per_file(self) -> int:
@@ -171,21 +194,38 @@ class PacketStore:
     def files(self) -> tuple[int, ...]:
         return tuple(sorted(self._values))
 
-    def file_values(self, n: int) -> list[int]:
-        """File n's packet payloads by canonical position (shared; do not mutate)."""
+    def file_values(self, n: int) -> list:
+        """File n's packet payloads by canonical position, ``None`` where every
+        demander caches the packet (shared; do not mutate)."""
         if n not in self._values:
             raise FileNotSplit(f"file {n} was never split")
         return self._values[n]
 
+    def check_covers(self, demands: Sequence[int]) -> None:
+        """Raise unless the store holds every packet each user of ``demands`` lacks.
+
+        It does for a user whose demand is its demand in ``self.demands``, and
+        for any demander of a file the store kept whole.  A file the store
+        never split raises ``FileNotSplit``; any other demand raises
+        ``DemandNotCovered``, as the store may have dropped a packet its user
+        lacks.
+        """
+        for u, n in enumerate(demands, 1):
+            values = self.file_values(n)  # FileNotSplit for a file never split
+            if n != self.demands[u - 1] and None in values:
+                raise DemandNotCovered(
+                    f"user {u} demands file {n}, but the store was split for demands "
+                    f"{list(self.demands)} and dropped packets of that file"
+                )
+
 
 def split_files(
     derivation: DerivedScheme,
+    demands: Sequence[int],
     oracle: FileOracle | None = None,
-    files: Iterable[int] | None = None,
 ) -> PacketStore:
-    """A ``PacketStore`` of ``files``, by default all N of them."""
-    files = range(1, derivation.params.N + 1) if files is None else files
-    return PacketStore(derivation, oracle or FileOracle(), files)
+    """The ``PacketStore`` of the demand vector ``demands``."""
+    return PacketStore(derivation, oracle or FileOracle(), demands)
 
 
 @dataclass(frozen=True)
@@ -323,20 +363,20 @@ def stream_delivery(
     transmitter, repeat); any order decodes identically.
 
     Every check runs in this call, before the first message is built: the
-    demands, the seed, the split of the demanded files and every round's
+    demands, the seed, the store's cover of the demands and every round's
     slot plan.  Raises ``DemandOutOfRange`` for demands outside 1..N,
     ``SeedOutOfRange`` for a seed outside 8 signed bytes, ``FileNotSplit``
-    for a demanded file ``store`` does not hold (the store is read, never
-    split further), and ``DeliveryCountMismatch`` when a receiver's packet
-    count is not (its transmitters) x (repeats), i.e. the bijection cannot
-    exist.  The returned iterator builds each message only when it is
-    asked for.
+    for a demanded file ``store`` does not hold and ``DemandNotCovered`` for
+    a demand it does not cover (``PacketStore.check_covers``; the store is
+    read, never split further), and ``DeliveryCountMismatch`` when a
+    receiver's packet count is not (its transmitters) x (repeats), i.e. the
+    bijection cannot exist.  The returned iterator builds each message only
+    when it is asked for.
     """
     _check_demands(derivation, demands)
     if not -(2**63) <= seed < 2**63:
         raise SeedOutOfRange(f"seed {seed} does not fit 8 signed bytes")
-    for n in set(demands):
-        store.file_values(n)  # FileNotSplit for a file the store lacks
+    store.check_covers(demands)
     grouping = derivation.grouping
     groups_of: dict[int, list[tuple[int, ...]]] = {}  # by group type, shared by the rounds
     plans = []
@@ -454,17 +494,36 @@ def decode_all(
     messages: Iterable[CodedMessage],
     demands: Sequence[int],
 ) -> dict[int, bytes]:
-    """Every decoded file by ``cache.user``: residual XOR value per position, in canonical order."""
+    """Every decoded file by ``cache.user``, in canonical order.
+
+    A packet the user lacks is its residual XOR the split's value.  The
+    packets it caches are one byte slice of the file per range of
+    ``store.cached_ranges``, read from ``store.oracle`` as its cache holds
+    them.
+    """
     residuals = decode_residuals(caches, messages, demands)
     store = caches[0].store
     sizes = [e[3] for e in store.template]
-    return {
-        user: b"".join(map(
-            int.to_bytes, map(int.__xor__, held, store.file_values(demands[user - 1])),
-            sizes, itertools.repeat("big"),
-        ))
-        for user, held in residuals.items()
-    }
+    offsets = store.offsets + (store.bytes_per_file,)
+    end = [(len(sizes), len(sizes))]  # an empty cached range after the last position
+    files = {}
+    raw_file = None  # the file ``raw`` holds, read again only when the demand changes
+    for user, held in residuals.items():
+        n = demands[user - 1]
+        if n != raw_file:
+            raw, raw_file = store.oracle.file_bytes(n, store.bytes_per_file), n
+        values = store.file_values(n)
+        parts = []
+        lacked = 0  # the first position after the last cached range
+        for start, stop in store.cached_ranges(1 << user) + end:
+            parts.extend(map(
+                int.to_bytes, map(int.__xor__, held[lacked:start], values[lacked:start]),
+                sizes[lacked:start], itertools.repeat("big"),
+            ))
+            parts.append(raw[offsets[start]:offsets[stop]])
+            lacked = stop
+        files[user] = b"".join(parts)
+    return files
 
 
 def decode_residuals(
@@ -492,7 +551,8 @@ def decode_residuals(
     differs from the split's by: its file is byte-exact exactly when every
     held value is 0.  Before any message is read, demands outside 1..N
     raise ``DemandOutOfRange``, one of a file the store never split
-    ``FileNotSplit``, and two caches of one user, or a cache of another
+    ``FileNotSplit``, demands the store does not cover
+    ``DemandNotCovered``, and two caches of one user, or a cache of another
     store than the first cache's, ``CacheMismatch``.
     """
     if not caches:
@@ -500,6 +560,7 @@ def decode_residuals(
     store = caches[0].store
     derivation = store.derivation
     _check_demands(derivation, demands)
+    store.check_covers(demands)
     template = store.template
     # Per round, the complement of each of its positions' support masks:
     # ``group_mask & lacking[pos]`` is the set of members lacking the packet.

@@ -12,7 +12,7 @@ from fractions import Fraction
 from ptcache.analysis import asymptotic_ratio, f_jcm, f_pt
 from ptcache.baseline import compare, jcm_construct
 from ptcache.combinatorics import binom
-from ptcache.exchange import FileOracle, split_files
+from ptcache.exchange import split_files
 from ptcache.scheme import (
     FsVectors,
     SystemParams,
@@ -72,7 +72,7 @@ def test_criterion_02_formula_vs_construction():
         for q in range(t + 1, t + 7):
             K = 2 * q + 1
             d = derive(preset("theorem1", SystemParams(K=K, t=t, N=K)))
-            store = split_files(d, FileOracle(), files=[1])
+            store = split_files(d, [1] * K)
             brute = sum(
                 alpha[(sum(1 for u in sub if u <= q + 1), sum(1 for u in sub if u > q + 1))]
                 for sub in itertools.combinations(range(1, K + 1), t)

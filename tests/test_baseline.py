@@ -7,7 +7,7 @@ from ptcache import verify
 from ptcache.analysis import f_jcm
 from ptcache.baseline import ComparisonFailed, compare, jcm_construct
 from ptcache.combinatorics import binom
-from ptcache.exchange import FileOracle, split_files
+from ptcache.exchange import split_files
 from ptcache.scheme import SystemParams, derive, preset
 from ptcache.verify import verify_end_to_end
 
@@ -39,7 +39,7 @@ class TestConstruction:
             ids = jcm_direct_packet_ids(K, t)
             assert len(ids) == f_jcm(K, t) == t * binom(K, t)
             d = jcm_construct(K, t, K)
-            store = split_files(d, FileOracle(), files=[1])
+            store = split_files(d, [1] * K)
             engine_ids = {(support, j) for support, _, j, _ in store.template}
             assert engine_ids == set(ids)
 

@@ -326,9 +326,18 @@ class TestVerify:
         "construct --preset theorem1 --K 13 --t 2 --grouping 8,x":
             "--grouping 8,x is not a comma-separated list of integers",
         "construct --preset theorem1 --K 13 --t 2 --grouping=":
-            "--grouping  is not a comma-separated list of integers",
+            "--grouping '' is not a comma-separated list of integers",
+        "sweep --t=": "--t '' is not a comma-separated list of integers",
+        "simulate --preset jcm --K 5 --t 2 --demands=":
+            "--demands '' is not a comma-separated list of integers",
         "simulate --preset jcm --K 5 --t 2 --demands 1,2,3,4,x":
             "--demands 1,2,3,4,x is not a comma-separated list of integers",
+        "simulate --preset jcm --K 5 --t 2 --demands 1,2":
+            "--demands 1,2 has 2 entries, expected 5",
+        "simulate --preset theorem1 --K 7 --t 2 --demands 0,1,2,3,4,5,6":
+            "--demands 0,1,2,3,4,5,6 names file 0, outside 1..7",
+        "simulate --preset jcm --K 5 --t 2 --N 6 --demands 1,2,3,4,7":
+            "--demands 1,2,3,4,7 names file 7, outside 1..6",
         "sweep --t 2 --q-max 2": "q_max=2 leaves t=2 no point (need q_max >= 3)",
         "sweep --t 2 --q-max -5": "q_max=-5 leaves t=2 no point (need q_max >= 3)",
         "sweep --t 2,8 --q-max 6": "q_max=6 leaves t=8 no point (need q_max >= 9)",

@@ -21,6 +21,7 @@ from ptcache.exchange import (
     CacheMismatch,
     CodedMessage,
     DeliveryCountMismatch,
+    DemandNotCovered,
     DemandOutOfRange,
     DuplicateDelivery,
     FileNotSplit,
@@ -81,7 +82,7 @@ class Overridden:
 def example1():
     d = derived("theorem1", 7, 2)
     oracle = FileOracle()
-    store = split_files(d, oracle)
+    store = split_files(d, list(range(1, 8)), oracle)
     caches = build_caches(d, store)
     return d, oracle, store, caches
 
@@ -94,13 +95,13 @@ class TestSplit:
 
     def test_jcm_counts(self):
         d = derived("jcm", 5, 2)
-        store = split_files(d, FileOracle(), files=[1])
+        store = split_files(d, [1] * 5)
         assert store.packets_per_file == 2 * binom(5, 2) == 20
         assert len({size for *_, size in store.template}) == 1  # equal sizes
 
     def test_larger_instance_brute_force(self):
         d = derived("theorem1", 11, 4)
-        store = split_files(d, FileOracle(), files=[1])
+        store = split_files(d, [1] * 11)
         assert store.packets_per_file == 1180
         # independent count: classify every 4-subset and sum aggregate entries
         agg = dict(zip(d.layout.subfile_types, d.fs.aggregate))
@@ -111,7 +112,9 @@ class TestSplit:
         assert total == 1180
 
     def test_concatenation_reproduces_file(self, example1):
-        d, oracle, store, _ = example1
+        """With every user demanding file 3, the store holds all of it."""
+        d, oracle, _, _ = example1
+        store = split_files(d, [3] * 7, oracle)
         values = store.file_values(3)
         joined = b"".join(
             values[pos].to_bytes(size, "big")
@@ -123,30 +126,124 @@ class TestSplit:
         d = derived("theorem1", 7, 2)
         sizing = SimpleNamespace(ell=d.sizing.ell, L=d.sizing.L + 1)
         with pytest.raises(PacketLayoutMismatch, match="bytes"):
-            PacketStore(Overridden(d, sizing=sizing), FileOracle(), [1])
+            PacketStore(Overridden(d, sizing=sizing), FileOracle(), [1] * 7)
 
     def test_layout_mismatch_count(self):
         d = derived("theorem1", 7, 2)
         with pytest.raises(PacketLayoutMismatch, match="packets per file"):
-            PacketStore(Overridden(d, packets_per_file=d.packets_per_file + 1), FileOracle(), [1])
+            PacketStore(
+                Overridden(d, packets_per_file=d.packets_per_file + 1), FileOracle(), [1] * 7
+            )
 
     def test_unit_scales_bytes(self):
         d = derived("theorem1", 7, 2, unit=16)
-        store = split_files(d, FileOracle(), files=[1])
+        store = split_files(d, [1] * 7)
         assert store.bytes_per_file == 84 * 16
 
     @pytest.mark.parametrize("n", [0, 10])
     def test_file_outside_range(self, n):
         d = derived("theorem1", 7, 2, N=9)
-        with pytest.raises(DemandOutOfRange, match=f"file {n} outside 1..9"):
-            split_files(d, files=[1, n])
+        with pytest.raises(DemandOutOfRange, match=f"demand {n} outside 1..9"):
+            split_files(d, [1, n, 1, 1, 1, 1, 1])
 
     def test_files_split_once(self):
         d = derived("theorem1", 7, 2, N=9)
-        store = split_files(d, files=[3, 1, 3])
+        store = split_files(d, [3, 1, 3, 1, 1, 3, 3])
         assert store.files == (1, 3)
         with pytest.raises(FileNotSplit, match="file 2 was never split"):
             store.file_values(2)
+
+
+STORE_POINTS = [("theorem1", 7, 2), ("theorem1", 11, 4), ("odd_t3", 9, 3),
+                ("even_K", 6, 2), ("even_K", 10, 4), ("jcm", 5, 2), ("jcm", 6, 3)]
+
+
+def held(store, n):
+    """Per position, whether the store holds file n's packet there."""
+    return [v is not None for v in store.file_values(n)]
+
+
+def lacked_by_some(store, users):
+    """Per position, whether some user of ``users`` lacks the packet there."""
+    return [any(u not in support for u in users) for support, *_ in store.template]
+
+
+class TestDemandKeyedStore:
+    """A store holds a demanded file's packets that some demander of it lacks, and no others."""
+
+    @pytest.mark.parametrize("name,K,t", STORE_POINTS)
+    def test_distinct_demands_hold_the_memory_complement(self, name, K, t):
+        """Each file holds L*unit*(K-t)/K bytes: the packets its one demander lacks."""
+        d = derived(name, K, t, unit=3)
+        store = split_files(d, list(range(1, K + 1)))
+        for n in range(1, K + 1):
+            mask = held(store, n)
+            assert mask == lacked_by_some(store, [n])
+            held_bytes = sum(e[3] for e, kept in zip(store.template, mask) if kept)
+            assert held_bytes * K == d.sizing.L * 3 * (K - t)
+
+    @pytest.mark.parametrize("name,K,t", STORE_POINTS)
+    def test_uniform_demands_hold_every_packet(self, name, K, t):
+        d = derived(name, K, t)
+        store = split_files(d, [2] * K)
+        assert store.files == (2,)
+        assert all(held(store, 2))
+
+    @pytest.mark.parametrize("demands", [
+        [1, 1, 2, 2, 3, 3, 3], [4, 4, 4, 4, 4, 4, 1], [7, 6, 6, 7, 5, 5, 7], [2, 9, 2, 9, 2, 9, 1],
+    ])
+    def test_repeated_demands_hold_the_union_of_what_demanders_lack(self, demands):
+        d = derived("theorem1", 7, 2, N=9)
+        oracle = FileOracle()
+        store = split_files(d, demands, oracle)
+        assert store.files == tuple(sorted(set(demands)))
+        for n in set(demands):
+            demanders = [u for u, m in enumerate(demands, 1) if m == n]
+            assert held(store, n) == lacked_by_some(store, demanders)
+            data = oracle.file_bytes(n, store.bytes_per_file)
+            for pos, v in enumerate(store.file_values(n)):
+                if v is not None:
+                    offset, size = store.offsets[pos], store.template[pos][3]
+                    assert v == int.from_bytes(data[offset:offset + size], "big")
+
+    def test_a_file_kept_whole_serves_any_demander(self):
+        """Four demanders of file 1 share no support at t = 2, so file 1 is kept whole.
+
+        The store then covers a vector where user 6 demands file 1 as well,
+        and that delivery decodes byte-exact; users 4 and 5 are covered
+        because their demands are unchanged.
+        """
+        d = derived("theorem1", 7, 2)
+        oracle = FileOracle()
+        store = split_files(d, [1, 1, 1, 2, 2, 3, 1], oracle)
+        assert all(held(store, 1)) and not all(held(store, 2))
+        demands = [1, 1, 1, 2, 2, 1, 1]
+        caches = build_caches(d, store)
+        recon = decode_all(caches, generate_delivery(d, store, demands, seed=1), demands)
+        assert recon == {u: oracle.file_bytes(demands[u - 1], store.bytes_per_file)
+                         for u in range(1, 8)}
+
+    @pytest.mark.parametrize("store_demands,demands", [
+        ([1, 1, 2, 2, 3, 3, 3], [1, 2, 1, 2, 3, 3, 3]),
+        ([1, 1, 1, 2, 2, 3, 1], [1, 1, 1, 2, 3, 3, 1]),
+    ], ids=["swapped_pair", "onto_a_dropped_file"])
+    def test_uncovered_demands_named_before_any_message(self, store_demands, demands):
+        """A store split for repeated demands covers no user whose demand moved to a
+        file it dropped packets of (distinct demands: ``TestDecode``)."""
+        d = derived("theorem1", 7, 2)
+        store = split_files(d, store_demands)
+        caches = build_caches(d, store)
+
+        def unread():
+            raise AssertionError("a message was read")
+            yield
+
+        with pytest.raises(DemandNotCovered, match="but the store was split for demands"):
+            stream_delivery(d, store, demands)
+        with pytest.raises(DemandNotCovered):
+            decode_residuals(caches, unread(), demands)
+        with pytest.raises(DemandNotCovered):
+            decode_all(caches, unread(), demands)
 
 
 class TestCaches:
@@ -158,13 +255,13 @@ class TestCaches:
 
     def test_jcm_symmetric(self):
         d = derived("jcm", 5, 2)
-        store = split_files(d, FileOracle())
+        store = split_files(d, [1, 2, 3, 4, 5])
         for c in build_caches(d, store):
             assert c.units_per_file * 5 == 2 * d.sizing.L
 
     def test_theorem1_t4_equal(self):
         d = derived("theorem1", 11, 4)
-        store = split_files(d, FileOracle(), files=[1])
+        store = split_files(d, [1] * 11)
         totals = {c.units_per_file for c in build_caches(d, store)}
         assert len(totals) == 1
 
@@ -192,7 +289,7 @@ class TestDelivery:
 
     def test_jcm_all_transmit(self):
         d = derived("jcm", 5, 2)
-        store = split_files(d, FileOracle())
+        store = split_files(d, [1, 2, 3, 4, 5])
         msgs = generate_delivery(d, store, [1, 2, 3, 4, 5], seed=0)
         per_group = Counter(m.group for m in msgs)
         assert set(per_group.values()) == {3}  # every 3-subset emits 3 messages
@@ -254,8 +351,8 @@ class TestDecode:
 
     def test_jcm_decode_count(self):
         d = derived("jcm", 5, 2)
-        store = split_files(d, FileOracle())
         demands = [1, 2, 3, 4, 5]
+        store = split_files(d, demands)
         msgs = generate_delivery(d, store, demands, seed=0)
         caches = build_caches(d, store)
         mine = [
@@ -269,8 +366,10 @@ class TestDecode:
         assert decode(1, caches[0], msgs, demands) == store.oracle.file_bytes(1, store.bytes_per_file)
 
     def test_repeated_demands(self, example1):
-        d, oracle, store, caches = example1
+        d, oracle, _, _ = example1
         demands = [1, 1, 2, 2, 3, 3, 3]
+        store = split_files(d, demands, oracle)
+        caches = build_caches(d, store)
         msgs = generate_delivery(d, store, demands, seed=2)
         recon = decode_all(caches, msgs, demands)
         for user in range(1, 8):
@@ -295,7 +394,7 @@ class TestDecode:
         d, _, store, caches = example1
         demands = list(range(1, 8))
         msgs = generate_delivery(d, store, demands, seed=0)
-        other = build_caches(d, split_files(d, FileOracle(b"another key")))
+        other = build_caches(d, split_files(d, demands, FileOracle(b"another key")))
         with pytest.raises(CacheMismatch, match="user 2 splits another store"):
             decode_all([caches[0], other[1]], msgs, demands)
 
@@ -310,15 +409,18 @@ class TestDecode:
         ([1, 2, 3, 4, 5, 6, 8], FileNotSplit),
         ([1, 2, 3, 4, 5, 6, 0], DemandOutOfRange),
         ([1, 2, 3], DemandOutOfRange),
-    ], ids=["unsplit", "zero", "short"])
+        ([2, 1, 3, 4, 5, 6, 7], DemandNotCovered),
+    ], ids=["unsplit", "zero", "short", "uncovered"])
     def test_demands_checked_before_any_message(self, demands, error):
-        """At N=9 with files 1..7 split, a demand for 8 or 0 is named, not a KeyError.
+        """At N=9 with files 1..7 split for distinct demands, a demand for 8 or
+        0, or a file another user's packets were kept for, is named, not a
+        KeyError or a TypeError.
 
         Delivery raises it from the call itself, before the first message,
         and leaves the store as it was split.
         """
         d = derived("theorem1", 7, 2, N=9)
-        store = split_files(d, files=range(1, 8))
+        store = split_files(d, list(range(1, 8)))
         caches = build_caches(d, store)
 
         def unread():
@@ -683,7 +785,7 @@ def k17t4():
     """theorem1 K=17 t=4 with distinct demands: 26 754 messages of 4 constituents."""
     d = derived("theorem1", 17, 4)
     demands = list(range(1, 18))
-    store = split_files(d, files=demands)
+    store = split_files(d, demands)
     return d, store, demands, generate_delivery(d, store, demands, seed=0)
 
 
@@ -712,8 +814,8 @@ class TestDecodeAccounting:
     def test_per_type_counts_match_cache_complement(self, name, K, t):
         """Each user decodes alpha^(g)(k) * (F(k) - F_j(k)) packets per kind."""
         d = derived(name, K, t)
-        store = split_files(d, FileOracle(), files=range(1, K + 1))
         demands = list(range(1, K + 1))
+        store = split_files(d, demands)
         msgs = generate_delivery(d, store, demands, seed=7)
         split_at = d.grouping.sizes[0]
         got = Counter()
@@ -739,9 +841,9 @@ class TestOddT3EndToEnd:
     def test_repeat_sweeps_deliver_every_index(self):
         d = derived("odd_t3", 9, 3)
         oracle = FileOracle()
-        store = split_files(d, oracle)
-        caches = build_caches(d, store)
         demands = list(range(1, 10))
+        store = split_files(d, demands, oracle)
+        caches = build_caches(d, store)
         msgs = generate_delivery(d, store, demands, seed=4)
         assert all(len(m.constituents) == 3 for m in msgs)
         assert Fraction(total_transmitted_units(msgs, d), d.sizing.L) == Fraction(2)
@@ -768,7 +870,7 @@ class TestTranscript:
     ])
     def test_lines_equal_compact_json(self, name, K, t, demands):
         d = derived(name, K, t)
-        store = split_files(d, FileOracle(), files=set(demands))
+        store = split_files(d, demands)
         msgs = generate_delivery(d, store, demands, seed=3)
         assert transcript_of(msgs, store) == [compact_json(store, m) for m in msgs]
 
@@ -919,7 +1021,7 @@ class TestBijection:
         """Messages equal the reference's, which also hashes alpha = 1 receivers' keys."""
         d = derived(name, K, t)
         demands = verify.demand_vector(demands, K, K)
-        store = split_files(d, FileOracle(), files=set(demands))
+        store = split_files(d, demands)
         msgs = generate_delivery(d, store, demands, seed=seed)
         ones = 0
         for m in msgs:

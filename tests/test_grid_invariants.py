@@ -1,7 +1,7 @@
 """Grid-level properties of the construction and the byte pipeline.
 
-The end-to-end grid reuses one store and cache set per parameter point and
-re-runs delivery/decode across seeds and demand vectors; the smallest point
+The end-to-end grid builds one store and cache set per parameter point and
+demand vector and re-runs delivery/decode across seeds; the smallest point
 of each grid additionally goes through the one-call verifier.
 """
 
@@ -44,11 +44,11 @@ def test_theorem1_end_to_end_grid(t, q):
     K = 2 * q + 1
     d = derive(preset("theorem1", SystemParams(K=K, t=t, N=K)))
     oracle = FileOracle()
-    store = split_files(d, oracle)
-    caches = build_caches(d, store)
     L = d.sizing.L
     for kind in ("distinct", "uniform"):
         demands = demand_vector(kind, K, K)
+        store = split_files(d, demands, oracle)
+        caches = build_caches(d, store)
         for seed in (0, 1, 2):
             messages = generate_delivery(d, store, demands, seed=seed)
             assert all(len(m.constituents) == t for m in messages)
@@ -90,7 +90,8 @@ def random_runs(draw):
 @settings(max_examples=40, deadline=None)
 @given(random_runs())
 def test_random_demands_and_seeds(run):
-    """Any demand vector and 8-byte seed passes; decoding a subset of caches changes nothing.
+    """Any demand vector and 8-byte seed passes and decodes byte-exact; decoding a
+    subset of caches changes nothing.
 
     The audit keeps no messages, so the subset decode runs on the delivery
     ``generate_delivery`` builds from the same split at the same seed.
@@ -99,10 +100,14 @@ def test_random_demands_and_seeds(run):
     d = _theorem1(K, t)
     report = verify_end_to_end(d, demands, seed)
     assert report.passed, report.failure
-    store = split_files(d, files=set(demands))
+    oracle = FileOracle()
+    store = split_files(d, demands, oracle)
     messages = generate_delivery(d, store, demands, seed=seed)
     caches = build_caches(d, store)
     full = decode_all(caches, messages, demands)
+    assert full == {
+        u: oracle.file_bytes(n, store.bytes_per_file) for u, n in enumerate(demands, 1)
+    }
     subset = decode_all([caches[u - 1] for u in users], messages, demands)
     assert subset == {u: full[u] for u in users}
 

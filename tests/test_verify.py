@@ -8,7 +8,7 @@ import pytest
 from ptcache import verify
 from ptcache.analysis import f_jcm, f_pt
 from ptcache.combinatorics import hypergeo_pmf
-from ptcache.exchange import FileOracle, split_files
+from ptcache.exchange import split_files
 from ptcache.scheme import (
     CountVectors,
     SchemeSpec,
@@ -210,7 +210,7 @@ class TestLemma1:
             r = t // 2
             for q in range(t + 1, t + 5):
                 d = derive(preset("theorem1", SystemParams(K=2 * q + 1, t=t, N=2 * q + 1)))
-                store = split_files(d, FileOracle(), files=[1])
+                store = split_files(d, [1] * (2 * q + 1))
                 rho_formula = Fraction(f_pt(q, r), f_jcm(2 * q + 1, t))
                 rho_split = Fraction(store.packets_per_file * t, t * f_jcm(2 * q + 1, t))
                 rho_expect = ratio_expectation(t, q)
