@@ -4,9 +4,12 @@ Files come from a deterministic keyed byte oracle, get split into
 heterogeneous packets in a canonical order, are cached at the users whose
 support sets cover them, and are exchanged through two (or G) rounds of XOR
 multicast messages.  Decoding is checked by its residuals, not by bytes.
+What the blueprint fixes before any demand is known, the packet layout and
+who sends what to whom, is the derivation's ``DeliverySchedule``, built once
+per derivation; the stages execute it for one demand vector.
 
 A packet is named by its file and its flat position: its place in the
-canonical order of ``PacketStore.template``, whose entry ``(support,
+canonical order of ``DeliverySchedule.template``, whose entry ``(support,
 coupled_group, index, size)`` holds the support as a sorted user tuple and
 the 1-based coupled group and index.  Message constituents are ``(file,
 position)`` pairs; the transcript expands each to ``file, support,
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import operator
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -100,54 +104,62 @@ class FileOracle:
         return h.digest(length)
 
 
-class PacketStore:
-    """The packets of the demanded files that their demanders lack, in canonical order.
+class DeliverySchedule:
+    """What a derivation fixes before any demand: where each packet sits and who sends it.
 
     The canonical order is: subfile type ascending, support set
     lexicographic, coupled group ascending, packet index ascending.
-    Concatenating one file's packets in this order reproduces the file;
-    ``offsets`` holds each position's byte offset, ``support_mask`` each
-    position's support as a bitmask (bit u for user u), ``support_runs`` the
-    ``(support, start, stop)`` range of positions of each support set, and
+    Concatenating one file's packets in this order reproduces the file.
+    ``template`` holds each position's ``(support, coupled_group, index,
+    size)`` and ``offsets`` its first byte.  A support mask is a
+    support as a bitmask (bit u for user u): ``support_runs`` holds the
+    ``(support mask, start, stop)`` range of positions of each support set,
     ``first[g - 1]`` maps a support mask to the position of index 1 of its
-    coupled group g packets.
+    coupled group g packets, and ``lacking[g]`` each round g position to its
+    support mask's complement (so ``group_mask & lacking[g][pos]`` is the set
+    of members lacking the packet).  ``size_of[g]`` is round g's packet size in
+    bytes, ``cached_units[u]`` the units of one file user u caches, and
+    ``plans`` ``stream_delivery``'s groups and slot plans: per round and
+    group type, in message order, ``(round, group type, groups, group masks,
+    receivers, sends)`` (``_slot_plan``).
+    Demands only choose the files the packets are cut from.
 
-    The store is keyed by the demand vector ``demands``: it splits each
-    demanded file once, when it is built, and never grows afterwards.  A
-    file is kept once, as its packet payloads (``file_values``), except
-    that a position every demander of the file caches holds ``None``: no
-    message carries it and no decoder XORs it.  A file's bytes are read one
-    file at a time and not kept.  ``check_covers`` tells whether another
-    demand vector can be served from what is held.
+    Raises ``PacketLayoutMismatch`` when the packets disagree with the
+    derivation's counts or sizes, and ``DeliveryCountMismatch`` when a
+    receiver's packet count is not (its transmitters) x (repeats), i.e. its
+    bijection cannot exist.
     """
 
-    def __init__(self, derivation: DerivedScheme, oracle: FileOracle, demands: Sequence[int]):
-        self.derivation = derivation
-        self.oracle = oracle
-        unit = derivation.params.unit
+    def __init__(self, derivation: DerivedScheme):
+        p = derivation.params
+        G = derivation.spec.G
         groups = derivation.grouping.groups
         entries: list[tuple[tuple[int, ...], int, int, int]] = []
-        masks: list[int] = []
-        runs: list[tuple[tuple[int, ...], int, int]] = []
-        self.first: tuple[dict[int, int], ...] = tuple({} for _ in range(derivation.spec.G))
+        runs: list[tuple[int, int, int]] = []
+        cached = [0] * (p.K + 1)  # by user, the bytes of one file it caches
+        self.first: tuple[dict[int, int], ...] = tuple({} for _ in range(G))
+        self.lacking: dict[int, dict[int, int]] = {g: {} for g in range(1, G + 1)}
         for ti, v in enumerate(derivation.layout.subfile_types):
             for support in subsets_by_type(groups, v):
                 mask = sum(1 << u for u in support)
+                lack = ~mask  # one int, shared by the support's positions
                 start = len(entries)
-                for g in range(1, derivation.spec.G + 1):
+                for g in range(1, G + 1):
                     alpha = derivation.fs.intermediate[g - 1][ti]
+                    pos = len(entries)
                     if alpha:
-                        self.first[g - 1][mask] = len(entries)
-                    size = derivation.sizing.ell[g - 1] * unit
+                        self.first[g - 1][mask] = pos
+                    self.lacking[g].update(dict.fromkeys(range(pos, pos + alpha), lack))
+                    size = derivation.sizing.ell[g - 1] * p.unit
                     entries.extend((support, g, j, size) for j in range(1, alpha + 1))
-                    masks.extend([mask] * alpha)
+                    for u in support:
+                        cached[u] += alpha * size
                 if len(entries) > start:
-                    runs.append((support, start, len(entries)))
+                    runs.append((mask, start, len(entries)))
         self.template = tuple(entries)
-        self.support_mask = tuple(masks)
         self.support_runs = tuple(runs)
         self.offsets = tuple(itertools.accumulate((e[3] for e in entries[:-1]), initial=0))
-        self.bytes_per_file = derivation.sizing.L * unit
+        self.bytes_per_file = derivation.sizing.L * p.unit
         if sum(e[3] for e in entries) != self.bytes_per_file:
             raise PacketLayoutMismatch(
                 f"packet sizes sum to {sum(e[3] for e in entries)} bytes, "
@@ -157,34 +169,95 @@ class PacketStore:
             raise PacketLayoutMismatch(
                 f"{len(entries)} packets per file, expected {derivation.packets_per_file}"
             )
-        _check_demands(derivation, demands)
-        self.demands = tuple(demands)
-        demanders: dict[int, int] = {}  # by file, the mask of its demanders
-        for u, n in enumerate(demands, 1):
-            demanders[n] = demanders.get(n, 0) | 1 << u
-        slices = [slice(o, o + e[3]) for e, o in zip(entries, self.offsets)]
-        self._values: dict[int, list] = {}
-        for n, users in sorted(demanders.items()):
-            raw = oracle.file_bytes(n, self.bytes_per_file)
-            values = list(
-                map(int.from_bytes, map(raw.__getitem__, slices), itertools.repeat("big"))
-            )
-            del raw  # freed before the next file is read, not while it is
-            for start, stop in self.cached_ranges(users):
-                values[start:stop] = itertools.repeat(None, stop - start)
-            self._values[n] = values
+        self.size_of = {g: ell * p.unit for g, ell in enumerate(derivation.sizing.ell, 1)}
+        self.cached_units = tuple(c // p.unit for c in cached)
+        self._user_ranges: dict[int, list[tuple[int, int]]] = {}  # read while it is filled
+        self._user_ranges = {1 << u: self.cached_ranges(1 << u) for u in range(1, p.K + 1)}
+        grouping = derivation.grouping
+        groups_of: dict[int, tuple[list[tuple[int, ...]], tuple[int, ...]]] = {}  # by group type
+        self.plans = []
+        for g in range(1, G + 1):
+            for k, s in enumerate(derivation.layout.group_types):
+                repeat_count = derivation.repeats[g - 1][k]
+                if repeat_count == 0 or any(c > size for c, size in zip(s, grouping.sizes)):
+                    continue  # no messages, or a group type with no instances at this grouping
+                if k not in groups_of:
+                    members = subsets_by_type(groups, s)
+                    groups_of[k] = (members, tuple(sum(1 << u for u in m) for m in members))
+                self.plans.append((g, s, *groups_of[k], *_slot_plan(
+                    derivation, g, k, repeat_count, groups_of[k][0][0])))
 
     def cached_ranges(self, users: int) -> list[tuple[int, int]]:
         """The ``(start, stop)`` position ranges whose support holds every user of
-        the mask ``users``, in order, merged where they touch."""
-        ranges: list[tuple[int, int]] = []
-        for _, start, stop in self.support_runs:
-            if self.support_mask[start] & users == users:
+        the mask ``users``, in order, merged where they touch (shared; do not
+        mutate).  One user's ranges are computed once, with the schedule."""
+        ranges = self._user_ranges.get(users)
+        if ranges is not None:
+            return ranges
+        ranges = []
+        for mask, start, stop in self.support_runs:
+            if mask & users == users:
                 if ranges and ranges[-1][1] == start:
                     ranges[-1] = (ranges[-1][0], stop)
                 else:
                     ranges.append((start, stop))
         return ranges
+
+
+def schedule_of(derivation: DerivedScheme) -> DeliverySchedule:
+    """``derivation``'s ``DeliverySchedule``, built on first use and kept in its ``__dict__``.
+
+    So it lives as long as the derivation, and an object that delegates its
+    attributes to another derivation gets a schedule of its own.
+    """
+    kept = vars(derivation)
+    schedule = kept.get("_schedule")
+    if schedule is None:
+        schedule = kept["_schedule"] = DeliverySchedule(derivation)
+    return schedule
+
+
+class PacketStore:
+    """The packets of the demanded files that their demanders lack, by canonical position.
+
+    The layout is the derivation's: ``schedule`` (``schedule_of``) fixes
+    every position's support and bytes; ``template``, ``offsets`` and
+    ``bytes_per_file`` are its.  The values are the store's: it is keyed
+    by the demand vector ``demands``, splits each demanded file once, when it
+    is built, and never grows afterwards.  A file is kept once, as its packet
+    payloads (``file_values``), except that a position every demander of the
+    file caches holds ``None``: no message carries it, no decoder XORs it,
+    and it is never converted.  A file's bytes are read one file at a time
+    and not kept.  ``check_covers`` tells whether another demand vector can
+    be served from what is held.
+    """
+
+    def __init__(self, derivation: DerivedScheme, oracle: FileOracle, demands: Sequence[int]):
+        self.derivation = derivation
+        self.oracle = oracle
+        self.schedule = schedule = schedule_of(derivation)
+        self.template, self.offsets = schedule.template, schedule.offsets
+        self.bytes_per_file = schedule.bytes_per_file
+        _check_demands(derivation, demands)
+        self.demands = tuple(demands)
+        demanders: dict[int, int] = {}  # by file, the mask of its demanders
+        for u, n in enumerate(demands, 1):
+            demanders[n] = demanders.get(n, 0) | 1 << u
+        bounds = self.offsets + (self.bytes_per_file,)
+        slices = tuple(map(slice, bounds, bounds[1:]))  # cheaper to build than to keep
+        end = [(len(slices), len(slices))]  # an empty cached range after the last position
+        self._values: dict[int, list] = {}
+        for n, users in sorted(demanders.items()):
+            raw = oracle.file_bytes(n, self.bytes_per_file)
+            values = [None] * len(slices)
+            lacked = 0  # the first position after the last cached range
+            for start, stop in schedule.cached_ranges(users) + end:
+                values[lacked:start] = map(
+                    int.from_bytes, map(raw.__getitem__, slices[lacked:start]), itertools.repeat("big")
+                )
+                lacked = stop
+            del raw  # freed before the next file is read, not while it is
+            self._values[n] = values
 
     @property
     def packets_per_file(self) -> int:
@@ -205,11 +278,13 @@ class PacketStore:
         """Raise unless the store holds every packet each user of ``demands`` lacks.
 
         It does for a user whose demand is its demand in ``self.demands``, and
-        for any demander of a file the store kept whole.  A file the store
-        never split raises ``FileNotSplit``; any other demand raises
+        for any demander of a file the store kept whole.  Demands that are
+        not one file in 1..N per user raise ``DemandOutOfRange``, a file the
+        store never split ``FileNotSplit``; any other demand raises
         ``DemandNotCovered``, as the store may have dropped a packet its user
         lacks.
         """
+        _check_demands(self.derivation, demands)
         for u, n in enumerate(demands, 1):
             values = self.file_values(n)  # FileNotSplit for a file never split
             if n != self.demands[u - 1] and None in values:
@@ -252,11 +327,8 @@ def build_caches(derivation: DerivedScheme, store: PacketStore) -> list[Cache]:
     integer arithmetic (K * cached_units == t * L per file).
     """
     p = derivation.params
-    cached = [0] * (p.K + 1)
-    for support, _, _, size in store.template:
-        for u in support:
-            cached[u] += size
-    caches = [Cache(user, store, cached[user] // p.unit) for user in range(1, p.K + 1)]
+    units = store.schedule.cached_units
+    caches = [Cache(user, store, units[user]) for user in range(1, p.K + 1)]
     bad = {
         c.user: c.units_per_file for c in caches if c.units_per_file * p.K != p.t * derivation.sizing.L
     }
@@ -362,36 +434,20 @@ def stream_delivery(
     indices exactly once.  Messages are ordered by (round, group type, group,
     transmitter, repeat); any order decodes identically.
 
-    Every check runs in this call, before the first message is built: the
-    demands, the seed, the store's cover of the demands and every round's
-    slot plan.  Raises ``DemandOutOfRange`` for demands outside 1..N,
-    ``SeedOutOfRange`` for a seed outside 8 signed bytes, ``FileNotSplit``
-    for a demanded file ``store`` does not hold and ``DemandNotCovered`` for
-    a demand it does not cover (``PacketStore.check_covers``; the store is
-    read, never split further), and ``DeliveryCountMismatch`` when a
-    receiver's packet count is not (its transmitters) x (repeats), i.e. the
-    bijection cannot exist.  The returned iterator builds each message only
-    when it is asked for.
+    Every check runs in this call, before the first message is built.
+    Raises ``DemandOutOfRange`` for demands that are not one file in 1..N
+    per user, ``FileNotSplit`` for a demanded file ``store`` does not hold
+    and ``DemandNotCovered`` for a demand it does not cover
+    (``PacketStore.check_covers``; the store is read, never split further),
+    ``SeedOutOfRange`` for a seed outside 8 signed bytes, and the errors of
+    building ``derivation``'s schedule on its first use (``schedule_of``),
+    such as ``DeliveryCountMismatch`` for a slot plan that cannot exist.
+    The returned iterator builds each message only when it is asked for.
     """
-    _check_demands(derivation, demands)
+    store.check_covers(demands)
     if not -(2**63) <= seed < 2**63:
         raise SeedOutOfRange(f"seed {seed} does not fit 8 signed bytes")
-    store.check_covers(demands)
-    grouping = derivation.grouping
-    groups_of: dict[int, list[tuple[int, ...]]] = {}  # by group type, shared by the rounds
-    plans = []
-    for g in range(1, derivation.spec.G + 1):
-        for k, s in enumerate(derivation.layout.group_types):
-            repeat_count = derivation.repeats[g - 1][k]
-            if repeat_count == 0:
-                continue
-            if any(c > size for c, size in zip(s, grouping.sizes)):
-                continue  # group type with no instances at this grouping
-            groups = groups_of.get(k)
-            if groups is None:
-                groups = groups_of[k] = subsets_by_type(grouping.groups, s)
-            plans.append((g, s, groups, *_slot_plan(derivation, g, k, repeat_count, groups[0])))
-    return _messages(derivation, store, demands, seed, plans)
+    return _messages(schedule_of(derivation), store, demands, seed)
 
 
 def _check_demands(derivation: DerivedScheme, demands: Sequence[int]) -> None:
@@ -400,6 +456,10 @@ def _check_demands(derivation: DerivedScheme, demands: Sequence[int]) -> None:
     if len(demands) != p.K:
         raise DemandOutOfRange(f"demand vector has length {len(demands)}, expected {p.K}")
     for d in demands:
+        try:
+            operator.index(d)
+        except TypeError:
+            raise DemandOutOfRange(f"demand {d!r} is not an integer") from None
         if not 1 <= d <= p.N:
             raise DemandOutOfRange(f"demand {d} outside 1..{p.N}")
 
@@ -415,45 +475,36 @@ def generate_delivery(
 
 
 def _messages(
-    derivation: DerivedScheme,
+    schedule: DeliverySchedule,
     store: PacketStore,
     demands: Sequence[int],
     seed: int,
-    plans: list[tuple],
 ) -> Iterator[CodedMessage]:
-    """``stream_delivery``'s messages, for checked inputs and their slot plans.
-
-    ``plans`` holds ``(round, group type, groups, receivers, sends)`` per
-    round and group type, in message order; see ``_slot_plan``.
-    """
-    p = derivation.params
-    values_of = [None] + [store.file_values(n) for n in demands]  # by user
-    suffix = [y.to_bytes(4, "big") for y in range(p.K + 1)]  # by user
+    """``stream_delivery``'s messages, for checked inputs."""
+    # By user: its demand and that file's values, as a constituent carries them.
+    file_of = [None] + [(n, store.file_values(n)) for n in demands]
+    suffix = [y.to_bytes(4, "big") for y in range(len(demands) + 1)]  # by user
     seed_bytes = seed.to_bytes(8, "big", signed=True)
-    for g, s, groups, receivers, sends in plans:
-        size_bytes = derivation.sizing.ell[g - 1] * p.unit
+    for g, s, groups, group_masks, receivers, sends in schedule.plans:
+        size_bytes = schedule.size_of[g]
         round_prefix = seed_bytes + g.to_bytes(2, "big")
-        first = store.first[g - 1]
+        first = schedule.first[g - 1]
         pack_members = struct.Struct(">%dI" % sum(s)).pack
-        for group in groups:
+        for group, group_mask in zip(groups, group_masks):
             # Receiver y's packets of (group minus y, g) sit at positions
             # first, first + 1, ... of its file, taken in bijection order.
             prefix = None
             carried = []
-            group_mask = 0
-            for u in group:
-                group_mask |= 1 << u
             for i, alpha in receivers:
                 y = group[i]
                 pos = first[group_mask ^ (1 << y)]
+                n, values = file_of[y]
                 if alpha == 1:  # the only permutation of one index: no key to hash
-                    carried.append((demands[y - 1], (pos,), values_of[y]))
+                    carried.append((n, (pos,), values))
                     continue
                 if prefix is None:
                     prefix = round_prefix + pack_members(*group)
-                carried.append(
-                    (demands[y - 1], _bijection(prefix + suffix[y], alpha, pos), values_of[y])
-                )
+                carried.append((n, _bijection(prefix + suffix[y], alpha, pos), values))
             for a, repeat, served in sends:
                 payload = 0
                 constituents = []
@@ -497,9 +548,10 @@ def decode_all(
     """Every decoded file by ``cache.user``, in canonical order.
 
     A packet the user lacks is its residual XOR the split's value.  The
-    packets it caches are one byte slice of the file per range of
-    ``store.cached_ranges``, read from ``store.oracle`` as its cache holds
-    them.
+    packets it caches are one byte slice of the file per range of the
+    schedule's ``cached_ranges``, read from ``store.oracle`` as its cache
+    holds them.  Users are visited grouped by demand, so each demanded file
+    is read once per call and one file's bytes are alive at a time.
     """
     residuals = decode_residuals(caches, messages, demands)
     store = caches[0].store
@@ -507,15 +559,17 @@ def decode_all(
     offsets = store.offsets + (store.bytes_per_file,)
     end = [(len(sizes), len(sizes))]  # an empty cached range after the last position
     files = {}
-    raw_file = None  # the file ``raw`` holds, read again only when the demand changes
-    for user, held in residuals.items():
+    raw_file = None  # the file ``raw`` holds
+    for user in sorted(residuals, key=lambda u: demands[u - 1]):
+        held = residuals[user]
         n = demands[user - 1]
         if n != raw_file:
+            raw = None  # the last file's bytes are freed before the next are read
             raw, raw_file = store.oracle.file_bytes(n, store.bytes_per_file), n
         values = store.file_values(n)
         parts = []
         lacked = 0  # the first position after the last cached range
-        for start, stop in store.cached_ranges(1 << user) + end:
+        for start, stop in store.schedule.cached_ranges(1 << user) + end:
             parts.extend(map(
                 int.to_bytes, map(int.__xor__, held[lacked:start], values[lacked:start]),
                 sizes[lacked:start], itertools.repeat("big"),
@@ -523,7 +577,7 @@ def decode_all(
             parts.append(raw[offsets[start]:offsets[stop]])
             lacked = stop
         files[user] = b"".join(parts)
-    return files
+    return {user: files[user] for user in residuals}
 
 
 def decode_residuals(
@@ -549,28 +603,18 @@ def decode_residuals(
     A user's residual list holds, per flat position, 0 for a cached packet
     and ``total`` for a decoded one, which is what the decoded packet
     differs from the split's by: its file is byte-exact exactly when every
-    held value is 0.  Before any message is read, demands outside 1..N
-    raise ``DemandOutOfRange``, one of a file the store never split
-    ``FileNotSplit``, demands the store does not cover
-    ``DemandNotCovered``, and two caches of one user, or a cache of another
-    store than the first cache's, ``CacheMismatch``.
+    held value is 0.  Before any message is read, the store's
+    ``check_covers`` judges the demands (``DemandOutOfRange``,
+    ``FileNotSplit``, ``DemandNotCovered``), and two caches of one user, or
+    a cache of another store than the first cache's, raise
+    ``CacheMismatch``.
     """
     if not caches:
         raise ValueError("no caches")
     store = caches[0].store
-    derivation = store.derivation
-    _check_demands(derivation, demands)
     store.check_covers(demands)
-    template = store.template
-    # Per round, the complement of each of its positions' support masks:
-    # ``group_mask & lacking[pos]`` is the set of members lacking the packet.
-    lacking: dict[int, dict[int, int]] = {g: {} for g in range(1, derivation.spec.G + 1)}
-    for pos, ((_, g, _, _), mask) in enumerate(zip(template, store.support_mask)):
-        lacking[g][pos] = ~mask
-    size_of = {g: ell * derivation.params.unit for g, ell in enumerate(derivation.sizing.ell, 1)}
-    # A one-bit mask maps to its user's demand; any other mask maps to None.
-    demand_of = {1 << u: n for u, n in enumerate(demands, 1)}
-    values_of = {n: store.file_values(n) for n in set(demands)}
+    schedule = store.schedule
+    lacking, size_of = schedule.lacking, schedule.size_of
     # By user bit, each decoded user's held int per flat position, None until
     # held; owners share their message's total, not one total ^ v_i each.
     held: dict[int, list] = {}
@@ -579,12 +623,15 @@ def decode_residuals(
             raise CacheMismatch(f"the cache of user {cache.user} splits another store")
         if 1 << cache.user in held:
             raise CacheMismatch(f"two caches of user {cache.user}")
-        held[1 << cache.user] = [None] * len(template)
-    for support, start, stop in store.support_runs:
-        for user in support:
-            slots = held.get(1 << user)
-            if slots is not None:
-                slots[start:stop] = [0] * (stop - start)
+        slots = held[1 << cache.user] = [None] * len(store.template)
+        for start, stop in schedule.cached_ranges(1 << cache.user):
+            slots[start:stop] = [0] * (stop - start)
+    # A one-bit mask maps to its user's demand, that file's values and the
+    # user's held list (None when it is not decoded); any other mask to Nones.
+    owner_of = {
+        1 << u: (n, store.file_values(n), held.get(1 << u)) for u, n in enumerate(demands, 1)
+    }
+    nobody = (None, None, None)
     group = None
     for msg in messages:
         if msg.group is not group:
@@ -605,15 +652,14 @@ def decode_residuals(
         unknowns = []
         for n, pos in msg.constituents:
             lack = group_mask & masks.get(pos, 0)
-            if lack == transmitter_bit or lack & seen or demand_of.get(lack) != n:
+            demand, values, slots = owner_of.get(lack, nobody)
+            if demand != n or lack == transmitter_bit or lack & seen:
                 _reject_constituent(msg, n, pos, group_mask, masks, store, demands)
             seen |= lack
-            total ^= values_of[n][pos]
-            unknowns.append((lack, pos))
-        for lack, pos in unknowns:
-            slots = held.get(lack)
-            if slots is None:
-                continue
+            total ^= values[pos]
+            if slots is not None:
+                unknowns.append((slots, pos, lack))
+        for slots, pos, lack in unknowns:
             if slots[pos] is not None:
                 owner = lack.bit_length() - 1
                 raise DuplicateDelivery(

@@ -1,5 +1,6 @@
 import bisect
 import dataclasses
+import gc
 import hashlib
 import io
 import itertools
@@ -7,6 +8,7 @@ import json
 import re
 import struct
 import tracemalloc
+import weakref
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -14,7 +16,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ptcache import exchange, verify
+from ptcache import baseline, exchange, verify
 from ptcache.cli import main
 from ptcache.combinatorics import binom
 from ptcache.exchange import (
@@ -246,6 +248,33 @@ class TestDemandKeyedStore:
             decode_all(caches, unread(), demands)
 
 
+class TestSchedule:
+    """A derivation's delivery schedule is built once, from the derivation itself, and
+    lives as long as it does."""
+
+    def test_second_audit_builds_no_table(self, exchange_calls):
+        d = derived("theorem1", 7, 2)
+        assert verify.verify_end_to_end(d, "distinct", seed=1).passed
+        calls = exchange_calls("subsets_by_type")
+        assert verify.verify_end_to_end(d, [1, 1, 2, 2, 3, 3, 4], seed=2).passed
+        assert calls["subsets_by_type"] == []
+
+    def test_second_comparison_builds_no_table(self, exchange_calls):
+        pt, jcm = derived("theorem1", 7, 2), derived("jcm", 7, 2)
+        baseline.compare(pt, jcm, seed=1)
+        calls = exchange_calls("subsets_by_type")
+        baseline.compare(pt, jcm, seed=2)
+        assert calls["subsets_by_type"] == []
+
+    def test_schedule_dies_with_its_derivation(self):
+        d = derived("theorem1", 7, 2)
+        assert verify.verify_end_to_end(d, "distinct").passed
+        schedule = weakref.ref(exchange.schedule_of(d))
+        del d
+        gc.collect()
+        assert schedule() is None
+
+
 class TestCaches:
     def test_example1_units(self, example1):
         d, _, store, caches = example1
@@ -375,6 +404,26 @@ class TestDecode:
         for user in range(1, 8):
             assert recon[user] == oracle.file_bytes(demands[user - 1], store.bytes_per_file)
 
+    def test_decode_all_reads_each_demanded_file_once(self, monkeypatch):
+        d = derived("theorem1", 7, 2)
+        oracle = FileOracle()
+        demands = [1, 2, 1, 2, 3, 1, 2]
+        store = split_files(d, demands, oracle)
+        caches = build_caches(d, store)
+        msgs = generate_delivery(d, store, demands, seed=3)
+        reads = Counter()
+        real = oracle.file_bytes
+
+        def counted(n, length):
+            reads[n] += 1
+            return real(n, length)
+
+        monkeypatch.setattr(oracle, "file_bytes", counted)
+        recon = decode_all(caches, msgs, demands)
+        assert reads == {1: 1, 2: 1, 3: 1}
+        assert list(recon) == list(range(1, 8))
+        assert recon == {u: real(demands[u - 1], store.bytes_per_file) for u in range(1, 8)}
+
     def test_subset_of_caches(self, example1):
         d, oracle, store, caches = example1
         demands = list(range(1, 8))
@@ -409,15 +458,21 @@ class TestDecode:
         ([1, 2, 3, 4, 5, 6, 8], FileNotSplit),
         ([1, 2, 3, 4, 5, 6, 0], DemandOutOfRange),
         ([1, 2, 3], DemandOutOfRange),
+        ([1] * 6, DemandOutOfRange),
+        ([1] * 8, DemandOutOfRange),
         ([2, 1, 3, 4, 5, 6, 7], DemandNotCovered),
-    ], ids=["unsplit", "zero", "short", "uncovered"])
+        ([1, 2, 3, 4, 5, 6, 7.0], DemandOutOfRange),
+        ([1, 2, "3", 4, 5, 6, 7], DemandOutOfRange),
+    ], ids=["unsplit", "zero", "short", "six", "eight", "uncovered", "float", "str"])
     def test_demands_checked_before_any_message(self, demands, error):
         """At N=9 with files 1..7 split for distinct demands, a demand for 8 or
-        0, or a file another user's packets were kept for, is named, not a
-        KeyError or a TypeError.
+        0, a vector of the wrong length, a non-integer entry, or a file
+        another user's packets were kept for, is named, not a KeyError, an
+        IndexError or a TypeError.
 
-        Delivery raises it from the call itself, before the first message,
-        and leaves the store as it was split.
+        ``check_covers`` names it, and delivery raises it from the call
+        itself, before the first message, and leaves the store as it was
+        split.
         """
         d = derived("theorem1", 7, 2, N=9)
         store = split_files(d, list(range(1, 8)))
@@ -428,12 +483,20 @@ class TestDecode:
             yield
 
         with pytest.raises(error):
+            store.check_covers(demands)
+        with pytest.raises(error):
             stream_delivery(d, store, demands)
         assert store.files == tuple(range(1, 8))
         with pytest.raises(error):
             decode_all(caches, unread(), demands)
         with pytest.raises(error):
             decode(1, caches[0], unread(), demands)
+
+    @pytest.mark.parametrize("entry", [7.0, "3"])
+    def test_non_integer_demand_reported(self, entry):
+        d = derived("theorem1", 7, 2)
+        report = verify.verify_end_to_end(d, [1, 2, 3, 4, 5, 6, entry])
+        assert report.failure == f"DemandOutOfRange: demand {entry!r} is not an integer"
 
     def test_no_caches(self):
         with pytest.raises(ValueError, match="no caches"):

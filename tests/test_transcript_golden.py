@@ -31,9 +31,21 @@ GOLDEN = [
 ]
 
 
-def simulate_argv(preset, K, t, seed, demands, transcript, output):
+# Two store paths the table above misses: the benchmark's bulk_bytes point
+# (a unit of 4096 bytes) and a demand vector with repeated files, whose store
+# holds what several demanders lack.
+GOLDEN_STORES = [
+    # preset, K, t, unit, seed, demands, sha256, lines
+    ("theorem1", 13, 2, 4096, 7, "distinct",
+     "db6efbbfdb9970e7f70ebfb34f87cd9c332ff0b90d81133ae91552adaca98bde", 693),
+    ("theorem1", 7, 2, 1, 0, "1,1,2,2,3,3,4",
+     "61d05f158152d462896128db58bb2b6a2b98df3279f5b98837dbf9a61a2531e9", 90),
+]
+
+
+def simulate_argv(preset, K, t, seed, demands, transcript, output, unit=1):
     return [
-        "simulate", "--preset", preset, "--K", str(K), "--t", str(t),
+        "simulate", "--preset", preset, "--K", str(K), "--t", str(t), "--unit", str(unit),
         "--seed", str(seed), "--demands", demands,
         "--transcript", str(transcript), "--output", str(output),
     ]
@@ -44,6 +56,16 @@ def test_transcript_hash(tmp_path, preset, K, t, seed, demands, sha, lines):
     transcript = tmp_path / "run.jsonl"
     code = main(simulate_argv(preset, K, t, seed, demands, transcript, tmp_path / "r.json"))
     assert code == 0
+    data = transcript.read_bytes()
+    assert data.count(b"\n") == lines
+    assert hashlib.sha256(data).hexdigest() == sha
+
+
+@pytest.mark.parametrize("preset,K,t,unit,seed,demands,sha,lines", GOLDEN_STORES)
+def test_store_transcript_hash(tmp_path, preset, K, t, unit, seed, demands, sha, lines):
+    transcript = tmp_path / "run.jsonl"
+    argv = simulate_argv(preset, K, t, seed, demands, transcript, tmp_path / "r.json", unit)
+    assert main(argv) == 0
     data = transcript.read_bytes()
     assert data.count(b"\n") == lines
     assert hashlib.sha256(data).hexdigest() == sha
