@@ -4,7 +4,8 @@ Files are deterministic keyed byte streams, so every reconstruction can be
 checked byte for byte without touching disk.  The packet store is built from
 the demand vector: of each demanded file it keeps only the packets that a
 demander lacks, since no message carries a packet every demander caches.
-The demo prints a few coded messages, then audits the whole run: cache
+Delivery and decoding read the demand vector from the store, so a run has
+one.  The demo prints a few coded messages, then audits the whole run: cache
 budgets, per-message usefulness, exact rate, and decode completeness for
 every user.
 """
@@ -28,14 +29,14 @@ from ptcache.exchange import decode_all, record_transcript
 d = derive(preset("theorem1", SystemParams(K=7, t=2, N=7)))
 demands = [1, 2, 3, 4, 5, 6, 7]
 store = split_files(d, demands)  # keeps only the packets the demanders lack
-caches = build_caches(d, store)
-messages = generate_delivery(d, store, demands, seed=0)
+cached = build_caches(store)  # by user, its cached bytes of the library
+messages = generate_delivery(store, seed=0)
 
 print("=" * 64)
 print("Delivery for 7 users, everyone demanding a distinct file")
 print("=" * 64)
 print(f"packets per file: {store.packets_per_file}, file size: {store.bytes_per_file} bytes")
-print(f"cached per user:  {caches[0].total_bytes} bytes "
+print(f"cached per user:  {cached[1]} bytes "
       f"(= t/K of the library, exactly)")
 kept = sum(e[3] for e, v in zip(store.template, store.file_values(1)) if v is not None)
 print(f"store keeps of file 1: {kept} of {store.bytes_per_file} bytes "
@@ -59,7 +60,7 @@ print("Every message is useful to exactly t receivers:")
 print(f"  constituent counts: {sorted(set(len(m.constituents) for m in messages))}")
 print()
 
-reconstructed = decode_all(caches, messages, demands)
+reconstructed = decode_all(store, messages)
 for user in (1, 5):
     want = store.oracle.file_bytes(demands[user - 1], store.bytes_per_file)
     print(f"user {user} reconstructs file {demands[user-1]}: "

@@ -28,7 +28,6 @@ from .scheme import (
     solve_packet_ratio,
 )
 from .exchange import (
-    Cache,
     CodedMessage,
     FileOracle,
     PacketStore,

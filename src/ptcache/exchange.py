@@ -23,7 +23,6 @@ import hashlib
 import itertools
 import operator
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, NoReturn, Sequence, TextIO
 
@@ -39,10 +38,6 @@ class DemandOutOfRange(ValueError):
 
 class FileNotSplit(ValueError):
     """A packet store was asked for a file it never split."""
-
-
-class DemandNotCovered(ValueError):
-    """A demand its packet store does not cover: it may have dropped a packet the user lacks."""
 
 
 class MemoryMismatch(ValueError):
@@ -79,10 +74,6 @@ class PacketLayoutMismatch(ValueError):
 
 class DeliveryCountMismatch(ValueError):
     """A receiver's packet count differs from the messages its group can carry to it."""
-
-
-class CacheMismatch(ValueError):
-    """Caches handed to one decode that name a user twice or split different stores."""
 
 
 class FileOracle:
@@ -228,8 +219,8 @@ class PacketStore:
     payloads (``file_values``), except that a position every demander of the
     file caches holds ``None``: no message carries it, no decoder XORs it,
     and it is never converted.  A file's bytes are read one file at a time
-    and not kept.  ``check_covers`` tells whether another demand vector can
-    be served from what is held.
+    and not kept.  Delivery and decoding read ``demands`` from here, so a
+    run has one demand vector, checked once, when the store is built.
     """
 
     def __init__(self, derivation: DerivedScheme, oracle: FileOracle, demands: Sequence[int]):
@@ -274,24 +265,19 @@ class PacketStore:
             raise FileNotSplit(f"file {n} was never split")
         return self._values[n]
 
-    def check_covers(self, demands: Sequence[int]) -> None:
-        """Raise unless the store holds every packet each user of ``demands`` lacks.
 
-        It does for a user whose demand is its demand in ``self.demands``, and
-        for any demander of a file the store kept whole.  Demands that are
-        not one file in 1..N per user raise ``DemandOutOfRange``, a file the
-        store never split ``FileNotSplit``; any other demand raises
-        ``DemandNotCovered``, as the store may have dropped a packet its user
-        lacks.
-        """
-        _check_demands(self.derivation, demands)
-        for u, n in enumerate(demands, 1):
-            values = self.file_values(n)  # FileNotSplit for a file never split
-            if n != self.demands[u - 1] and None in values:
-                raise DemandNotCovered(
-                    f"user {u} demands file {n}, but the store was split for demands "
-                    f"{list(self.demands)} and dropped packets of that file"
-                )
+def _check_demands(derivation: DerivedScheme, demands: Sequence[int]) -> None:
+    """Raise ``DemandOutOfRange`` unless ``demands`` names one file in 1..N per user."""
+    p = derivation.params
+    if len(demands) != p.K:
+        raise DemandOutOfRange(f"demand vector has length {len(demands)}, expected {p.K}")
+    for d in demands:
+        try:
+            operator.index(d)
+        except TypeError:
+            raise DemandOutOfRange(f"demand {d!r} is not an integer") from None
+        if not 1 <= d <= p.N:
+            raise DemandOutOfRange(f"demand {d} outside 1..{p.N}")
 
 
 def split_files(
@@ -303,41 +289,21 @@ def split_files(
     return PacketStore(derivation, oracle or FileOracle(), demands)
 
 
-@dataclass(frozen=True)
-class Cache:
-    """One user's cache: every packet whose support set contains the user.
+def build_caches(store: PacketStore) -> dict[int, int]:
+    """Each user's cached bytes of the library, by user, with the exact memory audit.
 
-    ``units_per_file`` is the size of those packets of one file, in units.
+    A user caches every packet whose support set contains it, and must cache
+    (t/K)*N*L*unit bytes; the identity is checked in integer arithmetic
+    (K * cached_units == t * L per file).
     """
-
-    user: int
-    store: PacketStore
-    units_per_file: int
-
-    @property
-    def total_bytes(self) -> int:
-        p = self.store.derivation.params
-        return self.units_per_file * p.unit * p.N
-
-
-def build_caches(derivation: DerivedScheme, store: PacketStore) -> list[Cache]:
-    """Caches for all K users, with the exact memory audit.
-
-    Every user must cache (t/K)*N*L*unit bytes; the identity is checked in
-    integer arithmetic (K * cached_units == t * L per file).
-    """
-    p = derivation.params
-    units = store.schedule.cached_units
-    caches = [Cache(user, store, units[user]) for user in range(1, p.K + 1)]
-    bad = {
-        c.user: c.units_per_file for c in caches if c.units_per_file * p.K != p.t * derivation.sizing.L
-    }
+    d = store.derivation
+    p = d.params
+    units = dict(enumerate(store.schedule.cached_units[1:], 1))
+    bad = {user: u for user, u in units.items() if u * p.K != p.t * d.sizing.L}
     if bad:
-        target = Fraction(p.t * derivation.sizing.L, p.K)
-        raise MemoryMismatch(
-            f"per-file cached units {bad} differ from target {target}"
-        )
-    return caches
+        target = Fraction(p.t * d.sizing.L, p.K)
+        raise MemoryMismatch(f"per-file cached units {bad} differ from target {target}")
+    return {user: u * p.unit * p.N for user, u in units.items()}
 
 
 class CodedMessage(NamedTuple):
@@ -419,13 +385,8 @@ def _slot_plan(
     return [(i, alpha) for i, alpha, _ in receivers], sends
 
 
-def stream_delivery(
-    derivation: DerivedScheme,
-    store: PacketStore,
-    demands: Sequence[int],
-    seed: int = 0,
-) -> Iterator[CodedMessage]:
-    """The coded messages of the delivery phase, one at a time, in a fixed canonical order.
+def stream_delivery(store: PacketStore, seed: int = 0) -> Iterator[CodedMessage]:
+    """The coded messages of ``store``'s delivery, one at a time, in a fixed canonical order.
 
     Round g serves coupled group g.  Within a multicast group, each
     transmitter sends one message per repeat; the packet index a transmitter
@@ -434,56 +395,27 @@ def stream_delivery(
     indices exactly once.  Messages are ordered by (round, group type, group,
     transmitter, repeat); any order decodes identically.
 
-    Every check runs in this call, before the first message is built.
-    Raises ``DemandOutOfRange`` for demands that are not one file in 1..N
-    per user, ``FileNotSplit`` for a demanded file ``store`` does not hold
-    and ``DemandNotCovered`` for a demand it does not cover
-    (``PacketStore.check_covers``; the store is read, never split further),
-    ``SeedOutOfRange`` for a seed outside 8 signed bytes, and the errors of
-    building ``derivation``'s schedule on its first use (``schedule_of``),
-    such as ``DeliveryCountMismatch`` for a slot plan that cannot exist.
-    The returned iterator builds each message only when it is asked for.
+    The demands and the schedule are the store's, checked when it was built.
+    A seed outside 8 signed bytes raises ``SeedOutOfRange`` in this call,
+    before the first message; the returned iterator builds each message
+    only when it is asked for.
     """
-    store.check_covers(demands)
     if not -(2**63) <= seed < 2**63:
         raise SeedOutOfRange(f"seed {seed} does not fit 8 signed bytes")
-    return _messages(schedule_of(derivation), store, demands, seed)
+    return _messages(store, seed)
 
 
-def _check_demands(derivation: DerivedScheme, demands: Sequence[int]) -> None:
-    """Raise ``DemandOutOfRange`` unless ``demands`` names one file in 1..N per user."""
-    p = derivation.params
-    if len(demands) != p.K:
-        raise DemandOutOfRange(f"demand vector has length {len(demands)}, expected {p.K}")
-    for d in demands:
-        try:
-            operator.index(d)
-        except TypeError:
-            raise DemandOutOfRange(f"demand {d!r} is not an integer") from None
-        if not 1 <= d <= p.N:
-            raise DemandOutOfRange(f"demand {d} outside 1..{p.N}")
-
-
-def generate_delivery(
-    derivation: DerivedScheme,
-    store: PacketStore,
-    demands: Sequence[int],
-    seed: int = 0,
-) -> list[CodedMessage]:
+def generate_delivery(store: PacketStore, seed: int = 0) -> list[CodedMessage]:
     """``stream_delivery``'s messages as one list."""
-    return list(stream_delivery(derivation, store, demands, seed))
+    return list(stream_delivery(store, seed))
 
 
-def _messages(
-    schedule: DeliverySchedule,
-    store: PacketStore,
-    demands: Sequence[int],
-    seed: int,
-) -> Iterator[CodedMessage]:
-    """``stream_delivery``'s messages, for checked inputs."""
+def _messages(store: PacketStore, seed: int) -> Iterator[CodedMessage]:
+    """``stream_delivery``'s messages, for a checked seed."""
+    schedule = store.schedule
     # By user: its demand and that file's values, as a constituent carries them.
-    file_of = [None] + [(n, store.file_values(n)) for n in demands]
-    suffix = [y.to_bytes(4, "big") for y in range(len(demands) + 1)]  # by user
+    file_of = [None] + [(n, store.file_values(n)) for n in store.demands]
+    suffix = [y.to_bytes(4, "big") for y in range(len(file_of))]  # by user
     seed_bytes = seed.to_bytes(8, "big", signed=True)
     for g, s, groups, group_masks, receivers, sends in schedule.plans:
         size_bytes = schedule.size_of[g]
@@ -525,36 +457,22 @@ def total_transmitted_units(messages: Iterable[CodedMessage], derivation: Derive
     return sum(len(m.payload) // unit for m in messages)
 
 
-def decode(
-    user: int,
-    cache: Cache,
-    messages: Iterable[CodedMessage],
-    demands: Sequence[int],
-) -> bytes:
-    """User ``cache.user``'s file: ``decode_all`` of ``cache`` alone, every message checked.
-
-    A ``user`` other than ``cache.user`` raises ``CacheMismatch``.
-    """
-    if user != cache.user:
-        raise CacheMismatch(f"user {user} given the cache of user {cache.user}")
-    return decode_all([cache], messages, demands)[user]
+def decode(user: int, store: PacketStore, messages: Iterable[CodedMessage]) -> bytes:
+    """User ``user``'s file: ``decode_all(store, messages)[user]``."""
+    return decode_all(store, messages)[user]
 
 
-def decode_all(
-    caches: Sequence[Cache],
-    messages: Iterable[CodedMessage],
-    demands: Sequence[int],
-) -> dict[int, bytes]:
-    """Every decoded file by ``cache.user``, in canonical order.
+def decode_all(store: PacketStore, messages: Iterable[CodedMessage]) -> dict[int, bytes]:
+    """Every user's decoded file, by user.
 
     A packet the user lacks is its residual XOR the split's value.  The
     packets it caches are one byte slice of the file per range of the
-    schedule's ``cached_ranges``, read from ``store.oracle`` as its cache
-    holds them.  Users are visited grouped by demand, so each demanded file
-    is read once per call and one file's bytes are alive at a time.
+    schedule's ``cached_ranges``, read from ``store.oracle``.  Users are
+    visited grouped by demand, so each demanded file is read once per call
+    and one file's bytes are alive at a time.
     """
-    residuals = decode_residuals(caches, messages, demands)
-    store = caches[0].store
+    residuals = decode_residuals(store, messages)
+    demands = store.demands
     sizes = [e[3] for e in store.template]
     offsets = store.offsets + (store.bytes_per_file,)
     end = [(len(sizes), len(sizes))]  # an empty cached range after the last position
@@ -580,21 +498,17 @@ def decode_all(
     return {user: files[user] for user in residuals}
 
 
-def decode_residuals(
-    caches: Sequence[Cache],
-    messages: Iterable[CodedMessage],
-    demands: Sequence[int],
-) -> dict[int, list[int]]:
-    """Decode the users of ``caches`` in one pass over the messages; their residuals by user.
+def decode_residuals(store: PacketStore, messages: Iterable[CodedMessage]) -> dict[int, list[int]]:
+    """Decode every user of ``store`` in one pass over the messages; the residuals by user.
 
-    Every message is checked, whoever is decoded.  A round outside 1..G or
-    a constituent that is not a packet of the message's round raises
-    ``UndecodableMessage``; a payload whose length is not the round's packet
-    size raises ``PayloadSizeMismatch``.  Each constituent must be lacked by
-    exactly one group member, its owner, who is not the transmitter and
-    caches every other constituent; otherwise, or when the owner is not a
-    user 1..K or the transmitter not a member, ``UndecodableMessage`` is
-    raised.  With that checked, the owner's XOR of the other constituents
+    A round outside 1..G or a constituent that is not a packet of the
+    message's round (a position outside the layout, or not an int, such as
+    3.0 or [3]) raises ``UndecodableMessage``; a payload whose length is not the
+    round's packet size raises ``PayloadSizeMismatch``.  Each constituent
+    must be lacked by exactly one group member, its owner, who is not the
+    transmitter and caches every other constituent; otherwise, or when the
+    owner is not a user 1..K or the transmitter not a member,
+    ``UndecodableMessage`` is raised.  With that checked, the owner's XOR of the other constituents
     uses only its cache, so with ``total`` the payload XOR-ed with every
     constituent, constituent i decodes to ``total ^ v_i``.  A constituent
     outside its owner's demand raises ``UndemandedPacket``, one decoded
@@ -603,34 +517,22 @@ def decode_residuals(
     A user's residual list holds, per flat position, 0 for a cached packet
     and ``total`` for a decoded one, which is what the decoded packet
     differs from the split's by: its file is byte-exact exactly when every
-    held value is 0.  Before any message is read, the store's
-    ``check_covers`` judges the demands (``DemandOutOfRange``,
-    ``FileNotSplit``, ``DemandNotCovered``), and two caches of one user, or
-    a cache of another store than the first cache's, raise
-    ``CacheMismatch``.
+    held value is 0.
     """
-    if not caches:
-        raise ValueError("no caches")
-    store = caches[0].store
-    store.check_covers(demands)
     schedule = store.schedule
+    demands = store.demands
     lacking, size_of = schedule.lacking, schedule.size_of
-    # By user bit, each decoded user's held int per flat position, None until
-    # held; owners share their message's total, not one total ^ v_i each.
+    # By user, its held int per flat position, None until held; owners share
+    # their message's total, not one total ^ v_i each.  A one-bit mask maps
+    # to its user's demand, that file's values and the user's held list; any
+    # other mask to Nones.
     held: dict[int, list] = {}
-    for cache in caches:
-        if cache.store is not store:
-            raise CacheMismatch(f"the cache of user {cache.user} splits another store")
-        if 1 << cache.user in held:
-            raise CacheMismatch(f"two caches of user {cache.user}")
-        slots = held[1 << cache.user] = [None] * len(store.template)
-        for start, stop in schedule.cached_ranges(1 << cache.user):
+    owner_of = {}
+    for u, n in enumerate(demands, 1):
+        slots = held[u] = [None] * len(store.template)
+        for start, stop in schedule.cached_ranges(1 << u):
             slots[start:stop] = [0] * (stop - start)
-    # A one-bit mask maps to its user's demand, that file's values and the
-    # user's held list (None when it is not decoded); any other mask to Nones.
-    owner_of = {
-        1 << u: (n, store.file_values(n), held.get(1 << u)) for u, n in enumerate(demands, 1)
-    }
+        owner_of[1 << u] = (n, store.file_values(n), slots)
     nobody = (None, None, None)
     group = None
     for msg in messages:
@@ -651,14 +553,16 @@ def decode_residuals(
         seen = 0
         unknowns = []
         for n, pos in msg.constituents:
-            lack = group_mask & masks.get(pos, 0)
-            demand, values, slots = owner_of.get(lack, nobody)
-            if demand != n or lack == transmitter_bit or lack & seen:
-                _reject_constituent(msg, n, pos, group_mask, masks, store, demands)
-            seen |= lack
-            total ^= values[pos]
-            if slots is not None:
-                unknowns.append((slots, pos, lack))
+            try:
+                lack = group_mask & masks.get(pos, 0)
+                demand, values, slots = owner_of.get(lack, nobody)
+                if demand != n or lack == transmitter_bit or lack & seen:
+                    _reject_constituent(msg, n, pos, group_mask, masks, store)
+                seen |= lack
+                total ^= values[pos]
+            except TypeError:  # a position that is not an int, such as 3.0 or [3]
+                _reject_constituent(msg, n, pos, group_mask, masks, store)
+            unknowns.append((slots, pos, lack))
         for slots, pos, lack in unknowns:
             if slots[pos] is not None:
                 owner = lack.bit_length() - 1
@@ -666,12 +570,11 @@ def decode_residuals(
                     f"user {owner} decoded {_packet_id(store, demands[owner - 1], pos)} twice"
                 )
             slots[pos] = total
-    for cache in caches:
-        slots = held[1 << cache.user]
+    for u, slots in held.items():
         if None in slots:
-            pid = _packet_id(store, demands[cache.user - 1], slots.index(None))
-            raise MissingPacket(f"user {cache.user} never decoded {pid}")
-    return {c.user: held[1 << c.user] for c in caches}
+            pid = _packet_id(store, demands[u - 1], slots.index(None))
+            raise MissingPacket(f"user {u} never decoded {pid}")
+    return held
 
 
 def _packet_id(store: PacketStore, n: int, pos: int) -> tuple:
@@ -706,15 +609,12 @@ def _reject_constituent(
     group_mask: int,
     masks: dict[int, int],
     store: PacketStore,
-    demands: Sequence[int],
 ) -> NoReturn:
-    """Raise the named error for a constituent that failed ``decode_residuals``'s mask test."""
-    if pos not in masks:
-        if isinstance(pos, int) and 0 <= pos < len(store.template):
-            raise UndecodableMessage(
-                f"{_packet_id(store, n, pos)} is not a packet of round {msg.round}"
-            )
+    """Raise the named error for a constituent that failed ``decode_residuals``'s lookups."""
+    if not (isinstance(pos, int) and 0 <= pos < len(store.template)):
         raise UndecodableMessage(f"{(n, pos)} is not a packet of the layout")
+    if pos not in masks:
+        raise UndecodableMessage(f"{_packet_id(store, n, pos)} is not a packet of round {msg.round}")
     pid = _packet_id(store, n, pos)
     lack = group_mask & masks[pos]
     if lack.bit_count() != 1:
@@ -722,6 +622,7 @@ def _reject_constituent(
             f"{lack.bit_count()} members of group {msg.group} lack {pid}, expected 1"
         )
     owner = lack.bit_length() - 1
+    demands = store.demands
     if owner == msg.transmitter:
         raise UndecodableMessage(f"transmitter {owner} does not cache {pid}")
     if not 1 <= owner <= len(demands):
@@ -782,12 +683,13 @@ def record_transcript(
                     raise IndexError(pos)
                 args.append(file_text[n])
                 args.append(packet_text[pos])
-        except (KeyError, IndexError):
+        except (KeyError, IndexError, TypeError):
             # Kept apart from the fast loop: one loop with dict.get, or a dict with __missing__,
             # ran 2.5-5.4% slower on the K=17 t=4 transcript (median of 40 interleaved pairs).
             del args[4:]
             for n, pos in m.constituents:
-                if not 0 <= pos < len(packet_text):  # the lines so far are written, not this one
+                # The lines so far are written, not this one.
+                if not (isinstance(pos, int) and 0 <= pos < len(packet_text)):
                     block.append("")
                     fh.write("\n".join(block))
                     raise UndecodableMessage(f"{(n, pos)} is not a packet of the layout") from None

@@ -163,18 +163,17 @@ def verify_end_to_end(
         store = split_files(derivation, demands)
         target_units = Fraction(p.t * derivation.sizing.L, p.K)
         report.memory_target = f"{target_units * p.N * p.unit} bytes"
-        caches = build_caches(derivation, store)
-        report.memory_bytes = {c.user: c.total_bytes for c in caches}
+        report.memory_bytes = build_caches(store)
         report.memory_ok = True
 
-        messages = stream_delivery(derivation, store, demands, seed=seed)
+        messages = stream_delivery(store, seed=seed)
         tally = [0, 0]  # messages, payload units
         with open(transcript, "w", encoding="utf-8") if transcript else nullcontext() as fh:
             if fh is not None:
                 messages = record_transcript(messages, fh, store)
             messages = _tallied(messages, p.unit, tally)
             try:
-                residuals = decode_residuals(caches, messages, demands)
+                residuals = decode_residuals(store, messages)
             except ValueError:
                 for _ in messages:  # the messages a failed decode left unread
                     pass

@@ -110,5 +110,6 @@ class TestComparison:
         jcm = jcm_construct(7, 2, 7)
         calls = exchange_calls("stream_delivery", "split_files")
         compare(pt, jcm, seed=1)
-        for name, args in calls.items():
-            assert [a[0] for a in args] == [pt, jcm], name
+        assert [args[0] for args in calls["split_files"]] == [pt, jcm]
+        stores = [store for store, in calls["stream_delivery"]]  # the seed goes by keyword
+        assert [store.derivation for store in stores] == [pt, jcm]

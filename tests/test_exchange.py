@@ -20,10 +20,8 @@ from ptcache import baseline, exchange, verify
 from ptcache.cli import main
 from ptcache.combinatorics import binom
 from ptcache.exchange import (
-    CacheMismatch,
     CodedMessage,
     DeliveryCountMismatch,
-    DemandNotCovered,
     DemandOutOfRange,
     DuplicateDelivery,
     FileNotSplit,
@@ -43,7 +41,6 @@ from ptcache.exchange import (
     generate_delivery,
     record_transcript,
     split_files,
-    stream_delivery,
     total_transmitted_units,
     write_transcript,
 )
@@ -85,13 +82,12 @@ def example1():
     d = derived("theorem1", 7, 2)
     oracle = FileOracle()
     store = split_files(d, list(range(1, 8)), oracle)
-    caches = build_caches(d, store)
-    return d, oracle, store, caches
+    return d, oracle, store
 
 
 class TestSplit:
     def test_example1_counts(self, example1):
-        d, oracle, store, _ = example1
+        d, oracle, store = example1
         assert store.packets_per_file == 36 == 3 * (7 * 7 - 1) // 4
         assert store.bytes_per_file == 84
 
@@ -115,7 +111,7 @@ class TestSplit:
 
     def test_concatenation_reproduces_file(self, example1):
         """With every user demanding file 3, the store holds all of it."""
-        d, oracle, _, _ = example1
+        d, oracle, _ = example1
         store = split_files(d, [3] * 7, oracle)
         values = store.file_values(3)
         joined = b"".join(
@@ -208,45 +204,6 @@ class TestDemandKeyedStore:
                     offset, size = store.offsets[pos], store.template[pos][3]
                     assert v == int.from_bytes(data[offset:offset + size], "big")
 
-    def test_a_file_kept_whole_serves_any_demander(self):
-        """Four demanders of file 1 share no support at t = 2, so file 1 is kept whole.
-
-        The store then covers a vector where user 6 demands file 1 as well,
-        and that delivery decodes byte-exact; users 4 and 5 are covered
-        because their demands are unchanged.
-        """
-        d = derived("theorem1", 7, 2)
-        oracle = FileOracle()
-        store = split_files(d, [1, 1, 1, 2, 2, 3, 1], oracle)
-        assert all(held(store, 1)) and not all(held(store, 2))
-        demands = [1, 1, 1, 2, 2, 1, 1]
-        caches = build_caches(d, store)
-        recon = decode_all(caches, generate_delivery(d, store, demands, seed=1), demands)
-        assert recon == {u: oracle.file_bytes(demands[u - 1], store.bytes_per_file)
-                         for u in range(1, 8)}
-
-    @pytest.mark.parametrize("store_demands,demands", [
-        ([1, 1, 2, 2, 3, 3, 3], [1, 2, 1, 2, 3, 3, 3]),
-        ([1, 1, 1, 2, 2, 3, 1], [1, 1, 1, 2, 3, 3, 1]),
-    ], ids=["swapped_pair", "onto_a_dropped_file"])
-    def test_uncovered_demands_named_before_any_message(self, store_demands, demands):
-        """A store split for repeated demands covers no user whose demand moved to a
-        file it dropped packets of (distinct demands: ``TestDecode``)."""
-        d = derived("theorem1", 7, 2)
-        store = split_files(d, store_demands)
-        caches = build_caches(d, store)
-
-        def unread():
-            raise AssertionError("a message was read")
-            yield
-
-        with pytest.raises(DemandNotCovered, match="but the store was split for demands"):
-            stream_delivery(d, store, demands)
-        with pytest.raises(DemandNotCovered):
-            decode_residuals(caches, unread(), demands)
-        with pytest.raises(DemandNotCovered):
-            decode_all(caches, unread(), demands)
-
 
 class TestSchedule:
     """A derivation's delivery schedule is built once, from the derivation itself, and
@@ -277,70 +234,70 @@ class TestSchedule:
 
 class TestCaches:
     def test_example1_units(self, example1):
-        d, _, store, caches = example1
-        for c in caches:
-            assert c.units_per_file == 24  # (t/K)*L = 2*84/7
-            assert c.total_bytes == 24 * 7
+        _, _, store = example1
+        # (t/K)*L = 2*84/7 = 24 units of each of the N = 7 files
+        assert build_caches(store) == {u: 24 * 7 for u in range(1, 8)}
 
     def test_jcm_symmetric(self):
         d = derived("jcm", 5, 2)
         store = split_files(d, [1, 2, 3, 4, 5])
-        for c in build_caches(d, store):
-            assert c.units_per_file * 5 == 2 * d.sizing.L
+        for cached in build_caches(store).values():
+            assert cached * 5 == 2 * d.sizing.L * 5
 
     def test_theorem1_t4_equal(self):
         d = derived("theorem1", 11, 4)
         store = split_files(d, [1] * 11)
-        totals = {c.units_per_file for c in build_caches(d, store)}
-        assert len(totals) == 1
+        assert len(set(build_caches(store).values())) == 1
 
     def test_memory_mismatch(self, example1):
-        """A derivation whose file length disagrees with the store's packets fails the audit."""
-        d, _, store, _ = example1
-        sizing = SimpleNamespace(ell=d.sizing.ell, L=d.sizing.L + 1)
-        with pytest.raises(MemoryMismatch, match="differ from target 170/7"):
-            build_caches(Overridden(d, sizing=sizing), store)
+        """Packet sizes (1, 4) with L = 72 pass both layout checks, but users 1-4
+        cache 21 units of a file and users 5-7 cache 20, against t*L/K = 144/7."""
+        d = example1[0]
+        sizing = SimpleNamespace(ell=(1, 4), L=72)
+        store = split_files(Overridden(d, sizing=sizing), [1] * 7)
+        with pytest.raises(MemoryMismatch, match="differ from target 144/7"):
+            build_caches(store)
 
 
 class TestDelivery:
     def test_example1_message_counts(self, example1):
-        d, _, store, _ = example1
-        msgs = generate_delivery(d, store, list(range(1, 8)), seed=0)
+        d, _, store = example1
+        msgs = generate_delivery(store, seed=0)
         per_round = Counter(m.round for m in msgs)
         assert per_round[1] == 60  # 12*1 + 18*2 + 4*3
         assert per_round[2] == 30  # 12 + 18
         assert total_transmitted_units(msgs, d) == 210  # (K-t)/t * L
 
     def test_dof_t_per_message(self, example1):
-        d, _, store, _ = example1
-        msgs = generate_delivery(d, store, list(range(1, 8)), seed=5)
+        _, _, store = example1
+        msgs = generate_delivery(store, seed=5)
         assert all(len(m.constituents) == 2 for m in msgs)
 
     def test_jcm_all_transmit(self):
         d = derived("jcm", 5, 2)
         store = split_files(d, [1, 2, 3, 4, 5])
-        msgs = generate_delivery(d, store, [1, 2, 3, 4, 5], seed=0)
+        msgs = generate_delivery(store, seed=0)
         per_group = Counter(m.group for m in msgs)
         assert set(per_group.values()) == {3}  # every 3-subset emits 3 messages
         assert len(per_group) == binom(5, 3)
 
     def test_demand_out_of_range(self, example1):
-        d, _, store, _ = example1
+        """A delivery's demands are its store's, so a bad vector never gets a store."""
+        d = example1[0]
         with pytest.raises(DemandOutOfRange):
-            generate_delivery(d, store, [1, 2, 3, 4, 5, 6, 8], seed=0)
+            split_files(d, [1, 2, 3, 4, 5, 6, 8])
         with pytest.raises(DemandOutOfRange):
-            generate_delivery(d, store, [1, 2, 3], seed=0)
+            split_files(d, [1, 2, 3])
 
     def test_repeat_count_mismatch(self, example1):
-        d, _, store, _ = example1
+        """The slot plans are the schedule's, built with the store, before any message."""
+        d = example1[0]
         with pytest.raises(DeliveryCountMismatch):
-            generate_delivery(skewed_repeats(d), store, list(range(1, 8)), seed=0)
+            split_files(skewed_repeats(d), list(range(1, 8)))
 
     def test_deterministic_for_seed(self, example1):
-        d, _, store, _ = example1
-        a = generate_delivery(d, store, list(range(1, 8)), seed=9)
-        b = generate_delivery(d, store, list(range(1, 8)), seed=9)
-        assert a == b
+        _, _, store = example1
+        assert generate_delivery(store, seed=9) == generate_delivery(store, seed=9)
 
 
 def skewed_repeats(d):
@@ -357,17 +314,15 @@ def _type_of(support, split_at=4):
 
 class TestDecode:
     def test_all_users_byte_exact(self, example1):
-        d, oracle, store, caches = example1
-        demands = list(range(1, 8))
-        msgs = generate_delivery(d, store, demands, seed=0)
+        _, oracle, store = example1
+        msgs = generate_delivery(store, seed=0)
         for user in range(1, 8):
-            got = decode(user, caches[user - 1], msgs, demands)
+            got = decode(user, store, msgs)
             assert got == oracle.file_bytes(user, store.bytes_per_file)
 
     def test_user1_per_type_counts(self, example1):
-        d, _, store, caches = example1
-        demands = list(range(1, 8))
-        msgs = generate_delivery(d, store, demands, seed=0)
+        _, _, store = example1
+        msgs = generate_delivery(store, seed=0)
         decoded = []
         for m in msgs:
             if m.transmitter == 1 or 1 not in m.group:
@@ -382,8 +337,7 @@ class TestDecode:
         d = derived("jcm", 5, 2)
         demands = [1, 2, 3, 4, 5]
         store = split_files(d, demands)
-        msgs = generate_delivery(d, store, demands, seed=0)
-        caches = build_caches(d, store)
+        msgs = generate_delivery(store, seed=0)
         mine = [
             pid
             for m in msgs
@@ -392,15 +346,13 @@ class TestDecode:
             if 1 not in pid[1]
         ]
         assert len(mine) == 2 * binom(4, 2)  # t * C(K-1, t)
-        assert decode(1, caches[0], msgs, demands) == store.oracle.file_bytes(1, store.bytes_per_file)
+        assert decode(1, store, msgs) == store.oracle.file_bytes(1, store.bytes_per_file)
 
     def test_repeated_demands(self, example1):
-        d, oracle, _, _ = example1
+        d, oracle, _ = example1
         demands = [1, 1, 2, 2, 3, 3, 3]
         store = split_files(d, demands, oracle)
-        caches = build_caches(d, store)
-        msgs = generate_delivery(d, store, demands, seed=2)
-        recon = decode_all(caches, msgs, demands)
+        recon = decode_all(store, generate_delivery(store, seed=2))
         for user in range(1, 8):
             assert recon[user] == oracle.file_bytes(demands[user - 1], store.bytes_per_file)
 
@@ -409,8 +361,7 @@ class TestDecode:
         oracle = FileOracle()
         demands = [1, 2, 1, 2, 3, 1, 2]
         store = split_files(d, demands, oracle)
-        caches = build_caches(d, store)
-        msgs = generate_delivery(d, store, demands, seed=3)
+        msgs = generate_delivery(store, seed=3)
         reads = Counter()
         real = oracle.file_bytes
 
@@ -419,78 +370,36 @@ class TestDecode:
             return real(n, length)
 
         monkeypatch.setattr(oracle, "file_bytes", counted)
-        recon = decode_all(caches, msgs, demands)
+        recon = decode_all(store, msgs)
         assert reads == {1: 1, 2: 1, 3: 1}
         assert list(recon) == list(range(1, 8))
         assert recon == {u: real(demands[u - 1], store.bytes_per_file) for u in range(1, 8)}
 
-    def test_subset_of_caches(self, example1):
-        d, oracle, store, caches = example1
-        demands = list(range(1, 8))
-        msgs = generate_delivery(d, store, demands, seed=0)
-        assert decode_all([caches[4]], msgs, demands) == {
-            5: oracle.file_bytes(5, store.bytes_per_file)
-        }
+    @pytest.mark.parametrize("demands", [
+        [1, 2, 3, 4, 5, 6, 0],
+        [1, 2, 3],
+        [1] * 6,
+        [1] * 8,
+        [1, 2, 3, 4, 5, 6, 7.0],
+        [1, 2, "3", 4, 5, 6, 7],
+    ], ids=["zero", "short", "six", "eight", "float", "str"])
+    def test_demands_checked_before_any_message(self, demands):
+        """At N=9, a demand for 0, a vector of the wrong length or a non-integer
+        entry is named, not a KeyError, an IndexError or a TypeError.
 
-    def test_duplicate_cache_rejected(self, example1):
-        d, _, store, caches = example1
-        demands = list(range(1, 8))
-        msgs = generate_delivery(d, store, demands, seed=0)
-        with pytest.raises(CacheMismatch, match="two caches of user 1"):
-            decode_all([caches[0], caches[0]], msgs, demands)
-
-    def test_cache_of_another_store_rejected(self, example1):
-        d, _, store, caches = example1
-        demands = list(range(1, 8))
-        msgs = generate_delivery(d, store, demands, seed=0)
-        other = build_caches(d, split_files(d, demands, FileOracle(b"another key")))
-        with pytest.raises(CacheMismatch, match="user 2 splits another store"):
-            decode_all([caches[0], other[1]], msgs, demands)
-
-    def test_user_of_another_cache_rejected(self, example1):
-        d, _, store, caches = example1
-        demands = list(range(1, 8))
-        msgs = generate_delivery(d, store, demands, seed=0)
-        with pytest.raises(CacheMismatch, match="user 1 given the cache of user 5"):
-            decode(1, caches[4], msgs, demands)
-
-    @pytest.mark.parametrize("demands,error", [
-        ([1, 2, 3, 4, 5, 6, 8], FileNotSplit),
-        ([1, 2, 3, 4, 5, 6, 0], DemandOutOfRange),
-        ([1, 2, 3], DemandOutOfRange),
-        ([1] * 6, DemandOutOfRange),
-        ([1] * 8, DemandOutOfRange),
-        ([2, 1, 3, 4, 5, 6, 7], DemandNotCovered),
-        ([1, 2, 3, 4, 5, 6, 7.0], DemandOutOfRange),
-        ([1, 2, "3", 4, 5, 6, 7], DemandOutOfRange),
-    ], ids=["unsplit", "zero", "short", "six", "eight", "uncovered", "float", "str"])
-    def test_demands_checked_before_any_message(self, demands, error):
-        """At N=9 with files 1..7 split for distinct demands, a demand for 8 or
-        0, a vector of the wrong length, a non-integer entry, or a file
-        another user's packets were kept for, is named, not a KeyError, an
-        IndexError or a TypeError.
-
-        ``check_covers`` names it, and delivery raises it from the call
-        itself, before the first message, and leaves the store as it was
-        split.
+        ``split_files`` names it before any file is read, so no store, and
+        so no delivery or decode, has demands that are not one file in 1..N
+        per user.
         """
         d = derived("theorem1", 7, 2, N=9)
-        store = split_files(d, list(range(1, 8)))
-        caches = build_caches(d, store)
+        oracle = FileOracle()
 
-        def unread():
-            raise AssertionError("a message was read")
-            yield
+        def unread(n, length):
+            raise AssertionError("a file was read")
 
-        with pytest.raises(error):
-            store.check_covers(demands)
-        with pytest.raises(error):
-            stream_delivery(d, store, demands)
-        assert store.files == tuple(range(1, 8))
-        with pytest.raises(error):
-            decode_all(caches, unread(), demands)
-        with pytest.raises(error):
-            decode(1, caches[0], unread(), demands)
+        oracle.file_bytes = unread
+        with pytest.raises(DemandOutOfRange):
+            split_files(d, demands, oracle)
 
     @pytest.mark.parametrize("entry", [7.0, "3"])
     def test_non_integer_demand_reported(self, entry):
@@ -498,16 +407,11 @@ class TestDecode:
         report = verify.verify_end_to_end(d, [1, 2, 3, 4, 5, 6, entry])
         assert report.failure == f"DemandOutOfRange: demand {entry!r} is not an integer"
 
-    def test_no_caches(self):
-        with pytest.raises(ValueError, match="no caches"):
-            decode_residuals([], [], list(range(1, 8)))
-
     def test_seed_changes_assignment_not_counts(self, example1):
-        d, _, store, caches = example1
-        demands = list(range(1, 8))
+        _, _, store = example1
         runs = []
         for seed in (0, 1):
-            msgs = generate_delivery(d, store, demands, seed=seed)
+            msgs = generate_delivery(store, seed=seed)
             per_kind = Counter(
                 (pid[1], pid[2]) for m in msgs for pid in packet_ids(store, m)
             )
@@ -516,26 +420,24 @@ class TestDecode:
         assert runs[0][0] != runs[1][0]          # different index assignments
 
     def test_missing_packet_when_truncated(self, example1):
-        d, _, store, caches = example1
-        demands = list(range(1, 8))
-        msgs = generate_delivery(d, store, demands, seed=0)
+        _, _, store = example1
+        msgs = generate_delivery(store, seed=0)
         with pytest.raises(MissingPacket):
-            decode(1, caches[0], msgs[:-20], demands)
+            decode(1, store, msgs[:-20])
 
     def test_duplicate_delivery_detected(self, example1):
-        d, _, store, caches = example1
-        demands = list(range(1, 8))
-        msgs = generate_delivery(d, store, demands, seed=0)
+        _, _, store = example1
+        msgs = generate_delivery(store, seed=0)
         dup = msgs + [msgs[0]]
         target = packet_ids(store, msgs[0])[0]
         victim = next(u for u in msgs[0].group if u not in target[1])
         with pytest.raises(DuplicateDelivery):
-            decode(victim, caches[victim - 1], dup, demands)
+            decode(victim, store, dup)
 
     def test_undecodable_message(self, example1):
-        d, _, store, caches = example1
-        demands = list(range(1, 8))
-        msgs = generate_delivery(d, store, demands, seed=0)
+        _, _, store = example1
+        demands = store.demands
+        msgs = generate_delivery(store, seed=0)
         # graft a foreign constituent so two packets are unknown to the victim
         m = msgs[0]
         target = packet_ids(store, m)[0]
@@ -548,17 +450,16 @@ class TestDecode:
             constituents=m.constituents + (foreign,),
         )
         with pytest.raises(UndecodableMessage):
-            decode(victim, caches[victim - 1], [bad], demands)
+            decode(victim, store, [bad])
 
     def test_constituent_outside_demand(self, example1):
-        d, _, store, caches = example1
-        demands = list(range(1, 8))
-        m = generate_delivery(d, store, demands, seed=0)[0]
+        _, _, store = example1
+        m = generate_delivery(store, seed=0)[0]
         n, pos = m.constituents[0]
         other = (n % 7 + 1, pos)
         bad = m._replace(constituents=(other,) + m.constituents[1:])
         with pytest.raises(UndemandedPacket, match="outside its demand"):
-            decode_all(caches, [bad], demands)
+            decode_all(store, [bad])
 
 
 def packet_value(store, constituent):
@@ -602,20 +503,18 @@ class TestHonestDecodeAll:
 
     @pytest.fixture
     def tampered(self, example1):
-        d, _, store, caches = example1
-        demands = list(range(1, 8))
-        msgs = generate_delivery(d, store, demands, seed=0)
-        return d, store, caches, demands, swap_user5_constituents(store, msgs)
+        d, _, store = example1
+        return d, store, swap_user5_constituents(store, generate_delivery(store, seed=0))
 
     def test_swapped_constituents_rejected(self, tampered):
-        _, _, caches, demands, msgs = tampered
+        _, store, msgs = tampered
         with pytest.raises(UndecodableMessage):
-            decode(6, caches[5], msgs, demands)
+            decode(6, store, msgs)
         with pytest.raises(UndecodableMessage):
-            decode_all(caches, msgs, demands)
+            decode_all(store, msgs)
 
     def test_verify_reports_swapped_constituents(self, tampered, monkeypatch):
-        d, store, _, _, _ = tampered
+        d, store, _ = tampered
         real = verify.stream_delivery
 
         def tampering(*args, **kwargs):
@@ -627,34 +526,33 @@ class TestHonestDecodeAll:
         assert report.failure.startswith("UndecodableMessage")
 
     def test_transmitter_as_owner_rejected(self, example1):
-        d, _, store, caches = example1
-        demands = list(range(1, 8))
-        msgs = generate_delivery(d, store, demands, seed=0)
+        _, _, store = example1
+        msgs = generate_delivery(store, seed=0)
         # The first message whose round has packets cached by all but its transmitter.
         for m in msgs:
             x = m.transmitter
             pos = position(store, tuple(u for u in m.group if u != x), m.round, 1)
             if pos is not None:
                 break
-        own = (demands[x - 1], pos)
+        own = (store.demands[x - 1], pos)
         bad = m._replace(constituents=m.constituents[:-1] + (own,))
         with pytest.raises(UndecodableMessage, match="transmitter"):
-            decode_all(caches, [bad], demands)
+            decode_all(store, [bad])
 
     def test_owner_lacking_two_rejected(self, example1):
-        d, _, store, caches = example1
-        demands = list(range(1, 8))
-        m = generate_delivery(d, store, demands, seed=0)[0]
+        _, _, store = example1
+        m = generate_delivery(store, seed=0)[0]
         bad = m._replace(constituents=m.constituents + m.constituents[:1])
         with pytest.raises(UndecodableMessage, match="two constituents"):
-            decode_all(caches, [bad], demands)
+            decode_all(store, [bad])
 
 
 def malformed(store, m, case):
     """Message ``m`` made malformed in one way, named by ``case``.
 
     "unknown_index"/"negative_index": its first constituent gets the
-    position one past the layout (or -1); "other_round": a position of the
+    position one past the layout (or -1); "float_index"/"list_index": its
+    first constituent's position as a float (or in a list); "other_round": a position of the
     other coupled group.  "owner_99"/"owner_0": the group becomes the first
     constituent's support plus member 99 (or 0), which is then the only
     member lacking that constituent, so its owner.  "unknown_round": the
@@ -662,13 +560,15 @@ def malformed(store, m, case):
     99, not a member.  "negative_member": the group gains member -1.
     "file_99": its first constituent names file 99, which no user demands.
     """
-    n, _ = m.constituents[0]
+    n, first = m.constituents[0]
     if case == "file_99":
         return m._replace(constituents=((99, m.constituents[0][1]),) + m.constituents[1:])
-    if case in ("unknown_index", "negative_index", "other_round"):
+    if case in ("unknown_index", "negative_index", "float_index", "list_index", "other_round"):
         pos = {
             "unknown_index": store.packets_per_file,
             "negative_index": -1,
+            "float_index": float(first),
+            "list_index": [first],
             "other_round": next(p for p, e in enumerate(store.template) if e[1] != m.round),
         }[case]
         return m._replace(constituents=((n, pos),) + m.constituents[1:])
@@ -691,6 +591,8 @@ MALFORMED = [
     ("owner_99", "owner 99 .* not a user 1..7"),
     ("owner_0", "owner 0 .* not a user 1..7"),
     ("negative_index", "not a packet of the layout"),
+    ("float_index", "not a packet of the layout"),
+    ("list_index", "not a packet of the layout"),
     ("other_round", "not a packet of round 1"),
     ("unknown_round", "round 3 is not a round 1..2"),
     ("transmitter_outside", "transmitter 99 is not a member"),
@@ -703,19 +605,18 @@ class TestMalformedConstituents:
 
     @pytest.mark.parametrize("case,reason", MALFORMED)
     def test_decode_all(self, example1, case, reason):
-        d, _, store, caches = example1
-        demands = list(range(1, 8))
-        m = generate_delivery(d, store, demands, seed=0)[0]
+        _, _, store = example1
+        m = generate_delivery(store, seed=0)[0]
         with pytest.raises(UndecodableMessage, match=reason):
-            decode_all(caches, [malformed(store, m, case)], demands)
+            decode_all(store, [malformed(store, m, case)])
 
     @pytest.mark.parametrize("case,reason", MALFORMED)
     def test_verify_reports(self, example1, monkeypatch, case, reason):
         d = example1[0]
         real = verify.stream_delivery
 
-        def tampering(derivation, store, *args, **kwargs):
-            msgs = list(real(derivation, store, *args, **kwargs))
+        def tampering(store, *args, **kwargs):
+            msgs = list(real(store, *args, **kwargs))
             return [malformed(store, msgs[0], case)] + msgs[1:]
 
         monkeypatch.setattr(verify, "stream_delivery", tampering)
@@ -734,8 +635,8 @@ class TestMalformedConstituents:
         """
         real = verify.stream_delivery
 
-        def tampering(derivation, store, *args, **kwargs):
-            msgs = list(real(derivation, store, *args, **kwargs))
+        def tampering(store, *args, **kwargs):
+            msgs = list(real(store, *args, **kwargs))
             return msgs[:1] + [malformed(store, msgs[1], case)] + msgs[2:]
 
         monkeypatch.setattr(verify, "stream_delivery", tampering)
@@ -746,7 +647,8 @@ class TestMalformedConstituents:
         assert logged.failure == plain.failure
         lines = path.read_text(encoding="utf-8").count("\n")
         assert lines == logged.message_count
-        assert lines == (1 if case in ("unknown_index", "negative_index") else plain.message_count)
+        outside = ("unknown_index", "negative_index", "float_index", "list_index")
+        assert lines == (1 if case in outside else plain.message_count)
 
 
 def flip_first_payload_bit(msgs):
@@ -828,17 +730,16 @@ def test_nonzero_residual_iff_assembled_file_differs(example1, seed, data):
     Both are exactly the owners of the flipped message's constituents: with
     distinct demands, user n owns the packets of file n.
     """
-    d, oracle, store, caches = example1
-    demands = list(range(1, 8))
-    msgs = generate_delivery(d, store, demands, seed=seed)
+    _, oracle, store = example1
+    msgs = generate_delivery(store, seed=seed)
     i = data.draw(st.integers(0, len(msgs) - 1), label="message")
     bit = data.draw(st.integers(0, 8 * len(msgs[i].payload) - 1), label="bit")
     flipped = int.from_bytes(msgs[i].payload, "big") ^ (1 << bit)
     msgs[i] = msgs[i]._replace(payload=flipped.to_bytes(len(msgs[i].payload), "big"))
-    nonzero = {u for u, held in decode_residuals(caches, msgs, demands).items() if any(held)}
+    nonzero = {u for u, held in decode_residuals(store, msgs).items() if any(held)}
     differs = {
-        u for u, got in decode_all(caches, msgs, demands).items()
-        if got != oracle.file_bytes(demands[u - 1], store.bytes_per_file)
+        u for u, got in decode_all(store, msgs).items()
+        if got != oracle.file_bytes(store.demands[u - 1], store.bytes_per_file)
     }
     assert nonzero == differs == {n for n, _ in msgs[i].constituents}
 
@@ -846,10 +747,8 @@ def test_nonzero_residual_iff_assembled_file_differs(example1, seed, data):
 @pytest.fixture(scope="module")
 def k17t4():
     """theorem1 K=17 t=4 with distinct demands: 26 754 messages of 4 constituents."""
-    d = derived("theorem1", 17, 4)
-    demands = list(range(1, 18))
-    store = split_files(d, demands)
-    return d, store, demands, generate_delivery(d, store, demands, seed=0)
+    store = split_files(derived("theorem1", 17, 4), list(range(1, 18)))
+    return store, generate_delivery(store, seed=0)
 
 
 class TestDecodeMemory:
@@ -859,11 +758,10 @@ class TestDecodeMemory:
         Holding one int per message (shared by its owners) keeps it near
         1.5x; one fresh int per decoded packet would reach about 2.3x.
         """
-        d, store, demands, msgs = k17t4
-        caches = build_caches(d, store)
+        store, msgs = k17t4
         tracemalloc.start()
         try:
-            out = decode_all(caches, msgs, demands)
+            out = decode_all(store, msgs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -879,7 +777,7 @@ class TestDecodeAccounting:
         d = derived(name, K, t)
         demands = list(range(1, K + 1))
         store = split_files(d, demands)
-        msgs = generate_delivery(d, store, demands, seed=7)
+        msgs = generate_delivery(store, seed=7)
         split_at = d.grouping.sizes[0]
         got = Counter()
         for m in msgs:
@@ -906,25 +804,23 @@ class TestOddT3EndToEnd:
         oracle = FileOracle()
         demands = list(range(1, 10))
         store = split_files(d, demands, oracle)
-        caches = build_caches(d, store)
-        msgs = generate_delivery(d, store, demands, seed=4)
+        msgs = generate_delivery(store, seed=4)
         assert all(len(m.constituents) == 3 for m in msgs)
         assert Fraction(total_transmitted_units(msgs, d), d.sizing.L) == Fraction(2)
-        recon = decode_all(caches, msgs, demands)
+        recon = decode_all(store, msgs)
         for user in range(1, 10):
             assert recon[user] == oracle.file_bytes(user, store.bytes_per_file)
 
 
 class TestTranscript:
     def test_lines_parse_and_are_stable(self, example1):
-        d, _, store, _ = example1
-        demands = list(range(1, 8))
-        msgs = generate_delivery(d, store, demands, seed=0)
+        _, _, store = example1
+        msgs = generate_delivery(store, seed=0)
         lines = transcript_of(msgs, store)
         assert len(lines) == len(msgs)
         rec = json.loads(lines[0])
         assert set(rec) == {"round", "group", "transmitter", "repeat", "constituents", "payload_sha256"}
-        assert lines == transcript_of(generate_delivery(d, store, demands, seed=0), store)
+        assert lines == transcript_of(generate_delivery(store, seed=0), store)
 
     @pytest.mark.parametrize("name,K,t,demands", [
         ("theorem1", 7, 2, [1, 1, 2, 2, 3, 3, 3]),
@@ -934,7 +830,7 @@ class TestTranscript:
     def test_lines_equal_compact_json(self, name, K, t, demands):
         d = derived(name, K, t)
         store = split_files(d, demands)
-        msgs = generate_delivery(d, store, demands, seed=3)
+        msgs = generate_delivery(store, seed=3)
         assert transcript_of(msgs, store) == [compact_json(store, m) for m in msgs]
 
     def test_every_constituent_count(self, example1):
@@ -943,7 +839,7 @@ class TestTranscript:
         Real deliveries carry t constituents per message, so these are built
         by hand; each count gets its own line format.
         """
-        d, _, store, _ = example1
+        _, _, store = example1
         group = (1, 2, 5)
         r1 = [p for p, e in enumerate(store.template) if e[1] == 1]
         r2 = [p for p, e in enumerate(store.template) if e[1] == 2]
@@ -959,7 +855,7 @@ class TestTranscript:
 
     def test_write_peak_within_a_quarter_of_the_bytes(self, k17t4, tmp_path):
         """write_transcript holds a block of lines, not the transcript: 1.2 of 10.9 MB."""
-        _, store, _, msgs = k17t4
+        store, msgs = k17t4
         path = tmp_path / "run.jsonl"
         tracemalloc.start()
         try:
@@ -1085,7 +981,7 @@ class TestBijection:
         d = derived(name, K, t)
         demands = verify.demand_vector(demands, K, K)
         store = split_files(d, demands)
-        msgs = generate_delivery(d, store, demands, seed=seed)
+        msgs = generate_delivery(store, seed=seed)
         ones = 0
         for m in msgs:
             expected, count = reference_constituents(d, store, demands, seed, m)

@@ -1,6 +1,6 @@
 """Grid-level properties of the construction and the byte pipeline.
 
-The end-to-end grid builds one store and cache set per parameter point and
+The end-to-end grid builds one store per parameter point and
 demand vector and re-runs delivery/decode across seeds; the smallest point
 of each grid additionally goes through the one-call verifier.
 """
@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from ptcache.exchange import (
     FileOracle,
-    build_caches,
     decode_all,
     generate_delivery,
     split_files,
@@ -48,12 +47,11 @@ def test_theorem1_end_to_end_grid(t, q):
     for kind in ("distinct", "uniform"):
         demands = demand_vector(kind, K, K)
         store = split_files(d, demands, oracle)
-        caches = build_caches(d, store)
         for seed in (0, 1, 2):
-            messages = generate_delivery(d, store, demands, seed=seed)
+            messages = generate_delivery(store, seed=seed)
             assert all(len(m.constituents) == t for m in messages)
             assert Fraction(total_transmitted_units(messages, d), L) == Fraction(K - t, t)
-            recon = decode_all(caches, messages, demands)
+            recon = decode_all(store, messages)
             for user in range(1, K + 1):
                 assert recon[user] == oracle.file_bytes(demands[user - 1], store.bytes_per_file)
 
@@ -79,37 +77,30 @@ def _theorem1(K, t):
 
 @st.composite
 def random_runs(draw):
-    """A theorem1 point, a demand vector with repeats, a seed, and a subset of users."""
+    """A theorem1 point, a demand vector with repeats, and a seed."""
     K, t = draw(st.sampled_from(RANDOM_DEMAND_POINTS))
     demands = draw(st.lists(st.integers(1, K), min_size=K, max_size=K))
     seed = draw(st.integers(-(2**63), 2**63 - 1))
-    users = draw(st.sets(st.integers(1, K), min_size=1))
-    return K, t, demands, seed, sorted(users)
+    return K, t, demands, seed
 
 
 @settings(max_examples=40, deadline=None)
 @given(random_runs())
 def test_random_demands_and_seeds(run):
-    """Any demand vector and 8-byte seed passes and decodes byte-exact; decoding a
-    subset of caches changes nothing.
+    """Any demand vector and 8-byte seed passes the audit and decodes byte-exact.
 
-    The audit keeps no messages, so the subset decode runs on the delivery
-    ``generate_delivery`` builds from the same split at the same seed.
+    The audit keeps no messages, so the byte-exact decode runs on the
+    delivery ``generate_delivery`` builds from the same split at the same seed.
     """
-    K, t, demands, seed, users = run
+    K, t, demands, seed = run
     d = _theorem1(K, t)
     report = verify_end_to_end(d, demands, seed)
     assert report.passed, report.failure
     oracle = FileOracle()
     store = split_files(d, demands, oracle)
-    messages = generate_delivery(d, store, demands, seed=seed)
-    caches = build_caches(d, store)
-    full = decode_all(caches, messages, demands)
-    assert full == {
+    assert decode_all(store, generate_delivery(store, seed=seed)) == {
         u: oracle.file_bytes(n, store.bytes_per_file) for u, n in enumerate(demands, 1)
     }
-    subset = decode_all([caches[u - 1] for u in users], messages, demands)
-    assert subset == {u: full[u] for u in users}
 
 
 @pytest.mark.parametrize("t", [2, 4, 6, 8])

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ptcache import verify
+from ptcache import baseline, verify
 from ptcache.analysis import f_jcm, f_pt
 from ptcache.combinatorics import hypergeo_pmf
 from ptcache.exchange import split_files
@@ -114,6 +114,21 @@ class TestEndToEnd:
         doc = report.to_json_dict()
         assert doc["passed"] is True
         assert doc["rate"] == "5/2"
+
+    def test_audits_call_no_list_era_name(self, exchange_calls, tmp_path):
+        """The audits stream: ``verify_end_to_end`` (with a transcript) and
+        ``baseline.compare`` call none of the list-era names that only
+        perfbench's tracer binds, so they can go once it binds the streamed ones."""
+        names = ("generate_delivery", "decode", "decode_all", "write_transcript",
+                 "total_transmitted_units")
+        calls = exchange_calls(*names)
+        pt = derive(preset("theorem1", SystemParams(K=7, t=2, N=7)))
+        jcm = derive(preset("jcm", SystemParams(K=7, t=2, N=7)))
+        assert verify_end_to_end(pt, "distinct", 1, str(tmp_path / "run.jsonl")).passed
+        baseline.compare(pt, jcm, seed=1)
+        assert calls == {name: [] for name in names}
+        verify.generate_delivery(split_files(pt, [1] * 7))  # the count sees a call
+        assert len(calls["generate_delivery"]) == 1
 
     def test_demand_vector_kinds(self):
         assert demand_vector("distinct", 4, 5) == [1, 2, 3, 4]
