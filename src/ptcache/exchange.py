@@ -65,7 +65,11 @@ class PayloadSizeMismatch(ValueError):
 
 
 class SeedOutOfRange(ValueError):
-    """A delivery seed outside the 8 signed bytes of the bijection key."""
+    """A delivery seed that is not an integer, or does not fit the word stream's 8 signed bytes."""
+
+
+class UserOutOfRange(ValueError):
+    """A user to decode that is not one of 1..K."""
 
 
 class PacketLayoutMismatch(ValueError):
@@ -321,29 +325,7 @@ class CodedMessage(NamedTuple):
     constituents: tuple[Constituent, ...]
 
 
-_WORD = struct.Struct(">Q").unpack_from
-
-
-def _bijection(key_input: bytes, n: int, first: int) -> list[int]:
-    """Positions ``first .. first + n - 1`` in a receiver's seeded Fisher-Yates order.
-
-    ``key_input``: seed (8 bytes, signed), round (2), members, receiver (4
-    each), big-endian.  Step w swaps entries n-1-w and (word w) mod (n-w);
-    word w is 64-bit word w % 8 of the blake2b of counter w // 8 keyed by
-    the 16-byte blake2b of ``key_input``.
-    """
-    key = hashlib.blake2b(key_input, digest_size=16).digest()
-    digest = hashlib.blake2b(bytes(4), key=key).digest()
-    if n == 2:  # one step, word 0 mod 2: the low bit of byte 7
-        return [first, first + 1] if digest[7] & 1 else [first + 1, first]
-    out = list(range(first, first + n))
-    for w in range(n - 1):
-        if w and w % 8 == 0:
-            digest = hashlib.blake2b((w // 8).to_bytes(4, "big"), key=key).digest()
-        i = n - 1 - w
-        j = _WORD(digest, w % 8 * 8)[0] % (i + 1)
-        out[i], out[j] = out[j], out[i]
-    return out
+_WORDS = struct.Struct(">8Q").unpack
 
 
 def _slot_plan(
@@ -395,11 +377,22 @@ def stream_delivery(store: PacketStore, seed: int = 0) -> Iterator[CodedMessage]
     indices exactly once.  Messages are ordered by (round, group type, group,
     transmitter, repeat); any order decodes identically.
 
+    A receiver's bijection is a Fisher-Yates shuffle of its alpha indices:
+    step i = alpha-1 .. 1 swaps entries i and (next word) mod (i + 1).  A
+    group's receivers draw in slot-plan order from one word stream per
+    (seed, round, group), whose block b is the 64-byte blake2b of seed (8
+    bytes, signed), round (2), members (4 each) and b (4, signed), big-endian,
+    read as eight 64-bit words.  A receiver with alpha = 1 draws no word.
+
     The demands and the schedule are the store's, checked when it was built.
-    A seed outside 8 signed bytes raises ``SeedOutOfRange`` in this call,
-    before the first message; the returned iterator builds each message
-    only when it is asked for.
+    A seed that is not an integer, or not one of 8 signed bytes, raises
+    ``SeedOutOfRange`` in this call, before the first message; the returned
+    iterator builds each message only when it is asked for.
     """
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise SeedOutOfRange(f"seed {seed!r} is not an integer") from None
     if not -(2**63) <= seed < 2**63:
         raise SeedOutOfRange(f"seed {seed} does not fit 8 signed bytes")
     return _messages(store, seed)
@@ -415,33 +408,36 @@ def _messages(store: PacketStore, seed: int) -> Iterator[CodedMessage]:
     schedule = store.schedule
     # By user: its demand and that file's values, as a constituent carries them.
     file_of = [None] + [(n, store.file_values(n)) for n in store.demands]
-    suffix = [y.to_bytes(4, "big") for y in range(len(file_of))]  # by user
-    seed_bytes = seed.to_bytes(8, "big", signed=True)
     for g, s, groups, group_masks, receivers, sends in schedule.plans:
         size_bytes = schedule.size_of[g]
-        round_prefix = seed_bytes + g.to_bytes(2, "big")
         first = schedule.first[g - 1]
-        pack_members = struct.Struct(">%dI" % sum(s)).pack
+        pack_key = struct.Struct(">qH%dIi" % sum(s)).pack  # seed, round, members, block
+        # By receiver: its slot, alpha and shuffle steps (entry i, i + 1, word), in draw order.
+        drawn = itertools.count()
+        steps = [(i, alpha, [(k, k + 1, next(drawn)) for k in range(alpha - 1, 0, -1)])
+                 for i, alpha in receivers]
+        blocks = range((next(drawn) + 7) // 8)  # next(drawn) is now the group's word count
         for group, group_mask in zip(groups, group_masks):
+            words = []
+            for b in blocks:
+                words += _WORDS(hashlib.blake2b(pack_key(seed, g, *group, b)).digest())
             # Receiver y's packets of (group minus y, g) sit at positions
-            # first, first + 1, ... of its file, taken in bijection order.
-            prefix = None
+            # first, first + 1, ... of its file, taken in its shuffled order.
             carried = []
-            for i, alpha in receivers:
+            for i, alpha, swaps in steps:
                 y = group[i]
                 pos = first[group_mask ^ (1 << y)]
+                order = list(range(pos, pos + alpha))
+                for k, m, w in swaps:
+                    j = words[w] % m
+                    order[k], order[j] = order[j], order[k]
                 n, values = file_of[y]
-                if alpha == 1:  # the only permutation of one index: no key to hash
-                    carried.append((n, (pos,), values))
-                    continue
-                if prefix is None:
-                    prefix = round_prefix + pack_members(*group)
-                carried.append((n, _bijection(prefix + suffix[y], alpha, pos), values))
+                carried.append((n, values, order))
             for a, repeat, served in sends:
                 payload = 0
                 constituents = []
                 for ri, j in served:
-                    n, order, values = carried[ri]
+                    n, values, order = carried[ri]
                     pos = order[j]
                     payload ^= values[pos]
                     constituents.append((n, pos))
@@ -458,7 +454,9 @@ def total_transmitted_units(messages: Iterable[CodedMessage], derivation: Derive
 
 
 def decode(user: int, store: PacketStore, messages: Iterable[CodedMessage]) -> bytes:
-    """User ``user``'s file: ``decode_all(store, messages)[user]``."""
+    """``decode_all(store, messages)[user]``; a user outside 1..K is ``UserOutOfRange`` first."""
+    if user not in range(1, len(store.demands) + 1):
+        raise UserOutOfRange(f"user {user!r} outside 1..{len(store.demands)}")
     return decode_all(store, messages)[user]
 
 

@@ -31,9 +31,10 @@ from ptcache.exchange import (
     PacketLayoutMismatch,
     PacketStore,
     PayloadSizeMismatch,
+    SeedOutOfRange,
     UndecodableMessage,
     UndemandedPacket,
-    _bijection,
+    UserOutOfRange,
     build_caches,
     decode,
     decode_all,
@@ -41,6 +42,7 @@ from ptcache.exchange import (
     generate_delivery,
     record_transcript,
     split_files,
+    stream_delivery,
     total_transmitted_units,
     write_transcript,
 )
@@ -299,6 +301,19 @@ class TestDelivery:
         _, _, store = example1
         assert generate_delivery(store, seed=9) == generate_delivery(store, seed=9)
 
+    @pytest.mark.parametrize("seed,message", [
+        (-(2**63) - 1, "seed -9223372036854775809 does not fit 8 signed bytes"),
+        (2**63, "seed 9223372036854775808 does not fit 8 signed bytes"),
+        (2.0, "seed 2.0 is not an integer"),
+        (1.5, "seed 1.5 is not an integer"),
+        ("3", "seed '3' is not an integer"),
+    ])
+    def test_seed_out_of_range(self, example1, seed, message):
+        """Raised by the call itself, before any message is built."""
+        with pytest.raises(SeedOutOfRange) as info:
+            stream_delivery(example1[2], seed)
+        assert str(info.value) == message
+
 
 def skewed_repeats(d):
     """``d`` with one round-1 repeat count raised by one, so no bijection exists."""
@@ -319,6 +334,17 @@ class TestDecode:
         for user in range(1, 8):
             got = decode(user, store, msgs)
             assert got == oracle.file_bytes(user, store.bytes_per_file)
+
+    @pytest.mark.parametrize("user", [0, 8, -1])
+    def test_user_out_of_range(self, example1, user):
+        """Named before any message is read."""
+        def unread():
+            raise AssertionError("a message was read")
+            yield
+
+        with pytest.raises(UserOutOfRange) as info:
+            decode(user, example1[2], unread())
+        assert str(info.value) == f"user {user} outside 1..7"
 
     def test_user1_per_type_counts(self, example1):
         _, _, store = example1
@@ -691,13 +717,13 @@ class TestTampering:
 
     @pytest.mark.parametrize("tamper,report_sha,transcript_sha,lines", [
         (TAMPERED[0][0], "a74de8fe494d1cd51cc790b58b91091df16600e3b03965ee83062a2cbfad94ac",
-         "16d3d648af208fc1f0e87054c5723113a9e37845d54a4e851b32a31ffe828e7d", 89),
+         "50a345c1ba627448f8ebcd9f90b94368f7ac7540522a818c269dc16875a16025", 89),
         (TAMPERED[1][0], "7179e1fe5c8de507fe5cebb30b585b09597c8adfffceccbe89d4619f2573e407",
-         "759727295a019c1b7277b7d35ef2fba9a9b4a3087571264dde61d4db8fe5b6d4", 91),
+         "2d2541439890a5d3b66c18eb957bc2fc2934d3f8e962ef47a336fc274c099650", 91),
         (TAMPERED[2][0], "acd13a517e67992b99705f2f5357275f3882718f3887baf98d5ad3d53458802c",
-         "23179693cbf06abf18ff8ffc0c44db6673a32847eb9fcdb3aac645a6d5001ad6", 90),
+         "6381327aea17f297f3115e17ab9aeb27607c608497799773794e5c2cdbe49e28", 90),
         (TAMPERED[3][0], "585cfcb561ed22638bc78e28af89664dd887dbe2a3506fed70205be9d0d1fde0",
-         "94e85558cf72ac346df58a3ed002471b25fcbbd8604302167b7552feee10115f", 90),
+         "df312c0805032218df2df11629d752d294936c33528ed5d99576e956feccbf40", 90),
     ], ids=["drop_last", "duplicate_first", "flip_payload_bit", "longer_payload"])
     def test_simulate_keeps_report_and_transcript(
         self, tmp_path, monkeypatch, tamper, report_sha, transcript_sha, lines
@@ -707,7 +733,9 @@ class TestTampering:
         The hashes were taken when ``simulate`` wrote the transcript from the
         full message list after the audit: the messages that decoding did
         not reach still count in ``message_count`` and ``rate`` and still
-        get their transcript lines.
+        get their transcript lines.  The transcript hashes were re-taken when
+        packet indices moved to one word stream per (seed, round, group);
+        the report hashes held.
         """
         real = verify.stream_delivery
         monkeypatch.setattr(verify, "stream_delivery",
@@ -894,29 +922,63 @@ def compact_json(store, m):
     )
 
 
-def reference_shuffled_indices(n, key):
-    """The seeded Fisher-Yates loop as first written, kept as the oracle."""
-    out = list(range(1, n + 1))
-    words = []
-    for counter in range((n + 6) // 8):
-        digest = hashlib.blake2b(counter.to_bytes(4, "big"), digest_size=64, key=key).digest()
-        words.extend(struct.unpack(">8Q", digest))
-    for i in range(n - 1, 0, -1):
-        j = words[n - 1 - i] % (i + 1)
-        out[i], out[j] = out[j], out[i]
-    return out
+def reference_group_orders(seed, g, members, alphas):
+    """Each receiver's indices 1..alpha, shuffled by the group's word stream as first specified.
+
+    Block b of the stream is the 64-byte blake2b of seed (q), round (H),
+    the members (I each) and b (i), packed big-endian; each block is eight
+    64-bit words.  The receivers take words in turn, alpha - 1 each, and
+    step i = alpha-1 .. 1 swaps entries i and (word) mod (i + 1).
+    """
+    key = ">qH%dIi" % len(members)
+    stream = b"".join(
+        hashlib.blake2b(struct.pack(key, seed, g, *members, b)).digest()
+        for b in range(-(-sum(n - 1 for n in alphas) // 8))
+    )
+    words = (int.from_bytes(stream[w:w + 8], "big") for w in range(0, len(stream), 8))
+    orders = []
+    for n in alphas:
+        out = list(range(1, n + 1))
+        for i in range(n - 1, 0, -1):
+            j = next(words) % (i + 1)
+            out[i], out[j] = out[j], out[i]
+        orders.append(out)
+    return orders
+
+
+def drained_orders(seed, g, members, alphas):
+    """Each receiver's positions as ``stream_delivery`` carries them, for one group made by hand.
+
+    Receiver r is member r, with ``alphas[r]`` packets at positions
+    1..alpha; the schedule's one group sends one message per (receiver,
+    entry), each carrying that entry alone.
+    """
+    group = tuple(members)
+    mask = sum(1 << u for u in group)
+    sends = [(r, 1, [(r, j)]) for r, alpha in enumerate(alphas) for j in range(alpha)]
+    plan = (g, (len(group),), [group], [mask], list(enumerate(alphas)), sends)
+    schedule = SimpleNamespace(
+        plans=[plan], size_of={g: 1}, first=[{mask ^ (1 << u): 1 for u in group}] * g,
+    )
+    store = SimpleNamespace(
+        schedule=schedule, demands=[1] * max(group), file_values=lambda n: [0] * 64,
+    )
+    orders = [[] for _ in alphas]
+    for (r, j, _), m in zip(sends, stream_delivery(store, seed), strict=True):
+        ((_, pos),) = m.constituents
+        orders[r].append(pos)
+    return orders
 
 
 def reference_constituents(d, store, demands, seed, m):
-    """Message ``m``'s constituents rebuilt receiver by receiver, hashing every key.
+    """Message ``m``'s constituents rebuilt from the group's word stream, receiver by receiver.
 
-    Each receiver y of the group other than the transmitter, with alpha > 0
-    packets in this round, gets its bijection keyed by blake2b-128 of seed
-    (8 bytes, signed), round (2), the members (4 each) and y (4), all
-    big-endian.  The transmitter carries index ``order[slot * repeats +
-    repeat - 1]``, where slot is its place among y's senders.  Returns the
-    constituents and how many of them go to an alpha = 1 receiver, whose key
-    was hashed here although its permutation can only be [1].
+    The group's receivers, its members with alpha > 0 packets in this
+    round in member order, shuffle their indices with
+    ``reference_group_orders``.  The transmitter carries receiver y's index
+    ``order[slot * repeats + repeat - 1]``, where slot is its place among
+    y's senders.  Returns the constituents and how many of them go to an
+    alpha = 1 receiver, which draws no word.
     """
     g, group, x = m.round, m.group, m.transmitter
     bounds = list(itertools.accumulate(d.grouping.sizes))  # last user of each component
@@ -926,15 +988,12 @@ def reference_constituents(d, store, demands, seed, m):
     repeats = d.repeats[g - 1][k]
     daggers = d.spec.plans[g - 1].daggers[k]
     transmitters = [u for u, c in zip(group, comps) if c in daggers]
-    prefix = seed.to_bytes(8, "big", signed=True) + g.to_bytes(2, "big")
-    prefix += b"".join(u.to_bytes(4, "big") for u in group)
+    receivers = [(y, alpha_of[c]) for y, c in zip(group, comps) if alpha_of[c]]
+    orders = reference_group_orders(seed, g, group, [alpha for _, alpha in receivers])
     out, alpha_one = [], 0
-    for y, c in zip(group, comps):
-        alpha = alpha_of[c]
-        if alpha == 0 or y == x:
+    for (y, alpha), order in zip(receivers, orders):
+        if y == x:
             continue
-        key = hashlib.blake2b(prefix + y.to_bytes(4, "big"), digest_size=16).digest()
-        order = reference_shuffled_indices(alpha, key)
         alpha_one += alpha == 1
         senders = [u for u in transmitters if u != y]
         j = order[senders.index(x) * repeats + m.repeat - 1]
@@ -944,30 +1003,51 @@ def reference_constituents(d, store, demands, seed, m):
 
 
 class TestBijection:
-    """The receivers' bijections, against the loop and key derivation they replaced."""
+    """The receivers' bijections, against an independent reading of the group word stream."""
 
-    # Key inputs shaped like delivery's: seed, round, five members, receiver.
-    KEY_INPUTS = [
-        struct.pack(">qH6I", seed, g, *members, y)
-        for seed, g, members, y in itertools.islice(
-            zip(
-                itertools.cycle([0, -1, 7, 2**63 - 1, -(2**63)]),
-                itertools.cycle([1, 2, 3]),
-                itertools.combinations(range(1, 12), 5),
-                itertools.cycle(range(1, 12)),
-            ),
-            72,
-        )
-    ]
+    # (seed, round, members) shaped like delivery's: extreme seeds, rounds 1..3, five members.
+    KEYS = list(itertools.islice(
+        zip(
+            itertools.cycle([0, -1, 7, 2**63 - 1, -(2**63)]),
+            itertools.cycle([1, 2, 3]),
+            itertools.combinations(range(1, 12), 5),
+        ),
+        15,
+    ))
 
     def test_permutation_matches_reference(self):
-        """n = 1..40 crosses the 8-words-per-digest boundaries at n = 10, 18, 26 and 34."""
+        """n = 1..40 crosses the 8-words-per-block boundaries at n = 10, 18, 26 and 34."""
         for n in range(1, 41):
-            for first, key_input in enumerate(self.KEY_INPUTS, start=1):
-                key = hashlib.blake2b(key_input, digest_size=16).digest()
-                expected = [first - 1 + j for j in reference_shuffled_indices(n, key)]
-                assert _bijection(key_input, n, first) == expected
-                assert sorted(expected) == list(range(first, first + n))
+            for seed, g, members in self.KEYS:
+                expected = reference_group_orders(seed, g, members, [n])
+                assert drained_orders(seed, g, members, [n]) == expected
+                assert sorted(expected[0]) == list(range(1, n + 1))
+
+    @pytest.mark.parametrize("alphas", [
+        (4, 4, 4),           # 9 words: the third receiver's last word opens block 1
+        (1, 9),              # 8 words: one block exactly
+        (2, 9),              # 9 words
+        (5, 5, 5, 5, 5),     # 20 words: three blocks
+        (3, 1, 4, 1, 5),     # receivers with alpha = 1 between others
+        (1, 1, 1),           # no word: nothing hashed
+    ])
+    def test_receivers_share_one_stream(self, alphas):
+        for seed, g, members in self.KEYS:
+            assert drained_orders(seed, g, members, alphas) == \
+                reference_group_orders(seed, g, members, alphas)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(-(2**63), 2**63 - 1),
+        g=st.integers(1, 3),
+        members=st.lists(st.integers(1, 40), min_size=2, max_size=6, unique=True),
+        data=st.data(),
+    )
+    def test_every_order_is_a_permutation(self, seed, g, members, data):
+        alphas = data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=len(members)))
+        orders = drained_orders(seed, g, members, alphas)
+        assert [sorted(order) for order in orders] == [list(range(1, n + 1)) for n in alphas]
+        assert orders == reference_group_orders(seed, g, members, alphas)
 
     @pytest.mark.parametrize("name,K,t,seed,demands,alpha_one", [
         # alpha_one: constituents for alpha = 1 receivers, of all constituents
@@ -977,7 +1057,7 @@ class TestBijection:
         ("jcm", 5, 2, 2, "distinct", 0),           # of 60
     ])
     def test_delivery_skips_no_needed_key(self, name, K, t, seed, demands, alpha_one):
-        """Messages equal the reference's, which also hashes alpha = 1 receivers' keys."""
+        """Messages equal the reference's, which counts the alpha = 1 receivers it served."""
         d = derived(name, K, t)
         demands = verify.demand_vector(demands, K, K)
         store = split_files(d, demands)
@@ -988,3 +1068,40 @@ class TestBijection:
             assert m.constituents == expected
             ones += count
         assert ones == alpha_one
+
+
+class TestOneHashPerGroup:
+    """One drained delivery computes one blake2b per 8 words its groups draw, and no more."""
+
+    @pytest.mark.parametrize("name,K,t,digests", [
+        ("theorem1", 17, 4, 11004),  # 12 138 groups; two digests per receiver made 73 164
+        ("theorem1", 13, 4, 2352),
+        ("jcm", 13, 4, 2574),
+        ("theorem1", 7, 2, None),
+        ("odd_t3", 9, 3, None),
+        ("even_K", 12, 2, None),
+        ("jcm", 7, 3, None),
+    ])
+    def test_digest_count(self, monkeypatch, name, K, t, digests):
+        store = split_files(derived(name, K, t), list(range(1, K + 1)))
+        calls = []
+
+        def blake2b(data):
+            calls.append(data)
+            return hashlib.blake2b(data)
+
+        monkeypatch.setattr(exchange, "hashlib", SimpleNamespace(blake2b=blake2b))
+        msgs = list(stream_delivery(store, seed=1))
+        # Per (round, group), receiver y's alpha is the number of constituents it owns.
+        alphas = Counter()
+        for m in msgs:
+            for _, pos in m.constituents:
+                (y,) = set(m.group).difference(store.template[pos][0])
+                alphas[m.round, m.group, y] += 1
+        words = Counter()
+        for (g, group, _), alpha in alphas.items():
+            words[g, group] += alpha - 1
+        assert len(calls) == sum(-(-w // 8) for w in words.values())
+        assert len(set(calls)) == len(calls)
+        if digests is not None:
+            assert len(calls) == digests

@@ -1,8 +1,8 @@
 """Golden transcripts: `ptcache simulate --transcript` output is pinned by SHA-256.
 
-The hashes were taken before the delivery, decode and transcript loops were
-rewritten; any change to message order, index assignment, payload bytes or
-line formatting shows up here.
+The hashes were taken when packet indices were first shuffled by one word
+stream per (seed, round, group); any later change to message order, index
+assignment, payload bytes or line formatting shows up here.
 """
 
 import hashlib
@@ -14,20 +14,20 @@ from ptcache.cli import main
 GOLDEN = [
     # preset, K, t, seed, demands, sha256, lines
     ("theorem1", 7, 2, 5, "uniform",
-     "6ffac7423789ed33806515e4b7ed7691c4ef5762741c10de7596f31e5b5bea1d", 90),
+     "be6b9f0958c64d89771b265d353a5228710e7cfda3c2ca9574845f33a5afdde9", 90),
     ("theorem1", 11, 4, 0, "distinct",
-     "aa5e64959f12a99c6497cfa25e41bd4daf10318f8a5d6527caf128b319dac049", 2065),
+     "be2394cccb63dbac1022c91b3083380dae0e86b4934a7ce42563743628adff5a", 2065),
     ("theorem1", 13, 2, 1, "distinct",
-     "1837c3d5ea105a02114978787dedfa253a6249d03e03951b2059efd7ceffe309", 693),
+     "1249501f4fa9df74edc2332810a6fc2685a8f68768bdbfd71e20bb8aed0ba862", 693),
     ("jcm", 7, 3, 2, "distinct",
-     "5ad77b51583bdafc0160666b6c0800178e6f214983d1d63c37fc0027b1f92220", 140),
+     "9a21a6a62b5bbaf66f573ddcca7161a21b50d5fbb875d0a3b4248e09a679b6cb", 140),
     ("odd_t3", 9, 3, 3, "distinct",
-     "3392780f93bfc04d0372518553fe223580e1891f5c99d329d30331f12ab47baa", 420),
+     "c34d8a4f1d5966007c938bcccecd197d0c61faf1602ae467a2d64f89b4a8ce4a", 420),
     ("even_K", 12, 2, 4, "uniform",
-     "ad505718ee3ce4659b1946172577b47a8e399ebb51b87af5b116fe26c70527ed", 560),
+     "c1ee32157083e42b0d107e317f2447f602c19dc911add0a8dcf57f74aca67dde", 560),
     # The benchmark's many_messages point.
     ("theorem1", 17, 4, 0, "distinct",
-     "5fbd638f202f3611fb7ec729e4b6c25365ad174d06aac4f68d35e532bf67a6c5", 26754),
+     "ed7d9e3fb7ed8a6c43659b3a6c8c5f488cdea41b5855e583b72df0234c2ad0f3", 26754),
 ]
 
 
@@ -37,9 +37,9 @@ GOLDEN = [
 GOLDEN_STORES = [
     # preset, K, t, unit, seed, demands, sha256, lines
     ("theorem1", 13, 2, 4096, 7, "distinct",
-     "db6efbbfdb9970e7f70ebfb34f87cd9c332ff0b90d81133ae91552adaca98bde", 693),
+     "66c1d2316cc356df2df89470439b43887cfdc14553e26a26648f717309fad2e3", 693),
     ("theorem1", 7, 2, 1, 0, "1,1,2,2,3,3,4",
-     "61d05f158152d462896128db58bb2b6a2b98df3279f5b98837dbf9a61a2531e9", 90),
+     "30db18d438e66770d8984d0b3529e23d9f788bca3e4c55fd240ab721b7bda66c", 90),
 ]
 
 

@@ -94,9 +94,12 @@ class TestEndToEnd:
         (-(2**63), None),
         (2**63 - 1, None),
         (2**63, "SeedOutOfRange"),
+        (2.0, "SeedOutOfRange"),
+        (1.5, "SeedOutOfRange"),
+        ("3", "SeedOutOfRange"),
     ])
     def test_seed_range_reported(self, seed, failure):
-        # the bijection key holds the seed in 8 signed bytes
+        # the word stream's key holds the seed, an integer, in 8 signed bytes
         report = verify_end_to_end(preset("theorem1", SystemParams(K=7, t=2, N=7)), "distinct", seed)
         assert report.passed is (failure is None)
         assert (report.failure or "").split(":")[0] == (failure or "")
