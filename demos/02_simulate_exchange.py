@@ -18,6 +18,7 @@ from ptcache import (
     SystemParams,
     build_caches,
     derive,
+    file_bytes,
     generate_delivery,
     preset,
     split_files,
@@ -62,7 +63,7 @@ print()
 
 reconstructed = decode_all(store, messages)
 for user in (1, 5):
-    want = store.oracle.file_bytes(demands[user - 1], store.bytes_per_file)
+    want = file_bytes(demands[user - 1], store.bytes_per_file)
     print(f"user {user} reconstructs file {demands[user-1]}: "
           f"{'byte-identical' if reconstructed[user] == want else 'MISMATCH'}")
 print()

@@ -4,7 +4,7 @@ Construction engine, bit-exact simulator, and verification toolkit for
 device-to-device coded caching schemes with type-dependent packet sizes.
 """
 
-from .combinatorics import binom, hypergeo_pmf, hypergeo_weights, subsets_by_type, vector_lcm
+from .combinatorics import binom, hypergeo_weights, subsets_by_type, vector_lcm
 from .scheme import (
     CountVectors,
     DerivedScheme,
@@ -15,24 +15,23 @@ from .scheme import (
     TransmitterSelection,
     TypeLayout,
     UserGrouping,
-    aggregate_fs,
     count_vectors,
     derive,
     derive_types,
+    fs_and_repeats,
     integer_packet_sizes,
-    intermediate_fs,
     local_fs,
-    memory_residuals,
+    memory_terms,
     preset,
     selections,
     solve_packet_ratio,
 )
 from .exchange import (
     CodedMessage,
-    FileOracle,
     PacketStore,
     build_caches,
     decode,
+    file_bytes,
     generate_delivery,
     split_files,
     total_transmitted_units,

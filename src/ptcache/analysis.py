@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .combinatorics import binom
 from .scheme import (CountVectors, FsVectors, SystemParams, UserGrouping, count_vectors,
-                     derive, frac_str, preset, solve_packet_ratio)
+                     derive, frac_str, memory_terms, preset, solve_packet_ratio)
 
 
 @functools.cache
@@ -87,9 +87,9 @@ def gamma_terms(q: int, t: int) -> tuple[tuple[int, ...], int, int]:
     products with theorem 1's two intermediate FS vectors; the packet-size
     ratio is -(first) / (second).
     """
-    delta = _counts(q, t).deltas[0]
-    a1, a2 = (sum(map(operator.mul, v, delta)) for v in theorem1_fs(t).intermediate)
-    return delta, a1, a2
+    counts = _counts(q, t)
+    a1, a2 = memory_terms(theorem1_fs(t).intermediate, counts)
+    return counts.deltas[0], a1, a2
 
 
 @dataclass(frozen=True)

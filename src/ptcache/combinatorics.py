@@ -9,16 +9,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from typing import Sequence
 
 
 class ComponentTooLarge(ValueError):
     """A type-vector component exceeds the size of its user group."""
-
-
-class OutOfSupport(ValueError):
-    """Requested a pmf value outside the distribution's support."""
 
 
 def binom(n: int, k: int) -> int:
@@ -80,10 +75,3 @@ def hypergeo_weights(q: int, t: int) -> tuple[tuple[int, ...], int]:
     weights = tuple(math.comb(q + 1, j) * math.comb(q, t - j) for j in range(t + 1))
     return weights, math.comb(2 * q + 1, t)
 
-
-def hypergeo_pmf(q: int, t: int, j: int) -> Fraction:
-    """Pr(J = j) for J ~ Hypergeo(2q+1, q+1, t), exactly (see ``hypergeo_weights``)."""
-    weights, total = hypergeo_weights(q, t)
-    if j < 0 or j > t:
-        raise OutOfSupport(f"j={j} outside support [0:{t}]")
-    return Fraction(weights[j], total)

@@ -80,23 +80,20 @@ class DeliveryCountMismatch(ValueError):
     """A receiver's packet count differs from the messages its group can carry to it."""
 
 
-class FileOracle:
-    """Deterministic keyed byte source standing in for real files.
+_FILE_KEY = b"ptcache-file-oracle"
+
+
+def file_bytes(n: int, length: int) -> bytes:
+    """The first ``length`` bytes of file ``n``, standing in for a real file.
 
     File ``n`` is the keyed SHAKE-256 stream of its index, so any byte
     ``b(n, offset)`` is reproducible without I/O.  Nothing is kept between
-    calls; a file-backed source can replace this class by providing the same
-    method.
+    calls.
     """
-
-    def __init__(self, key: bytes = b"ptcache-file-oracle"):
-        self.key = key
-
-    def file_bytes(self, n: int, length: int) -> bytes:
-        h = hashlib.shake_256()
-        h.update(self.key)
-        h.update(n.to_bytes(8, "big"))
-        return h.digest(length)
+    h = hashlib.shake_256()
+    h.update(_FILE_KEY)
+    h.update(n.to_bytes(8, "big"))
+    return h.digest(length)
 
 
 class DeliverySchedule:
@@ -227,9 +224,8 @@ class PacketStore:
     run has one demand vector, checked once, when the store is built.
     """
 
-    def __init__(self, derivation: DerivedScheme, oracle: FileOracle, demands: Sequence[int]):
+    def __init__(self, derivation: DerivedScheme, demands: Sequence[int]):
         self.derivation = derivation
-        self.oracle = oracle
         self.schedule = schedule = schedule_of(derivation)
         self.template, self.offsets = schedule.template, schedule.offsets
         self.bytes_per_file = schedule.bytes_per_file
@@ -243,7 +239,7 @@ class PacketStore:
         end = [(len(slices), len(slices))]  # an empty cached range after the last position
         self._values: dict[int, list] = {}
         for n, users in sorted(demanders.items()):
-            raw = oracle.file_bytes(n, self.bytes_per_file)
+            raw = file_bytes(n, self.bytes_per_file)
             values = [None] * len(slices)
             lacked = 0  # the first position after the last cached range
             for start, stop in schedule.cached_ranges(users) + end:
@@ -284,13 +280,9 @@ def _check_demands(derivation: DerivedScheme, demands: Sequence[int]) -> None:
             raise DemandOutOfRange(f"demand {d} outside 1..{p.N}")
 
 
-def split_files(
-    derivation: DerivedScheme,
-    demands: Sequence[int],
-    oracle: FileOracle | None = None,
-) -> PacketStore:
+def split_files(derivation: DerivedScheme, demands: Sequence[int]) -> PacketStore:
     """The ``PacketStore`` of the demand vector ``demands``."""
-    return PacketStore(derivation, oracle or FileOracle(), demands)
+    return PacketStore(derivation, demands)
 
 
 def build_caches(store: PacketStore) -> dict[int, int]:
@@ -465,7 +457,7 @@ def decode_all(store: PacketStore, messages: Iterable[CodedMessage]) -> dict[int
 
     A packet the user lacks is its residual XOR the split's value.  The
     packets it caches are one byte slice of the file per range of the
-    schedule's ``cached_ranges``, read from ``store.oracle``.  Users are
+    schedule's ``cached_ranges``, read from ``file_bytes``.  Users are
     visited grouped by demand, so each demanded file is read once per call
     and one file's bytes are alive at a time.
     """
@@ -481,7 +473,7 @@ def decode_all(store: PacketStore, messages: Iterable[CodedMessage]) -> dict[int
         n = demands[user - 1]
         if n != raw_file:
             raw = None  # the last file's bytes are freed before the next are read
-            raw, raw_file = store.oracle.file_bytes(n, store.bytes_per_file), n
+            raw, raw_file = file_bytes(n, store.bytes_per_file), n
         values = store.file_values(n)
         parts = []
         lacked = 0  # the first position after the last cached range

@@ -179,9 +179,6 @@ class TypeLayout:
     group_types: tuple[TypeVec, ...]
     involved: tuple[tuple[tuple[int, int], ...], ...]
 
-    def involved_types(self, k: int) -> tuple[int, ...]:
-        return tuple(ti for _, ti in self.involved[k])
-
 
 def _two_group_sizes(grouping: UserGrouping, t: int) -> tuple[int, int]:
     """(q1, q2) of a supported two-group layout, q1 > q2 >= t; else UnsupportedGrouping."""
@@ -251,63 +248,35 @@ def local_fs(s: TypeVec, daggers: frozenset[int]) -> dict[int, int]:
     return {i: total - 1 if i in daggers else total for i, si in enumerate(s) if si > 0}
 
 
-def _locals_by_type(plan: TransmitterSelection, layout: TypeLayout) -> list[dict[int, int]]:
-    """For each subfile type, the factors contributed per group type."""
-    if len(plan.daggers) != len(layout.group_types):
-        raise LengthMismatch(
-            f"plan covers {len(plan.daggers)} group types, layout has {len(layout.group_types)}"
-        )
-    per_type: list[dict[int, int]] = [{} for _ in layout.subfile_types]
-    for k, s in enumerate(layout.group_types):
-        factors = local_fs(s, plan.daggers[k])
-        for comp, ti in layout.involved[k]:
-            per_type[ti][k] = factors[comp]
-    return per_type
-
-
-def raw_fs_vector(plan: TransmitterSelection, layout: TypeLayout) -> tuple[int, ...]:
-    """Vector-LCM merge of local factors, without deliverability checks.
-
-    Used for exhaustive strategy enumeration where infeasible merges are
-    part of the search space.
-    """
-    return tuple(vector_lcm(list(d.values())) for d in _locals_by_type(plan, layout))
-
-
-def intermediate_fs(plan: TransmitterSelection, layout: TypeLayout) -> tuple[int, ...]:
-    """Intermediate FS vector of one coupled group, validated for delivery.
+def fs_and_repeats(
+    plan: TransmitterSelection, layout: TypeLayout
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Intermediate FS vector of one coupled group, validated for delivery, and its repeats.
 
     Entries are the vector-LCM of the contributing local factors (a zero
-    local excludes the type).  Raises IncompatibleLocals when the merge is
-    not deliverable: one group type would need different repeat counts for
-    its two sides.
+    local excludes the type).  A group type's repeat count is how often each
+    of its transmitters sends: entry // local factor on every involved type
+    that is not excluded.  Raises IncompatibleLocals when these disagree
+    across its sides, so the merge is not deliverable.  0 marks a group type
+    whose involved types are all excluded, so its transmissions are omitted.
 
     A zero local (a lone daggered user: (1, t) daggered {0} or (t, 1)
     daggered {1}) excludes only an end type, (0, t) or (t, 0), whose one
     other group type, (0, t+1) or (t+1, 0), has no other side to deliver.
     """
-    return _fs_and_repeats(plan, layout)[0]
-
-
-def _fs_and_repeats(
-    plan: TransmitterSelection, layout: TypeLayout
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The validated intermediate FS vector and, per group type, the repeats.
-
-    A group type's repeat count is how often each of its transmitters sends:
-    entry // local factor on every involved type that is not excluded, which
-    validation requires to agree across its sides.  0 marks a group type
-    whose involved types are all excluded, so its transmissions are omitted.
-    """
-    per_type = _locals_by_type(plan, layout)
+    if len(plan.daggers) != len(layout.group_types):
+        raise LengthMismatch(
+            f"plan covers {len(plan.daggers)} group types, layout has {len(layout.group_types)}"
+        )
+    per_type: list[dict[int, int]] = [{} for _ in layout.subfile_types]  # [type][group type]
+    for k, s in enumerate(layout.group_types):
+        factors = local_fs(s, plan.daggers[k])
+        for comp, ti in layout.involved[k]:
+            per_type[ti][k] = factors[comp]
     entries = [vector_lcm(list(d.values())) for d in per_type]
     repeats = []
-    for k in range(len(layout.group_types)):
-        counts = {
-            entries[ti] // per_type[ti][k]
-            for ti in layout.involved_types(k)
-            if entries[ti] > 0
-        }
+    for k, involved in enumerate(layout.involved):
+        counts = {entries[ti] // per_type[ti][k] for _, ti in involved if entries[ti] > 0}
         if len(counts) > 1:
             raise IncompatibleLocals(
                 f"group type {layout.group_types[k]} needs conflicting repeat "
@@ -317,25 +286,19 @@ def _fs_and_repeats(
     return tuple(entries), tuple(repeats)
 
 
-def aggregate_fs(intermediates: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Entrywise sum of the intermediate FS vectors."""
-    if not intermediates:
-        raise LengthMismatch("no intermediate vectors")
-    length = len(intermediates[0])
-    if any(len(v) != length for v in intermediates):
-        raise LengthMismatch(f"mixed lengths {[len(v) for v in intermediates]}")
-    return tuple(sum(col) for col in zip(*intermediates))
-
-
 @dataclass(frozen=True)
 class FsVectors:
-    """Per-coupled-group intermediate FS vectors and their aggregate, computed here."""
+    """Per-coupled-group intermediate FS vectors and their entrywise sum, the aggregate."""
 
     intermediate: tuple[tuple[int, ...], ...]
     aggregate: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "aggregate", aggregate_fs(self.intermediate))
+        if not self.intermediate:
+            raise LengthMismatch("no intermediate vectors")
+        if len(set(map(len, self.intermediate))) > 1:
+            raise LengthMismatch(f"mixed lengths {[len(v) for v in self.intermediate]}")
+        object.__setattr__(self, "aggregate", tuple(map(sum, zip(*self.intermediate))))
         if any(e < 0 for v in self.intermediate for e in v):
             raise ValueError("FS entries must be non-negative")
 
@@ -378,14 +341,12 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(operator.mul, a, b))
 
 
-def memory_residuals(
-    gammas: Sequence[Fraction], fs: FsVectors, counts: CountVectors
-) -> tuple[Fraction, ...]:
-    """Exact residual sum_g gamma_g * (alpha^(g) . Delta_i) for each unique-set pair."""
-    return tuple(
-        sum((g * _dot(v, delta) for g, v in zip(gammas, fs.intermediate)), Fraction(0))
-        for delta in counts.deltas
-    )
+def memory_terms(vectors: Sequence[Sequence[int]], counts: CountVectors) -> list[int]:
+    """Each FS vector's memory term v . Delta: for v = alpha^(g), the terms of the memory
+    constraint sum_g gamma_g * (alpha^(g) . Delta) = 0 of the layout's one unique-set pair."""
+    if len(counts.deltas) != 1:
+        raise DegenerateSystem(f"{len(counts.deltas)} memory equations; the terms need one")
+    return [_dot(v, counts.deltas[0]) for v in vectors]
 
 
 def solve_packet_ratio(fs: FsVectors, counts: CountVectors) -> tuple[Fraction, ...]:
@@ -405,8 +366,7 @@ def solve_packet_ratio(fs: FsVectors, counts: CountVectors) -> tuple[Fraction, .
         )
     if G == 1:
         return (Fraction(1),)
-    a1 = _dot(fs.intermediate[0], counts.deltas[0])
-    a2 = _dot(fs.intermediate[1], counts.deltas[0])
+    a1, a2 = memory_terms(fs.intermediate, counts)
     if a2 == 0:
         raise DegenerateSystem("second coupled group has zero memory leverage")
     gamma = Fraction(-a1, a2)
@@ -514,8 +474,8 @@ class DerivedScheme:
             "rate": frac_str(self.rate),
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def frac_str(x: Fraction) -> str:
@@ -529,7 +489,7 @@ def derive(spec: SchemeSpec) -> DerivedScheme:
     exactly (G = 1 has no equation), and ``build_caches`` audits memory in bytes.
     """
     layout = derive_types(spec.params, spec.grouping)
-    intermediates, repeats = zip(*(_fs_and_repeats(plan, layout) for plan in spec.plans))
+    intermediates, repeats = zip(*(fs_and_repeats(plan, layout) for plan in spec.plans))
     fs = FsVectors(intermediate=intermediates)
     counts = count_vectors(spec.params, spec.grouping)
     gammas = solve_packet_ratio(fs, counts)

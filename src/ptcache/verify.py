@@ -35,6 +35,7 @@ from .exchange import (  # noqa: F401
 )
 from .scheme import (
     DerivedScheme,
+    IncompatibleLocals,
     SchemeSpec,
     SystemParams,
     UserGrouping,
@@ -42,9 +43,10 @@ from .scheme import (
     derive,
     derive_types,
     frac_str,
+    fs_and_repeats,
     local_fs,
+    memory_terms,
     preset,
-    raw_fs_vector,
     selections,
 )
 
@@ -110,8 +112,8 @@ class VerificationReport:
             "failure": self.failure,
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def demand_vector(kind: str, K: int, N: int) -> list[int]:
@@ -284,11 +286,11 @@ def ratio_expectation(t: int, q: int) -> Fraction:
 
 
 def verify_lemma1(t: int, q_range: Sequence[int]) -> CheckResult:
-    """Strict ratio decrease in q, plus the expectation identity at each q."""
+    """Strict ratio decrease over the distinct q, plus the expectation identity at each."""
     if t % 2 != 0 or t < 2:
         raise ValueError(f"t must be even and positive, got {t}")
     r = t // 2
-    qs = sorted(q_range)
+    qs = sorted(set(q_range))
     if not qs:
         raise EmptyRange("no q values to check")
     if len(qs) == 1:
@@ -308,15 +310,17 @@ def verify_lemma1(t: int, q_range: Sequence[int]) -> CheckResult:
 def verify_lemma3(q: int, r: int) -> CheckResult:
     """Grouping scan: (q+1, q) strictly minimizes packets among (q1, K-q1).
 
-    Scans q1 in [q+1 : K-t-1], counting each grouping's packets per file
-    through ``derive`` with theorem1's selections held fixed.  A grouping
-    that ``derive`` rejects raises its named error.
+    Scans q1 in [q+1 : K-t-1], at least two groupings, counting each one's
+    packets per file through ``derive`` with theorem1's selections held
+    fixed.  A grouping that ``derive`` rejects raises its named error.
     """
     t = 2 * r
     K = 2 * q + 1
     lo, hi = q + 1, K - t - 1
     if lo > hi:
         raise EmptyRange(f"no groupings to scan: [{lo}:{hi}]")
+    if lo == hi:
+        raise EmptyRange(f"one grouping ({lo}, {K - lo}) to scan: a strict minimum needs two")
     params = SystemParams(K, t, K)
     plans = preset("theorem1", params).plans
     table = {
@@ -339,7 +343,9 @@ def verify_remark3(q: int) -> CheckResult:
 
     Enumerates the nine transmitter selections of the layout from
     ``selections`` (three for each of the two mixed group types), merges
-    locals by vector LCM, and checks each resulting vector's memory residual.
+    each through ``fs_and_repeats``, skipping those it rejects as not
+    deliverable, and checks each resulting vector's memory term.  The seven
+    vectors it accepts are all that the nine selections' merges give.
     """
     if q < 3:
         raise ValueError(f"need q >= 3, got {q}")
@@ -347,9 +353,13 @@ def verify_remark3(q: int) -> CheckResult:
     params = SystemParams(K=2 * q + 1, t=t, N=2 * q + 1)
     grouping = UserGrouping((q + 1, q))
     layout = derive_types(params, grouping)
-    delta = count_vectors(params, grouping).deltas[0]
-    vectors = (raw_fs_vector(plan, layout) for plan in selections(layout))
-    residuals = {vec: sum(a * d for a, d in zip(vec, delta)) for vec in vectors}
+    vectors = []
+    for plan in selections(layout):
+        try:
+            vectors.append(fs_and_repeats(plan, layout)[0])
+        except IncompatibleLocals:
+            continue
+    residuals = dict(zip(vectors, memory_terms(vectors, count_vectors(params, grouping))))
     zero_vectors = {vec for vec, res in residuals.items() if res == 0}
     return CheckResult(
         "remark3_homogeneous_uniqueness",

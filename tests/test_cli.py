@@ -319,6 +319,8 @@ class TestVerify:
         "verify --remark3 --q-range 9:5": "--q-range 9:5 has no points (need lo <= hi)",
         "verify --odd-t --r-range 3:1": "--r-range 3:1 has no points (need lo <= hi)",
         "verify --lemma1 --t 4 --q-range 5": "one q value (5) to check: a decrease needs two",
+        "verify --lemma3 --K 7 --t 2": "one grouping (4, 3) to scan: a strict minimum needs two",
+        "verify --lemma3 --K 11 --t 4": "one grouping (6, 5) to scan: a strict minimum needs two",
         "verify --remark3 --q-range 3:4:5": "--q-range 3:4:5 is not lo:hi or one integer",
         "verify --lemma1 --t 2 --q-range 3:": "--q-range 3: is not lo:hi or one integer",
         "verify --odd-t --r-range 1:x": "--r-range 1:x is not lo:hi or one integer",

@@ -6,9 +6,7 @@ from hypothesis import given, strategies as st
 
 from ptcache.combinatorics import (
     ComponentTooLarge,
-    OutOfSupport,
     binom,
-    hypergeo_pmf,
     hypergeo_weights,
     subsets_by_type,
     vector_lcm,
@@ -91,27 +89,17 @@ def test_types_partition_all_subsets(q1, q2, t):
     assert len(set(seen)) == len(seen)
 
 
-def test_hypergeo_pmf_values():
+def test_hypergeo_weights_values():
     assert hypergeo_weights(3, 2) == ((3, 12, 6), 21)
-    assert hypergeo_pmf(3, 2, 1) == Fraction(12, 21)
-    assert hypergeo_pmf(3, 2, 0) == Fraction(3, 21)
-    assert hypergeo_pmf(3, 2, 2) == Fraction(6, 21)
-
-
-def test_hypergeo_pmf_out_of_support():
-    with pytest.raises(OutOfSupport):
-        hypergeo_pmf(3, 2, -1)
-    with pytest.raises(OutOfSupport):
-        hypergeo_pmf(3, 2, 3)
-    with pytest.raises(ValueError):
-        hypergeo_pmf(2, 3, 1)  # t > q
 
 
 @given(st.integers(1, 30), st.integers(1, 30))
 def test_hypergeo_pmf_normalizes(q, t):
+    """The weights over their total are a pmf: they sum to the total."""
     if t > q:
         return
-    assert sum(hypergeo_pmf(q, t, j) for j in range(t + 1)) == 1
+    weights, total = hypergeo_weights(q, t)
+    assert sum(weights) == total
 
 
 @given(
@@ -141,10 +129,12 @@ def test_vector_lcm():
                  r"^type vector length 1 != number of groups 2$", id="subsets-length"),
     pytest.param(lambda: subsets_by_type([(1, 2), (3,)], (1, -1)), ComponentTooLarge,
                  r"^negative component -1$", id="subsets-negative"),
-    pytest.param(lambda: hypergeo_pmf(0, 1, 0), ValueError,
+    pytest.param(lambda: hypergeo_weights(0, 1), ValueError,
                  r"^need q >= 1 and t >= 1, got q=0, t=1$", id="pmf-q0"),
-    pytest.param(lambda: hypergeo_pmf(3, 0, 0), ValueError,
+    pytest.param(lambda: hypergeo_weights(3, 0), ValueError,
                  r"^need q >= 1 and t >= 1, got q=3, t=0$", id="pmf-t0"),
+    pytest.param(lambda: hypergeo_weights(2, 3), ValueError,
+                 r"^need t <= q, got t=3, q=2$", id="pmf-t-above-q"),
 ])
 def test_input_checks(call, error, match):
     with pytest.raises(error, match=match):

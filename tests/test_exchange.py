@@ -25,7 +25,6 @@ from ptcache.exchange import (
     DemandOutOfRange,
     DuplicateDelivery,
     FileNotSplit,
-    FileOracle,
     MemoryMismatch,
     MissingPacket,
     PacketLayoutMismatch,
@@ -39,6 +38,7 @@ from ptcache.exchange import (
     decode,
     decode_all,
     decode_residuals,
+    file_bytes,
     generate_delivery,
     record_transcript,
     split_files,
@@ -82,14 +82,13 @@ class Overridden:
 @pytest.fixture(scope="module")
 def example1():
     d = derived("theorem1", 7, 2)
-    oracle = FileOracle()
-    store = split_files(d, list(range(1, 8)), oracle)
-    return d, oracle, store
+    store = split_files(d, list(range(1, 8)))
+    return d, store
 
 
 class TestSplit:
     def test_example1_counts(self, example1):
-        d, oracle, store = example1
+        d, store = example1
         assert store.packets_per_file == 36 == 3 * (7 * 7 - 1) // 4
         assert store.bytes_per_file == 84
 
@@ -113,26 +112,26 @@ class TestSplit:
 
     def test_concatenation_reproduces_file(self, example1):
         """With every user demanding file 3, the store holds all of it."""
-        d, oracle, _ = example1
-        store = split_files(d, [3] * 7, oracle)
+        d, _ = example1
+        store = split_files(d, [3] * 7)
         values = store.file_values(3)
         joined = b"".join(
             values[pos].to_bytes(size, "big")
             for pos, (_, _, _, size) in enumerate(store.template)
         )
-        assert joined == oracle.file_bytes(3, store.bytes_per_file)
+        assert joined == file_bytes(3, store.bytes_per_file)
 
     def test_layout_mismatch_sizes(self):
         d = derived("theorem1", 7, 2)
         sizing = SimpleNamespace(ell=d.sizing.ell, L=d.sizing.L + 1)
         with pytest.raises(PacketLayoutMismatch, match="bytes"):
-            PacketStore(Overridden(d, sizing=sizing), FileOracle(), [1] * 7)
+            PacketStore(Overridden(d, sizing=sizing), [1] * 7)
 
     def test_layout_mismatch_count(self):
         d = derived("theorem1", 7, 2)
         with pytest.raises(PacketLayoutMismatch, match="packets per file"):
             PacketStore(
-                Overridden(d, packets_per_file=d.packets_per_file + 1), FileOracle(), [1] * 7
+                Overridden(d, packets_per_file=d.packets_per_file + 1), [1] * 7
             )
 
     def test_unit_scales_bytes(self):
@@ -194,13 +193,12 @@ class TestDemandKeyedStore:
     ])
     def test_repeated_demands_hold_the_union_of_what_demanders_lack(self, demands):
         d = derived("theorem1", 7, 2, N=9)
-        oracle = FileOracle()
-        store = split_files(d, demands, oracle)
+        store = split_files(d, demands)
         assert store.files == tuple(sorted(set(demands)))
         for n in set(demands):
             demanders = [u for u, m in enumerate(demands, 1) if m == n]
             assert held(store, n) == lacked_by_some(store, demanders)
-            data = oracle.file_bytes(n, store.bytes_per_file)
+            data = file_bytes(n, store.bytes_per_file)
             for pos, v in enumerate(store.file_values(n)):
                 if v is not None:
                     offset, size = store.offsets[pos], store.template[pos][3]
@@ -236,7 +234,7 @@ class TestSchedule:
 
 class TestCaches:
     def test_example1_units(self, example1):
-        _, _, store = example1
+        _, store = example1
         # (t/K)*L = 2*84/7 = 24 units of each of the N = 7 files
         assert build_caches(store) == {u: 24 * 7 for u in range(1, 8)}
 
@@ -263,7 +261,7 @@ class TestCaches:
 
 class TestDelivery:
     def test_example1_message_counts(self, example1):
-        d, _, store = example1
+        d, store = example1
         msgs = generate_delivery(store, seed=0)
         per_round = Counter(m.round for m in msgs)
         assert per_round[1] == 60  # 12*1 + 18*2 + 4*3
@@ -271,7 +269,7 @@ class TestDelivery:
         assert total_transmitted_units(msgs, d) == 210  # (K-t)/t * L
 
     def test_dof_t_per_message(self, example1):
-        _, _, store = example1
+        _, store = example1
         msgs = generate_delivery(store, seed=5)
         assert all(len(m.constituents) == 2 for m in msgs)
 
@@ -298,7 +296,7 @@ class TestDelivery:
             split_files(skewed_repeats(d), list(range(1, 8)))
 
     def test_deterministic_for_seed(self, example1):
-        _, _, store = example1
+        _, store = example1
         assert generate_delivery(store, seed=9) == generate_delivery(store, seed=9)
 
     @pytest.mark.parametrize("seed,message", [
@@ -311,7 +309,7 @@ class TestDelivery:
     def test_seed_out_of_range(self, example1, seed, message):
         """Raised by the call itself, before any message is built."""
         with pytest.raises(SeedOutOfRange) as info:
-            stream_delivery(example1[2], seed)
+            stream_delivery(example1[1], seed)
         assert str(info.value) == message
 
 
@@ -329,11 +327,11 @@ def _type_of(support, split_at=4):
 
 class TestDecode:
     def test_all_users_byte_exact(self, example1):
-        _, oracle, store = example1
+        _, store = example1
         msgs = generate_delivery(store, seed=0)
         for user in range(1, 8):
             got = decode(user, store, msgs)
-            assert got == oracle.file_bytes(user, store.bytes_per_file)
+            assert got == file_bytes(user, store.bytes_per_file)
 
     @pytest.mark.parametrize("user", [0, 8, -1])
     def test_user_out_of_range(self, example1, user):
@@ -343,11 +341,11 @@ class TestDecode:
             yield
 
         with pytest.raises(UserOutOfRange) as info:
-            decode(user, example1[2], unread())
+            decode(user, example1[1], unread())
         assert str(info.value) == f"user {user} outside 1..7"
 
     def test_user1_per_type_counts(self, example1):
-        _, _, store = example1
+        _, store = example1
         msgs = generate_delivery(store, seed=0)
         decoded = []
         for m in msgs:
@@ -372,34 +370,32 @@ class TestDecode:
             if 1 not in pid[1]
         ]
         assert len(mine) == 2 * binom(4, 2)  # t * C(K-1, t)
-        assert decode(1, store, msgs) == store.oracle.file_bytes(1, store.bytes_per_file)
+        assert decode(1, store, msgs) == file_bytes(1, store.bytes_per_file)
 
     def test_repeated_demands(self, example1):
-        d, oracle, _ = example1
+        d, _ = example1
         demands = [1, 1, 2, 2, 3, 3, 3]
-        store = split_files(d, demands, oracle)
+        store = split_files(d, demands)
         recon = decode_all(store, generate_delivery(store, seed=2))
         for user in range(1, 8):
-            assert recon[user] == oracle.file_bytes(demands[user - 1], store.bytes_per_file)
+            assert recon[user] == file_bytes(demands[user - 1], store.bytes_per_file)
 
     def test_decode_all_reads_each_demanded_file_once(self, monkeypatch):
         d = derived("theorem1", 7, 2)
-        oracle = FileOracle()
         demands = [1, 2, 1, 2, 3, 1, 2]
-        store = split_files(d, demands, oracle)
+        store = split_files(d, demands)
         msgs = generate_delivery(store, seed=3)
         reads = Counter()
-        real = oracle.file_bytes
 
         def counted(n, length):
             reads[n] += 1
-            return real(n, length)
+            return file_bytes(n, length)
 
-        monkeypatch.setattr(oracle, "file_bytes", counted)
+        monkeypatch.setattr(exchange, "file_bytes", counted)
         recon = decode_all(store, msgs)
         assert reads == {1: 1, 2: 1, 3: 1}
         assert list(recon) == list(range(1, 8))
-        assert recon == {u: real(demands[u - 1], store.bytes_per_file) for u in range(1, 8)}
+        assert recon == {u: file_bytes(demands[u - 1], store.bytes_per_file) for u in range(1, 8)}
 
     @pytest.mark.parametrize("demands", [
         [1, 2, 3, 4, 5, 6, 0],
@@ -409,7 +405,7 @@ class TestDecode:
         [1, 2, 3, 4, 5, 6, 7.0],
         [1, 2, "3", 4, 5, 6, 7],
     ], ids=["zero", "short", "six", "eight", "float", "str"])
-    def test_demands_checked_before_any_message(self, demands):
+    def test_demands_checked_before_any_message(self, monkeypatch, demands):
         """At N=9, a demand for 0, a vector of the wrong length or a non-integer
         entry is named, not a KeyError, an IndexError or a TypeError.
 
@@ -418,14 +414,13 @@ class TestDecode:
         per user.
         """
         d = derived("theorem1", 7, 2, N=9)
-        oracle = FileOracle()
 
         def unread(n, length):
             raise AssertionError("a file was read")
 
-        oracle.file_bytes = unread
+        monkeypatch.setattr(exchange, "file_bytes", unread)
         with pytest.raises(DemandOutOfRange):
-            split_files(d, demands, oracle)
+            split_files(d, demands)
 
     @pytest.mark.parametrize("entry", [7.0, "3"])
     def test_non_integer_demand_reported(self, entry):
@@ -434,7 +429,7 @@ class TestDecode:
         assert report.failure == f"DemandOutOfRange: demand {entry!r} is not an integer"
 
     def test_seed_changes_assignment_not_counts(self, example1):
-        _, _, store = example1
+        _, store = example1
         runs = []
         for seed in (0, 1):
             msgs = generate_delivery(store, seed=seed)
@@ -446,13 +441,13 @@ class TestDecode:
         assert runs[0][0] != runs[1][0]          # different index assignments
 
     def test_missing_packet_when_truncated(self, example1):
-        _, _, store = example1
+        _, store = example1
         msgs = generate_delivery(store, seed=0)
         with pytest.raises(MissingPacket):
             decode(1, store, msgs[:-20])
 
     def test_duplicate_delivery_detected(self, example1):
-        _, _, store = example1
+        _, store = example1
         msgs = generate_delivery(store, seed=0)
         dup = msgs + [msgs[0]]
         target = packet_ids(store, msgs[0])[0]
@@ -461,7 +456,7 @@ class TestDecode:
             decode(victim, store, dup)
 
     def test_undecodable_message(self, example1):
-        _, _, store = example1
+        _, store = example1
         demands = store.demands
         msgs = generate_delivery(store, seed=0)
         # graft a foreign constituent so two packets are unknown to the victim
@@ -479,7 +474,7 @@ class TestDecode:
             decode(victim, store, [bad])
 
     def test_constituent_outside_demand(self, example1):
-        _, _, store = example1
+        _, store = example1
         m = generate_delivery(store, seed=0)[0]
         n, pos = m.constituents[0]
         other = (n % 7 + 1, pos)
@@ -489,10 +484,10 @@ class TestDecode:
 
 
 def packet_value(store, constituent):
-    """A packet's payload as an integer, read from the bytes of the store's oracle."""
+    """A packet's payload as an integer, read from the bytes of its file."""
     n, pos = constituent
     offset, size = store.offsets[pos], store.template[pos][3]
-    data = store.oracle.file_bytes(n, store.bytes_per_file)
+    data = file_bytes(n, store.bytes_per_file)
     return int.from_bytes(data[offset : offset + size], "big")
 
 
@@ -529,7 +524,7 @@ class TestHonestDecodeAll:
 
     @pytest.fixture
     def tampered(self, example1):
-        d, _, store = example1
+        d, store = example1
         return d, store, swap_user5_constituents(store, generate_delivery(store, seed=0))
 
     def test_swapped_constituents_rejected(self, tampered):
@@ -552,7 +547,7 @@ class TestHonestDecodeAll:
         assert report.failure.startswith("UndecodableMessage")
 
     def test_transmitter_as_owner_rejected(self, example1):
-        _, _, store = example1
+        _, store = example1
         msgs = generate_delivery(store, seed=0)
         # The first message whose round has packets cached by all but its transmitter.
         for m in msgs:
@@ -566,7 +561,7 @@ class TestHonestDecodeAll:
             decode_all(store, [bad])
 
     def test_owner_lacking_two_rejected(self, example1):
-        _, _, store = example1
+        _, store = example1
         m = generate_delivery(store, seed=0)[0]
         bad = m._replace(constituents=m.constituents + m.constituents[:1])
         with pytest.raises(UndecodableMessage, match="two constituents"):
@@ -631,7 +626,7 @@ class TestMalformedConstituents:
 
     @pytest.mark.parametrize("case,reason", MALFORMED)
     def test_decode_all(self, example1, case, reason):
-        _, _, store = example1
+        _, store = example1
         m = generate_delivery(store, seed=0)[0]
         with pytest.raises(UndecodableMessage, match=reason):
             decode_all(store, [malformed(store, m, case)])
@@ -758,7 +753,7 @@ def test_nonzero_residual_iff_assembled_file_differs(example1, seed, data):
     Both are exactly the owners of the flipped message's constituents: with
     distinct demands, user n owns the packets of file n.
     """
-    _, oracle, store = example1
+    _, store = example1
     msgs = generate_delivery(store, seed=seed)
     i = data.draw(st.integers(0, len(msgs) - 1), label="message")
     bit = data.draw(st.integers(0, 8 * len(msgs[i].payload) - 1), label="bit")
@@ -767,7 +762,7 @@ def test_nonzero_residual_iff_assembled_file_differs(example1, seed, data):
     nonzero = {u for u, held in decode_residuals(store, msgs).items() if any(held)}
     differs = {
         u for u, got in decode_all(store, msgs).items()
-        if got != oracle.file_bytes(store.demands[u - 1], store.bytes_per_file)
+        if got != file_bytes(store.demands[u - 1], store.bytes_per_file)
     }
     assert nonzero == differs == {n for n, _ in msgs[i].constituents}
 
@@ -829,20 +824,19 @@ class TestDecodeAccounting:
 class TestOddT3EndToEnd:
     def test_repeat_sweeps_deliver_every_index(self):
         d = derived("odd_t3", 9, 3)
-        oracle = FileOracle()
         demands = list(range(1, 10))
-        store = split_files(d, demands, oracle)
+        store = split_files(d, demands)
         msgs = generate_delivery(store, seed=4)
         assert all(len(m.constituents) == 3 for m in msgs)
         assert Fraction(total_transmitted_units(msgs, d), d.sizing.L) == Fraction(2)
         recon = decode_all(store, msgs)
         for user in range(1, 10):
-            assert recon[user] == oracle.file_bytes(user, store.bytes_per_file)
+            assert recon[user] == file_bytes(user, store.bytes_per_file)
 
 
 class TestTranscript:
     def test_lines_parse_and_are_stable(self, example1):
-        _, _, store = example1
+        _, store = example1
         msgs = generate_delivery(store, seed=0)
         lines = transcript_of(msgs, store)
         assert len(lines) == len(msgs)
@@ -867,7 +861,7 @@ class TestTranscript:
         Real deliveries carry t constituents per message, so these are built
         by hand; each count gets its own line format.
         """
-        _, _, store = example1
+        _, store = example1
         group = (1, 2, 5)
         r1 = [p for p, e in enumerate(store.template) if e[1] == 1]
         r2 = [p for p, e in enumerate(store.template) if e[1] == 2]

@@ -7,6 +7,7 @@ of each grid additionally goes through the one-call verifier.
 
 import functools
 import itertools
+import operator
 from collections import Counter
 from fractions import Fraction
 
@@ -14,8 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ptcache.exchange import (
-    FileOracle,
     decode_all,
+    file_bytes,
     generate_delivery,
     split_files,
     total_transmitted_units,
@@ -29,7 +30,7 @@ from ptcache.scheme import (
     UserGrouping,
     derive,
     derive_types,
-    memory_residuals,
+    memory_terms,
     preset,
     selections,
 )
@@ -42,18 +43,17 @@ END_TO_END_GRID = [(t, q) for t in (2, 4) for q in range(t + 1, t + 7)]
 def test_theorem1_end_to_end_grid(t, q):
     K = 2 * q + 1
     d = derive(preset("theorem1", SystemParams(K=K, t=t, N=K)))
-    oracle = FileOracle()
     L = d.sizing.L
     for kind in ("distinct", "uniform"):
         demands = demand_vector(kind, K, K)
-        store = split_files(d, demands, oracle)
+        store = split_files(d, demands)
         for seed in (0, 1, 2):
             messages = generate_delivery(store, seed=seed)
             assert all(len(m.constituents) == t for m in messages)
             assert Fraction(total_transmitted_units(messages, d), L) == Fraction(K - t, t)
             recon = decode_all(store, messages)
             for user in range(1, K + 1):
-                assert recon[user] == oracle.file_bytes(demands[user - 1], store.bytes_per_file)
+                assert recon[user] == file_bytes(demands[user - 1], store.bytes_per_file)
 
 
 @pytest.mark.parametrize("t", [2, 4])
@@ -96,10 +96,9 @@ def test_random_demands_and_seeds(run):
     d = _theorem1(K, t)
     report = verify_end_to_end(d, demands, seed)
     assert report.passed, report.failure
-    oracle = FileOracle()
-    store = split_files(d, demands, oracle)
+    store = split_files(d, demands)
     assert decode_all(store, generate_delivery(store, seed=seed)) == {
-        u: oracle.file_bytes(n, store.bytes_per_file) for u, n in enumerate(demands, 1)
+        u: file_bytes(n, store.bytes_per_file) for u, n in enumerate(demands, 1)
     }
 
 
@@ -142,7 +141,8 @@ def test_every_accepted_plan_pair_executes():
                     outcomes[type(exc).__name__] += 1
                     continue
                 outcomes["derived"] += 1
-                assert memory_residuals(d.gamma, d.fs, d.counts) == (0,), (K, t, p1, p2)
+                terms = memory_terms(d.fs.intermediate, d.counts)
+                assert sum(map(operator.mul, d.gamma, terms)) == 0, (K, t, p1, p2)
                 for kind in ("distinct", "uniform"):
                     report = verify_end_to_end(d, kind, seed=0)
                     assert report.passed, (K, t, p1, p2, kind, report.failure)

@@ -1,13 +1,15 @@
 import ast
+import importlib.util
 import itertools
 import json
-from collections import Counter
+import math
+import operator
+from collections import Counter, defaultdict
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from ptcache import scheme
 from ptcache.combinatorics import binom
 from ptcache.scheme import (
     CountVectors,
@@ -24,14 +26,13 @@ from ptcache.scheme import (
     TransmitterSelection,
     UnsupportedGrouping,
     UserGrouping,
-    aggregate_fs,
     count_vectors,
     derive,
     derive_types,
+    fs_and_repeats,
     integer_packet_sizes,
-    intermediate_fs,
     local_fs,
-    memory_residuals,
+    memory_terms,
     preset,
     selections,
     solve_packet_ratio,
@@ -128,8 +129,8 @@ class TestFsVectors:
     def test_example_intermediates(self):
         layout = derive_types(params(7, 2), UserGrouping((4, 3)))
         spec = preset("theorem1", params(7, 2))
-        assert intermediate_fs(spec.plans[0], layout) == (0, 1, 2)
-        assert intermediate_fs(spec.plans[1], layout) == (0, 1, 0)
+        assert fs_and_repeats(spec.plans[0], layout)[0] == (0, 1, 2)
+        assert fs_and_repeats(spec.plans[1], layout)[0] == (0, 1, 0)
 
     @pytest.mark.parametrize("t", [2, 4, 6, 8])
     def test_general_shapes(self, t):
@@ -138,31 +139,30 @@ class TestFsVectors:
         layout = derive_types(params(2 * q + 1, t), UserGrouping((q + 1, q)))
         stair = TransmitterSelection.from_lists(_staircase_daggers(t))
         hill = TransmitterSelection.from_lists(_hill_daggers(t, r))
-        assert intermediate_fs(stair, layout) == tuple(range(t + 1))
-        assert intermediate_fs(hill, layout) == tuple(
-            min(k, t - k) for k in range(t + 1)
-        )
-        agg = aggregate_fs([intermediate_fs(stair, layout), intermediate_fs(hill, layout)])
+        stair_fs, hill_fs = fs_and_repeats(stair, layout)[0], fs_and_repeats(hill, layout)[0]
+        assert stair_fs == tuple(range(t + 1))
+        assert hill_fs == tuple(min(k, t - k) for k in range(t + 1))
+        agg = FsVectors((stair_fs, hill_fs)).aggregate
         assert agg == tuple(2 * k for k in range(r)) + (t,) * (r + 1)
         assert all(a <= t for a in agg)
 
     def test_aggregate_example(self):
-        assert aggregate_fs([(0, 1, 2), (0, 1, 0)]) == (0, 2, 2)
-        assert aggregate_fs([(0, 1, 2)]) == (0, 1, 2)
+        assert FsVectors(((0, 1, 2), (0, 1, 0))).aggregate == (0, 2, 2)
+        assert FsVectors(((0, 1, 2),)).aggregate == (0, 1, 2)
 
     def test_aggregate_is_computed(self):
         assert FsVectors(intermediate=((0, 1, 2), (0, 1, 0))).aggregate == (0, 2, 2)
 
     def test_aggregate_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            aggregate_fs([(0, 1), (0, 1, 2)])
+            FsVectors(((0, 1), (0, 1, 2)))
 
     def test_odd_t5_pivot_conflict(self):
         # For t=5 the hill attempt needs conflicting repeat counts mid-chain.
         layout = derive_types(params(13, 5), UserGrouping((7, 6)))
         bad = TransmitterSelection.from_lists(_hill_daggers(5, 2))
         with pytest.raises(IncompatibleLocals):
-            intermediate_fs(bad, layout)
+            fs_and_repeats(bad, layout)
 
     def test_excluded_type_is_never_delivered(self):
         """Every single selection at small points: a zero local excludes only an end type.
@@ -177,16 +177,20 @@ class TestFsVectors:
             for q2 in range(t, (K + 1) // 2):
                 layout = derive_types(params(K, t), UserGrouping((K - q2, q2)))
                 for plan in selections(layout):
-                    entries = scheme.raw_fs_vector(plan, layout)
-                    for k, s in enumerate(layout.group_types):
-                        factors = local_fs(s, plan.daggers[k])
-                        for comp, ti in layout.involved[k]:
-                            if factors[comp] == 0:
+                    factors = [local_fs(s, plan.daggers[k]) for k, s in enumerate(layout.group_types)]
+                    locals_of = defaultdict(list)  # by subfile type, every local it gets
+                    for k, involved in enumerate(layout.involved):
+                        for comp, ti in involved:
+                            locals_of[ti].append(factors[k][comp])
+                    entries = {ti: math.lcm(*f) for ti, f in locals_of.items()}
+                    for k, involved in enumerate(layout.involved):
+                        for comp, ti in involved:
+                            if factors[k][comp] == 0:
                                 assert layout.subfile_types[ti] in {(0, t), (t, 0)}
                             elif entries[ti] == 0:
-                                assert not any(entries[tj] for tj in layout.involved_types(k))
+                                assert not any(entries[tj] for _, tj in involved)
                     try:
-                        intermediate_fs(plan, layout)
+                        fs_and_repeats(plan, layout)
                     except IncompatibleLocals as exc:
                         assert "conflicting repeat counts" in str(exc)
                         outcomes["conflicting"] += 1
@@ -360,7 +364,8 @@ class TestMemoryConstraint:
     def test_residual_zero_on_grid(self, t):
         for q in range(t + 1, t + 7):
             d = derive(preset("theorem1", params(2 * q + 1, t)))
-            assert memory_residuals(d.gamma, d.fs, d.counts) == (Fraction(0),)
+            terms = memory_terms(d.fs.intermediate, d.counts)
+            assert sum(map(operator.mul, d.gamma, terms)) == 0
 
     def test_products_signs(self):
         for t in (2, 4, 6, 8):
@@ -406,10 +411,12 @@ K7_T2_LAYOUT = derive_types(params(7, 2), UserGrouping((4, 3)))
                  r"^group sizes must be positive, got \(4, 0\)$", id="grouping-zero"),
     pytest.param(lambda: SchemeSpec(params(7, 2), UserGrouping((4, 3)), ()), ValueError,
                  r"^need at least one coupled group$", id="spec-no-plans"),
-    pytest.param(lambda: intermediate_fs(TransmitterSelection.from_lists([{0}]), K7_T2_LAYOUT),
+    pytest.param(lambda: fs_and_repeats(TransmitterSelection.from_lists([{0}]), K7_T2_LAYOUT),
                  LengthMismatch, r"^plan covers 1 group types, layout has 4$", id="plan-length"),
-    pytest.param(lambda: aggregate_fs([]), LengthMismatch,
+    pytest.param(lambda: FsVectors(()), LengthMismatch,
                  r"^no intermediate vectors$", id="aggregate-empty"),
+    pytest.param(lambda: memory_terms([(1,)], count_vectors(params(5, 2), UserGrouping((5,)))),
+                 DegenerateSystem, r"^0 memory equations; the terms need one$", id="terms-one-group"),
     pytest.param(lambda: solve_packet_ratio(FsVectors(((1, 2, 3), (3, 2, 1))),
                                             count_vectors(params(9, 3), UserGrouping((5, 4)))),
                  LengthMismatch, r"^dot product of lengths 3 and 4$", id="dot-length"),
@@ -432,6 +439,7 @@ def test_input_checks(build, error, match):
 
 
 LIBRARY = Path(__file__).resolve().parents[1] / "src" / "ptcache"
+SPANS = LIBRARY.parents[1] / "perfbench" / "spans.py"
 
 
 def library_nodes():
@@ -471,20 +479,25 @@ def test_library_has_no_broad_except():
 
 
 def test_library_has_no_unused_imports():
-    """Every name a module imports is read in that module.
+    """Every name a module imports is read in that module, or is a binding
+    that ``perfbench/spans.py`` wraps (a ``(module, name)`` row of its
+    ``TARGETS``, loaded by path as ``test_perfbench_targets`` does).
 
-    ``__init__.py`` re-exports, ``__future__`` imports bind nothing, and an
-    import line marked ``# noqa: F401`` is kept on purpose; all are exempt.
+    ``__init__.py`` re-exports and ``__future__`` imports bind nothing, so
+    both are exempt.  So an import that a deletion leaves behind fails here,
+    as does a kept binding once its ``TARGETS`` row goes.
     """
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    wrapped = {(f"{module}.py", attr) for module, attr, _, _ in spans.TARGETS}
     imported, read = {}, set()
     for name, node in library_nodes():
         if name == "__init__.py":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
-            line = (LIBRARY / name).read_text(encoding="utf-8").splitlines()[node.lineno - 1]
-            if "# noqa: F401" not in line:
-                for alias in node.names:
-                    imported[name, alias.asname or alias.name.split(".")[0]] = node.lineno
+            for alias in node.names:
+                imported[name, alias.asname or alias.name.split(".")[0]] = node.lineno
         elif isinstance(node, ast.Name):
             read.add((name, node.id))
-    assert [f"{n}:{imported[n, b]} {b}" for n, b in sorted(set(imported) - read)] == []
+    assert [f"{n}:{imported[n, b]} {b}" for n, b in sorted(set(imported) - read - wrapped)] == []

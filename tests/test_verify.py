@@ -7,7 +7,7 @@ import pytest
 
 from ptcache import baseline, verify
 from ptcache.analysis import f_jcm, f_pt
-from ptcache.combinatorics import hypergeo_pmf
+from ptcache.combinatorics import hypergeo_weights
 from ptcache.exchange import split_files
 from ptcache.scheme import (
     CountVectors,
@@ -239,9 +239,10 @@ class TestLemma1:
         """The integer-weighted expectation equals the sum of pmf * h(j), one Fraction per term."""
         r = t // 2
         for q in range(t + 1, t + 61):
+            weights, total = hypergeo_weights(q, t)
             reference = sum(
-                hypergeo_pmf(q, t, j) * (Fraction(2 * j, t) if j <= r - 1 else Fraction(1))
-                for j in range(t + 1)
+                Fraction(w, total) * (Fraction(2 * j, t) if j <= r - 1 else Fraction(1))
+                for j, w in enumerate(weights)
             )
             assert ratio_expectation(t, q) == reference
 
@@ -269,6 +270,14 @@ class TestLemma1:
         # a decrease needs two ratios; one q compared nothing yet passed
         with pytest.raises(EmptyRange, match=r"^one q value \(5\) to check: a decrease needs two$"):
             verify_lemma1(4, [5])
+        with pytest.raises(EmptyRange, match=r"^one q value \(5\) to check: a decrease needs two$"):
+            verify_lemma1(4, [5, 5])
+
+    def test_repeated_q_counts_once(self):
+        # a < a is false: a repeated q once failed the strict decrease
+        res = verify_lemma1(2, [3, 3, 4])
+        assert res.passed
+        assert res.witness["q"] == [3, 4]
 
 
 class TestLemma3:
@@ -279,9 +288,12 @@ class TestLemma3:
         assert res.witness["argmin"] == 7
 
     def test_k7_degenerate_range(self):
-        res = verify_lemma3(3, 1)
-        assert res.passed
-        assert list(res.witness["table"]) == ["4"]
+        # one grouping compares nothing, so it cannot fail
+        message = r"^one grouping \(4, 3\) to scan: a strict minimum needs two$"
+        with pytest.raises(EmptyRange, match=message):
+            verify_lemma3(3, 1)
+        with pytest.raises(EmptyRange, match=r"^one grouping \(6, 5\) to scan"):
+            verify_lemma3(5, 2)  # K = 11, t = 4
 
     def test_k15_t4(self):
         res = verify_lemma3(7, 2)
@@ -413,6 +425,14 @@ def _count_vectors_shifted(real):
     return count_vectors
 
 
+def _vector_doubled(real):
+    """fs_and_repeats with the FS vector doubled, so (2, 2, 2) becomes (4, 4, 4)."""
+    def fs_and_repeats(plan, layout):
+        vector, repeats = real(plan, layout)
+        return tuple(2 * e for e in vector), repeats
+    return fs_and_repeats
+
+
 @pytest.mark.parametrize("attr,perturb,failed", [
     pytest.param("gamma_terms", _moved(0, None, lambda d, t: 1), {"claim2_zero_sum"}, id="delta-sum"),
     # delta[13] and delta[11] share pair[11]: delta[13] reaches 0, no pair sum moves
@@ -432,8 +452,8 @@ def _count_vectors_shifted(real):
     pytest.param("derive", _derive_inflating_q1(9), {"lemma3_grouping_minimality"}, id="argmin-inflated"),
     pytest.param("count_vectors", _count_vectors_shifted,
                  {"remark3_homogeneous_uniqueness"}, id="remark3-delta"),
-    pytest.param("raw_fs_vector", lambda real: lambda plan, layout: tuple(2 * e for e in real(plan, layout)),
-                 {"remark3_homogeneous_uniqueness"}, id="remark3-vectors-doubled"),
+    pytest.param("fs_and_repeats", _vector_doubled, {"remark3_homogeneous_uniqueness"},
+                 id="remark3-vectors-doubled"),
     pytest.param("local_fs", lambda real: lambda s, daggers: {i: 1 for i, si in enumerate(s) if si > 0},
                  {"odd_t_pivot_obstruction"}, id="odd-t-unit-factors"),
 ])
