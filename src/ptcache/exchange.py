@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import operator
 import struct
 from fractions import Fraction
@@ -644,7 +645,7 @@ def record_transcript(
     ``store``; a group's text is built once per group tuple, which the
     rounds share.  A position outside the layout raises the decoder's
     ``UndecodableMessage`` once the earlier messages' lines are written; a
-    file the store never split is written as given, for
+    file the store never split is written as given (its ``json.dumps``), for
     ``decode_residuals`` to judge.  Lines are written in blocks
     of ``_BLOCK``, one newline after each, one join and one write per block;
     the last block when the messages run out.
@@ -683,7 +684,7 @@ def record_transcript(
                     block.append("")
                     fh.write("\n".join(block))
                     raise UndecodableMessage(f"{(n, pos)} is not a packet of the layout") from None
-                args.append('{"file":%d,' % n)
+                args.append('{"file":%s,' % json.dumps(n))  # %d rejects "1" and None, truncates 1.5
                 args.append(packet_text[pos])
         args.append(sha256(m.payload).hexdigest())
         block.append(fmt % tuple(args))

@@ -19,6 +19,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .combinatorics import binom, vector_lcm
+from .combinatorics import vector_lcm
 
 TypeVec = tuple[int, ...]
 
@@ -180,40 +181,43 @@ class TypeLayout:
     involved: tuple[tuple[tuple[int, int], ...], ...]
 
 
-def _two_group_sizes(grouping: UserGrouping, t: int) -> tuple[int, int]:
-    """(q1, q2) of a supported two-group layout, q1 > q2 >= t; else UnsupportedGrouping."""
-    if grouping.m != 2:
+def _two_group_sizes(grouping: UserGrouping, t: int) -> tuple[int, ...]:
+    """Sizes of a supported layout, one group or two with q1 > q2 >= t; else UnsupportedGrouping."""
+    if grouping.m > 2:
         raise UnsupportedGrouping(f"{grouping.m}-group layouts are not supported")
-    q1, q2 = grouping.sizes
-    if q1 == q2:
-        raise UnsupportedGrouping(
-            "equal two-group layouts collapse type components; use one group"
-        )
-    if q2 < t:
-        raise UnsupportedGrouping(
-            f"second group of size {q2} cannot host type (0,{t}); need q2 >= t"
-        )
-    return q1, q2
+    if grouping.m == 2:
+        q1, q2 = grouping.sizes
+        if q1 == q2:
+            raise UnsupportedGrouping(
+                "equal two-group layouts collapse type components; use one group"
+            )
+        if q2 < t:
+            raise UnsupportedGrouping(
+                f"second group of size {q2} cannot host type (0,{t}); need q2 >= t"
+            )
+    return grouping.sizes
+
+
+@functools.cache
+def _compositions(n: int, m: int) -> tuple[TypeVec, ...]:
+    """The m-entry vectors of non-negative integers summing to n, in lexicographic order."""
+    return tuple(v for v in itertools.product(range(n + 1), repeat=m) if sum(v) == n)
 
 
 def derive_types(params: SystemParams, grouping: UserGrouping) -> TypeLayout:
     """Types, group types, and involved sets for the supported layouts.
 
-    One group: the single subfile type (t,) and group type (t+1,).  Two
-    unequal groups with q2 >= t: the chain v_k = (k-1, t-k+1) and
-    s_k = (k-1, t-k+2); group types with no instances at small q2 are kept
-    as formal rows (they contribute no transmissions).
+    The subfile types are the m-entry compositions of t and the group types
+    those of t+1, both in lexicographic order (one rule for every layout).
+    One group gives the single subfile type (t,) and group type (t+1,); two
+    unequal groups with q2 >= t the chains v_k = (k-1, t-k+1), k = 1..t+1,
+    and s_k = (k-1, t-k+2), k = 1..t+2.  Group types with no instances at
+    small q2 are kept as formal rows (they contribute no transmissions).
     """
     t = params.t
-    if grouping.m == 1:
-        return TypeLayout(
-            subfile_types=((t,),),
-            group_types=((t + 1,),),
-            involved=(((0, 0),),),
-        )
-    _two_group_sizes(grouping, t)
-    subfile_types = tuple((k - 1, t - k + 1) for k in range(1, t + 2))
-    group_types = tuple((k - 1, t - k + 2) for k in range(1, t + 3))
+    m = len(_two_group_sizes(grouping, t))
+    subfile_types = _compositions(t, m)
+    group_types = _compositions(t + 1, m)
     involved = []
     for s in group_types:
         rows = []
@@ -313,26 +317,21 @@ class CountVectors:
 
 
 def count_vectors(params: SystemParams, grouping: UserGrouping) -> CountVectors:
-    """Subfile-count and user-cache vectors of the layout.
+    """Subfile-count and user-cache vectors of the layout, from one formula.
 
-    Two-group layout: F(v_k) = C(q1,k-1)C(q2,t-k+1); a user in the first
-    group caches C(q1-1,k-2)C(q2,t-k+1) = F(v_k)(k-1)/q1 of them, one in the
-    second C(q1,k-1)C(q2-1,t-k) = F(v_k)(t-k+1)/q2 (C(n-1,j-1) = C(n,j)j/n,
-    exactly).  Only here are these counts written; ``analysis`` reads them.
+    Type v has F(v) = prod_i C(q_i, v_i) subfiles; a group-i user caches
+    F(v) v_i / q_i of them, exactly (C(n-1,j-1) = C(n,j) j/n); each Delta is a
+    group's vector minus the one before.  So one group has F = (C(K,t),), the
+    cache count C(K-1,t-1) and no Delta; two have F(v_k) = C(q1,k-1)C(q2,t-k+1)
+    and cache counts C(q1-1,k-2)C(q2,t-k+1) and C(q1,k-1)C(q2-1,t-k).
     """
-    t = params.t
-    if grouping.m == 1:
-        return CountVectors(
-            F=(binom(params.K, t),),
-            per_set=((binom(params.K - 1, t - 1),),),
-            deltas=(),
-        )
-    q1, q2 = _two_group_sizes(grouping, t)
-    F = [math.comb(q1, j) * math.comb(q2, t - j) for j in range(t + 1)]  # j = k-1
-    F1 = tuple(f * j // q1 for j, f in enumerate(F))
-    F2 = tuple(f * (t - j) // q2 for j, f in enumerate(F))
-    delta = tuple(map(operator.sub, F2, F1))
-    return CountVectors(F=tuple(F), per_set=(F1, F2), deltas=(delta,))
+    sizes = _two_group_sizes(grouping, params.t)
+    types = _compositions(params.t, len(sizes))
+    # List comprehensions, not generators: ``analysis.sweep`` calls this once per (t, q).
+    F = tuple([math.prod(map(math.comb, sizes, v)) for v in types])
+    per_set = tuple([tuple([f * v[i] // q for f, v in zip(F, types)]) for i, q in enumerate(sizes)])
+    deltas = tuple([tuple(map(operator.sub, b, a)) for a, b in zip(per_set, per_set[1:])])
+    return CountVectors(F=F, per_set=per_set, deltas=deltas)
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
@@ -499,17 +498,9 @@ def derive(spec: SchemeSpec) -> DerivedScheme:
     )
 
 
-def _staircase_daggers(t: int) -> list[set[int]]:
-    """First-coupled-group selection: the larger side transmits everywhere
-    except in the all-second-group type."""
-    daggers: list[set[int]] = [{1}]
-    daggers += [{0} for _ in range(2, t + 2)]
-    daggers += [{0}]
-    return daggers
-
-
 def _hill_daggers(t: int, r: int) -> list[set[int]]:
-    """Second-coupled-group selection: transmitters switch sides after the pivot r."""
+    """A coupled group's selection: transmitters switch sides after the pivot r.
+    Pivot t is the staircase: the first group transmits in every type but (0, t+1)."""
     daggers: list[set[int]] = [{1}]
     daggers += [{0} for k in range(2, r + 2)]
     daggers += [{1} for k in range(r + 2, t + 2)]
@@ -518,14 +509,14 @@ def _hill_daggers(t: int, r: int) -> list[set[int]]:
 
 
 def preset(name: str, params: SystemParams) -> SchemeSpec:
-    """Named scheme constructions.
+    """Named scheme constructions: a grouping plus two hill pivots, or one group.
 
-    theorem1: odd K = 2q+1, even t = 2r, q >= t+1; grouping (q+1, q) with the
-      staircase/hill selection pair.
-    odd_t3:   odd K = 2q+1, t = 3, q >= 4; same grouping, two hill selections
-      with pivots straddling the center (aggregate (0, 3, 3, 0)).
-    even_K:   even K = 2q, even t = 2r, q >= 2r+1; grouping (q+1, q-1), same
-      selections (validity is checked per instance when deriving).
+    theorem1: odd K = 2q+1, even t = 2r, q >= t+1; grouping (q+1, q), pivots
+      (t, r): the staircase and the hill of the paper's Theorem 1.
+    odd_t3:   odd K = 2q+1, t = 3, q >= 4; same grouping, pivots (2, 1)
+      straddling the center (aggregate (0, 3, 3, 0)).
+    even_K:   even K = 2q, even t = 2r, q >= 2r+1; grouping (q+1, q-1), pivots
+      (t, r) (validity is checked per instance when deriving).
     jcm:      any K > t; single group, everyone transmits, uniform factor t.
     """
     K, t = params.K, params.t
@@ -538,7 +529,7 @@ def preset(name: str, params: SystemParams) -> SchemeSpec:
             raise PresetConstraintViolated("K must be odd (K = 2q+1)")
         if t % 2 == 1:
             raise PresetConstraintViolated("t must be even (t = 2r)")
-        q, r = (K - 1) // 2, t // 2
+        q, pivots = (K - 1) // 2, (t, t // 2)
         if q < t + 1:
             raise PresetConstraintViolated(f"need q >= t+1, got q={q}, t={t}")
         grouping = UserGrouping((q + 1, q))
@@ -547,28 +538,20 @@ def preset(name: str, params: SystemParams) -> SchemeSpec:
             raise PresetConstraintViolated(f"preset is for t = 3, got t={t}")
         if K % 2 == 0:
             raise PresetConstraintViolated("K must be odd (K = 2q+1)")
-        q, r = (K - 1) // 2, 1
+        q, pivots = (K - 1) // 2, (2, 1)
         if q < 4:
             raise PresetConstraintViolated(f"need q >= 4, got q={q}")
         grouping = UserGrouping((q + 1, q))
-        plans = (
-            TransmitterSelection.from_lists(_hill_daggers(t, r + 1)),
-            TransmitterSelection.from_lists(_hill_daggers(t, r)),
-        )
-        return SchemeSpec(params, grouping, plans)
     elif name == "even_K":
         if K % 2 == 1:
             raise PresetConstraintViolated("K must be even (K = 2q)")
         if t % 2 == 1:
             raise PresetConstraintViolated("t must be even (t = 2r)")
-        q, r = K // 2, t // 2
-        if q < 2 * r + 1:
+        q, pivots = K // 2, (t, t // 2)
+        if q < t + 1:
             raise PresetConstraintViolated(f"need q >= 2r+1, got q={q}, t={t}")
         grouping = UserGrouping((q + 1, q - 1))
     else:
         raise PresetConstraintViolated(f"unknown preset {name!r}")
-    plans = (
-        TransmitterSelection.from_lists(_staircase_daggers(t)),
-        TransmitterSelection.from_lists(_hill_daggers(t, r)),
-    )
+    plans = tuple(TransmitterSelection.from_lists(_hill_daggers(t, r)) for r in pivots)
     return SchemeSpec(params, grouping, plans)

@@ -12,6 +12,7 @@ arithmetic; no checks involve tolerances.
 
 from __future__ import annotations
 
+import functools
 import json
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -338,27 +339,29 @@ def verify_lemma3(q: int, r: int) -> CheckResult:
     )
 
 
-def verify_remark3(q: int) -> CheckResult:
-    """With t = 2 and homogeneous sizing, only the uniform vector (2,2,2) fits.
-
-    Enumerates the nine transmitter selections of the layout from
-    ``selections`` (three for each of the two mixed group types), merges
-    each through ``fs_and_repeats``, skipping those it rejects as not
-    deliverable, and checks each resulting vector's memory term.  The seven
-    vectors it accepts are all that the nine selections' merges give.
-    """
-    if q < 3:
-        raise ValueError(f"need q >= 3, got {q}")
-    t = 2
-    params = SystemParams(K=2 * q + 1, t=t, N=2 * q + 1)
-    grouping = UserGrouping((q + 1, q))
-    layout = derive_types(params, grouping)
+@functools.cache
+def _remark3_vectors() -> tuple[tuple[int, ...], ...]:
+    """FS vectors of the t = 2 selections (``selections``) that ``fs_and_repeats``
+    accepts, seven of nine, merged once: the types do not depend on q once
+    q2 >= t, so q = 3 serves every q."""
+    layout = derive_types(SystemParams(K=7, t=2, N=7), UserGrouping((4, 3)))
     vectors = []
     for plan in selections(layout):
         try:
             vectors.append(fs_and_repeats(plan, layout)[0])
         except IncompatibleLocals:
             continue
+    return tuple(vectors)
+
+
+def verify_remark3(q: int) -> CheckResult:
+    """With t = 2 and homogeneous sizing, only the uniform vector (2,2,2) fits: of the
+    deliverable FS vectors, only it has memory term 0 under the grouping (q+1, q)."""
+    if q < 3:
+        raise ValueError(f"need q >= 3, got {q}")
+    params = SystemParams(K=2 * q + 1, t=2, N=2 * q + 1)
+    grouping = UserGrouping((q + 1, q))
+    vectors = _remark3_vectors()
     residuals = dict(zip(vectors, memory_terms(vectors, count_vectors(params, grouping))))
     zero_vectors = {vec for vec, res in residuals.items() if res == 0}
     return CheckResult(

@@ -568,6 +568,9 @@ class TestHonestDecodeAll:
             decode_all(store, [bad])
 
 
+FILES = {"file_99": 99, "file_str": "1", "file_none": None, "file_float": 1.5}
+
+
 def malformed(store, m, case):
     """Message ``m`` made malformed in one way, named by ``case``.
 
@@ -579,11 +582,12 @@ def malformed(store, m, case):
     member lacking that constituent, so its owner.  "unknown_round": the
     round becomes 3 of 2.  "transmitter_outside": the transmitter becomes
     99, not a member.  "negative_member": the group gains member -1.
-    "file_99": its first constituent names file 99, which no user demands.
+    "file_99"/"file_str"/"file_none"/"file_float": its first constituent names
+    file 99 (or "1", None, 1.5; ``FILES``), which no user demands.
     """
     n, first = m.constituents[0]
-    if case == "file_99":
-        return m._replace(constituents=((99, m.constituents[0][1]),) + m.constituents[1:])
+    if case in FILES:
+        return m._replace(constituents=((FILES[case], first),) + m.constituents[1:])
     if case in ("unknown_index", "negative_index", "float_index", "list_index", "other_round"):
         pos = {
             "unknown_index": store.packets_per_file,
@@ -646,13 +650,14 @@ class TestMalformedConstituents:
         assert report.failure.startswith("UndecodableMessage")
         assert re.search(reason, report.failure)
 
-    @pytest.mark.parametrize("case", [case for case, _ in MALFORMED] + ["file_99"])
+    @pytest.mark.parametrize("case", [case for case, _ in MALFORMED] + list(FILES))
     def test_transcript_keeps_the_failure(self, example1, monkeypatch, tmp_path, case):
         """With a transcript, the run reports the failure of the run without one.
 
         The second message is malformed.  A position outside the layout stops
         the transcript after the first message's line; any other fault is
-        the decoder's to find, and every message still gets its line.
+        the decoder's to find, and every message still gets its line.  A
+        file no user demands is written as the message names it.
         """
         real = verify.stream_delivery
 
@@ -670,6 +675,11 @@ class TestMalformedConstituents:
         assert lines == logged.message_count
         outside = ("unknown_index", "negative_index", "float_index", "list_index")
         assert lines == (1 if case in outside else plain.message_count)
+        if case in FILES:
+            assert plain.failure.startswith("UndemandedPacket")
+            written = json.loads(path.read_text(encoding="utf-8").splitlines()[1])
+            file = written["constituents"][0]["file"]
+            assert (type(file), file) == (type(FILES[case]), FILES[case])
 
 
 def flip_first_payload_bit(msgs):

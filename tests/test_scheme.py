@@ -37,7 +37,6 @@ from ptcache.scheme import (
     selections,
     solve_packet_ratio,
     _hill_daggers,
-    _staircase_daggers,
 )
 
 
@@ -137,7 +136,7 @@ class TestFsVectors:
         r = t // 2
         q = t + 1
         layout = derive_types(params(2 * q + 1, t), UserGrouping((q + 1, q)))
-        stair = TransmitterSelection.from_lists(_staircase_daggers(t))
+        stair = TransmitterSelection.from_lists(_hill_daggers(t, t))
         hill = TransmitterSelection.from_lists(_hill_daggers(t, r))
         stair_fs, hill_fs = fs_and_repeats(stair, layout)[0], fs_and_repeats(hill, layout)[0]
         assert stair_fs == tuple(range(t + 1))
@@ -207,15 +206,32 @@ class TestCountVectors:
         assert counts.deltas == ((2, 1, -3),)
 
     def test_total_matches_brute_force(self):
-        counts = count_vectors(params(11, 4), UserGrouping((6, 5)))
-        assert sum(counts.F) == binom(11, 4) == 330
-        # independent: enumerate and classify all 4-subsets of [11]
-        per_type = {}
-        for sub in itertools.combinations(range(1, 12), 4):
-            v = (sum(1 for u in sub if u <= 6), sum(1 for u in sub if u > 6))
-            per_type[v] = per_type.get(v, 0) + 1
-        layout = derive_types(params(11, 4), UserGrouping((6, 5)))
-        assert counts.F == tuple(per_type.get(v, 0) for v in layout.subfile_types)
+        """Every t-subset of [K], K <= 13, classified by its projection onto the
+        groups of every supported layout: (K,) and each (q1, q2) with q1 > q2 >= t.
+
+        The projections are the subfile types; F counts the subsets of each
+        type, and group i's cache count the subsets that hold its first user.
+        """
+        checked = 0
+        for K in range(2, 14):
+            for t in range(1, K):
+                for sizes in [(K,)] + [(K - q2, q2) for q2 in range(t, (K + 1) // 2)]:
+                    grouping = UserGrouping(sizes)
+                    per_type, holding = Counter(), [Counter() for _ in sizes]
+                    for sub in itertools.combinations(range(1, K + 1), t):
+                        v = tuple(len(set(sub).intersection(g)) for g in grouping.groups)
+                        per_type[v] += 1
+                        for i, g in enumerate(grouping.groups):
+                            holding[i][v] += g[0] in sub
+                    layout = derive_types(params(K, t), grouping)
+                    counts = count_vectors(params(K, t), grouping)
+                    assert layout.subfile_types == tuple(sorted(per_type))
+                    assert counts.F == tuple(per_type[v] for v in layout.subfile_types)
+                    assert counts.per_set == tuple(
+                        tuple(h[v] for v in layout.subfile_types) for h in holding
+                    )
+                    checked += 1
+        assert checked == 169
 
     def test_larger_instance(self):
         counts = count_vectors(params(11, 4), UserGrouping((6, 5)))
@@ -501,3 +517,25 @@ def test_library_has_no_unused_imports():
         elif isinstance(node, ast.Name):
             read.add((name, node.id))
     assert [f"{n}:{imported[n, b]} {b}" for n, b in sorted(set(imported) - read - wrapped)] == []
+
+
+def test_library_has_no_unreferenced_private_names():
+    """Every module-level private function, class or constant (a name that
+    starts with ``_``, dunders exempt) is read in its own module, so a helper
+    that a deletion leaves behind fails here."""
+    found = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+                      and name not in read]
+    assert found == []

@@ -425,12 +425,9 @@ def _count_vectors_shifted(real):
     return count_vectors
 
 
-def _vector_doubled(real):
-    """fs_and_repeats with the FS vector doubled, so (2, 2, 2) becomes (4, 4, 4)."""
-    def fs_and_repeats(plan, layout):
-        vector, repeats = real(plan, layout)
-        return tuple(2 * e for e in vector), repeats
-    return fs_and_repeats
+def _vectors_doubled(real):
+    """_remark3_vectors with every FS vector doubled, so (2, 2, 2) becomes (4, 4, 4)."""
+    return lambda: tuple(tuple(2 * e for e in vector) for vector in real())
 
 
 @pytest.mark.parametrize("attr,perturb,failed", [
@@ -452,7 +449,7 @@ def _vector_doubled(real):
     pytest.param("derive", _derive_inflating_q1(9), {"lemma3_grouping_minimality"}, id="argmin-inflated"),
     pytest.param("count_vectors", _count_vectors_shifted,
                  {"remark3_homogeneous_uniqueness"}, id="remark3-delta"),
-    pytest.param("fs_and_repeats", _vector_doubled, {"remark3_homogeneous_uniqueness"},
+    pytest.param("_remark3_vectors", _vectors_doubled, {"remark3_homogeneous_uniqueness"},
                  id="remark3-vectors-doubled"),
     pytest.param("local_fs", lambda real: lambda s, daggers: {i: 1 for i, si in enumerate(s) if si > 0},
                  {"odd_t_pivot_obstruction"}, id="odd-t-unit-factors"),
