@@ -2,7 +2,8 @@
 
 The construction for odd K = 2q+1, even t = 2r splits each file into
 F_PT = alpha . F packets: alpha and gamma from one ``derive`` per t, F from
-``count_vectors``; the baseline uses t * C(K, t).  For fixed t the ratio
+``count_vectors(t, (q+1, q))``, which builds no parameter object for a point
+it accepts; the baseline uses t * C(K, t).  For fixed t the ratio
 falls strictly with q toward 1 - C(t, r) / 2^(t+1).  Counts stay integer;
 a ``Fraction`` is built only for a reported ratio, asymptote or gamma.
 """
@@ -20,8 +21,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .combinatorics import binom
-from .scheme import (CountVectors, FsVectors, SystemParams, UserGrouping, count_vectors,
-                     derive, frac_str, memory_terms, preset, solve_packet_ratio)
+from .scheme import (CountVectors, FsVectors, SystemParams, count_vectors, derive, frac_str,
+                     memory_terms, preset, solve_packet_ratio)
 
 
 @functools.cache
@@ -30,12 +31,6 @@ def theorem1_fs(t: int) -> FsVectors:
     types do not depend on q once q2 >= t, so q = t+1 serves every q."""
     K = 2 * t + 3
     return derive(preset("theorem1", SystemParams(K=K, t=t, N=K))).fs
-
-
-def _counts(q: int, t: int) -> CountVectors:
-    """Subfile and cache counts of the grouping (q+1, q) at (K, t) = (2q+1, t)."""
-    K = 2 * q + 1
-    return count_vectors(SystemParams(K=K, t=t, N=K), UserGrouping((q + 1, q)))
 
 
 def _packets(counts: CountVectors, t: int) -> int:
@@ -48,7 +43,7 @@ def f_pt(q: int, r: int) -> int:
     t = 2 * r
     if q < t + 1:
         raise ValueError(f"need q >= t+1, got q={q}, t={t}")
-    return _packets(_counts(q, t), t)
+    return _packets(count_vectors(t, (q + 1, q)), t)
 
 
 def f_jcm(K: int, t: int) -> int:
@@ -87,7 +82,7 @@ def gamma_terms(q: int, t: int) -> tuple[tuple[int, ...], int, int]:
     products with theorem 1's two intermediate FS vectors; the packet-size
     ratio is -(first) / (second).
     """
-    counts = _counts(q, t)
+    counts = count_vectors(t, (q + 1, q))
     a1, a2 = memory_terms(theorem1_fs(t).intermediate, counts)
     return counts.deltas[0], a1, a2
 
@@ -119,7 +114,7 @@ def sweep(t_list: Sequence[int], q_max: int | None = None) -> list[RatioRecord]:
         if not qs:
             raise ValueError(f"q_max={q_max} leaves t={t} no point (need q_max >= {t + 1})")
         for q in qs:
-            counts = _counts(q, t)
+            counts = count_vectors(t, (q + 1, q))
             F_PT = _packets(counts, t)
             F_JCM = f_jcm(2 * q + 1, t)
             records.append(

@@ -645,10 +645,13 @@ def record_transcript(
     ``store``; a group's text is built once per group tuple, which the
     rounds share.  A position outside the layout raises the decoder's
     ``UndecodableMessage`` once the earlier messages' lines are written; a
-    file the store never split is written as given (its ``json.dumps``), for
-    ``decode_residuals`` to judge.  Lines are written in blocks
-    of ``_BLOCK``, one newline after each, one join and one write per block;
-    the last block when the messages run out.
+    file the store never split is written as given (its ``json.dumps``, or
+    the JSON string of its ``repr`` where JSON has no form for it, as for
+    ``b"1"``), for ``decode_residuals`` to judge.  A file equal (``==``, same
+    hash) to a split file, as ``True`` or ``1.0`` is to file 1, is written as
+    that file's number, because the decoder also compares files by ``==``.
+    Lines are written in blocks of ``_BLOCK``, one newline after each, one
+    join and one write per block; the last block when the messages run out.
     """
     file_text = {n: '{"file":%d,' % n for n in store.files}
     packet_text = [
@@ -684,7 +687,7 @@ def record_transcript(
                     block.append("")
                     fh.write("\n".join(block))
                     raise UndecodableMessage(f"{(n, pos)} is not a packet of the layout") from None
-                args.append('{"file":%s,' % json.dumps(n))  # %d rejects "1" and None, truncates 1.5
+                args.append('{"file":%s,' % json.dumps(n, default=repr))  # %d rejects "1" and None
                 args.append(packet_text[pos])
         args.append(sha256(m.payload).hexdigest())
         block.append(fmt % tuple(args))

@@ -181,21 +181,21 @@ class TypeLayout:
     involved: tuple[tuple[tuple[int, int], ...], ...]
 
 
-def _two_group_sizes(grouping: UserGrouping, t: int) -> tuple[int, ...]:
-    """Sizes of a supported layout, one group or two with q1 > q2 >= t; else UnsupportedGrouping."""
-    if grouping.m > 2:
-        raise UnsupportedGrouping(f"{grouping.m}-group layouts are not supported")
-    if grouping.m == 2:
-        q1, q2 = grouping.sizes
-        if q1 == q2:
-            raise UnsupportedGrouping(
-                "equal two-group layouts collapse type components; use one group"
-            )
-        if q2 < t:
-            raise UnsupportedGrouping(
-                f"second group of size {q2} cannot host type (0,{t}); need q2 >= t"
-            )
-    return grouping.sizes
+def _two_group_sizes(sizes: tuple[int, ...], t: int) -> tuple[int, ...]:
+    """``sizes`` if they make a supported layout at cache size t: one group with K > t >= 1,
+    or two with q1 > q2 >= t >= 1.  Else the named error of the first check they fail:
+    ``SystemParams``' and ``UserGrouping``'s, then UnsupportedGrouping for the layout."""
+    if len(sizes) == 2 and sizes[0] > sizes[1] >= t >= 1 or len(sizes) == 1 and sizes[0] > t >= 1:
+        return sizes  # the accept path: one comparison chain, no parameter object
+    SystemParams(K=sum(sizes), t=t, N=sum(sizes))
+    UserGrouping(sizes)
+    if len(sizes) > 2:
+        raise UnsupportedGrouping(f"{len(sizes)}-group layouts are not supported")
+    if sizes[0] == sizes[1]:
+        raise UnsupportedGrouping("equal two-group layouts collapse type components; use one group")
+    raise UnsupportedGrouping(
+        f"second group of size {sizes[1]} cannot host type (0,{t}); need q2 >= t"
+    )
 
 
 @functools.cache
@@ -215,7 +215,7 @@ def derive_types(params: SystemParams, grouping: UserGrouping) -> TypeLayout:
     small q2 are kept as formal rows (they contribute no transmissions).
     """
     t = params.t
-    m = len(_two_group_sizes(grouping, t))
+    m = len(_two_group_sizes(grouping.sizes, t))
     subfile_types = _compositions(t, m)
     group_types = _compositions(t + 1, m)
     involved = []
@@ -316,17 +316,18 @@ class CountVectors:
     deltas: tuple[tuple[int, ...], ...]
 
 
-def count_vectors(params: SystemParams, grouping: UserGrouping) -> CountVectors:
-    """Subfile-count and user-cache vectors of the layout, from one formula.
+def count_vectors(t: int, sizes: tuple[int, ...]) -> CountVectors:
+    """Subfile-count and user-cache vectors of the group sizes at cache size t, from one formula.
 
     Type v has F(v) = prod_i C(q_i, v_i) subfiles; a group-i user caches
     F(v) v_i / q_i of them, exactly (C(n-1,j-1) = C(n,j) j/n); each Delta is a
     group's vector minus the one before.  So one group has F = (C(K,t),), the
     cache count C(K-1,t-1) and no Delta; two have F(v_k) = C(q1,k-1)C(q2,t-k+1)
-    and cache counts C(q1-1,k-2)C(q2,t-k+1) and C(q1,k-1)C(q2-1,t-k).
+    and cache counts C(q1-1,k-2)C(q2,t-k+1) and C(q1,k-1)C(q2-1,t-k).  Takes t and the
+    sizes, not ``SystemParams`` and ``UserGrouping``: the analytic sweeps call this once
+    per (t, q), and ``_two_group_sizes`` builds those only to name a rejection.
     """
-    sizes = _two_group_sizes(grouping, params.t)
-    types = _compositions(params.t, len(sizes))
+    types = _compositions(t, len(_two_group_sizes(sizes, t)))
     # List comprehensions, not generators: ``analysis.sweep`` calls this once per (t, q).
     F = tuple([math.prod(map(math.comb, sizes, v)) for v in types])
     per_set = tuple([tuple([f * v[i] // q for f, v in zip(F, types)]) for i, q in enumerate(sizes)])
@@ -348,6 +349,9 @@ def memory_terms(vectors: Sequence[Sequence[int]], counts: CountVectors) -> list
     return [_dot(v, counts.deltas[0]) for v in vectors]
 
 
+_ONE = Fraction(1)  # gamma_1, one shared object: a Fraction is immutable
+
+
 def solve_packet_ratio(fs: FsVectors, counts: CountVectors) -> tuple[Fraction, ...]:
     """Packet-size ratios (gamma_1=1, gamma_2, ...) solving the memory constraint.
 
@@ -364,14 +368,13 @@ def solve_packet_ratio(fs: FsVectors, counts: CountVectors) -> tuple[Fraction, .
             "only G=1 with none or G=2 with one is solvable"
         )
     if G == 1:
-        return (Fraction(1),)
+        return (_ONE,)
     a1, a2 = memory_terms(fs.intermediate, counts)
     if a2 == 0:
         raise DegenerateSystem("second coupled group has zero memory leverage")
-    gamma = Fraction(-a1, a2)
-    if gamma <= 0:
-        raise InvalidRatio(f"packet size ratio {gamma} is not positive")
-    return (Fraction(1), gamma)
+    if a1 * a2 >= 0:  # the sign of gamma = -a1/a2, read on the integers
+        raise InvalidRatio(f"packet size ratio {Fraction(-a1, a2)} is not positive")
+    return (_ONE, Fraction(-a1, a2))
 
 
 @dataclass(frozen=True)
@@ -490,7 +493,7 @@ def derive(spec: SchemeSpec) -> DerivedScheme:
     layout = derive_types(spec.params, spec.grouping)
     intermediates, repeats = zip(*(fs_and_repeats(plan, layout) for plan in spec.plans))
     fs = FsVectors(intermediate=intermediates)
-    counts = count_vectors(spec.params, spec.grouping)
+    counts = count_vectors(spec.params.t, spec.grouping.sizes)
     gammas = solve_packet_ratio(fs, counts)
     sizing = integer_packet_sizes(gammas, fs, counts)
     return DerivedScheme(

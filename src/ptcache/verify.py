@@ -359,10 +359,8 @@ def verify_remark3(q: int) -> CheckResult:
     deliverable FS vectors, only it has memory term 0 under the grouping (q+1, q)."""
     if q < 3:
         raise ValueError(f"need q >= 3, got {q}")
-    params = SystemParams(K=2 * q + 1, t=2, N=2 * q + 1)
-    grouping = UserGrouping((q + 1, q))
     vectors = _remark3_vectors()
-    residuals = dict(zip(vectors, memory_terms(vectors, count_vectors(params, grouping))))
+    residuals = dict(zip(vectors, memory_terms(vectors, count_vectors(2, (q + 1, q)))))
     zero_vectors = {vec for vec, res in residuals.items() if res == 0}
     return CheckResult(
         "remark3_homogeneous_uniqueness",

@@ -16,7 +16,6 @@ from ptcache.exchange import split_files
 from ptcache.scheme import (
     FsVectors,
     SystemParams,
-    UserGrouping,
     count_vectors,
     derive,
     integer_packet_sizes,
@@ -157,7 +156,7 @@ def test_criterion_08_odd_t3_instance():
     # The 7/4 size ratio belongs to the staircase/hill vector pair; the
     # deliverable design realizing the (0,3,3,0) aggregate balances memory
     # with ratio 1/4.  Both are checked.
-    counts = count_vectors(SystemParams(K=9, t=3, N=9), UserGrouping((5, 4)))
+    counts = count_vectors(3, (5, 4))
     pair = FsVectors(intermediate=((0, 1, 2, 3), (0, 2, 1, 0)))
     gammas = solve_packet_ratio(pair, counts)
     ok &= gammas[1] == Fraction(7, 4) == Fraction(2 * (2 * 4 - 1), 4 + 4)

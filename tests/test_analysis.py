@@ -1,22 +1,30 @@
 import csv
+import importlib.util
 import io
 import itertools
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from ptcache import analysis, scheme, verify
 from ptcache.analysis import (
     asymptotic_ratio,
     f_jcm,
     f_pt,
+    gamma_terms,
     ratio,
     records_to_csv,
     records_to_json,
     sweep,
     theorem1_fs,
 )
-from ptcache.scheme import PresetConstraintViolated, SystemParams, count_vectors, derive, preset
+from ptcache.scheme import (PresetConstraintViolated, SystemParams, UnsupportedGrouping,
+                            UserGrouping, count_vectors, derive, preset)
+from ptcache.verify import verify_remark3
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def brute_force_f_pt(q, r):
@@ -126,16 +134,48 @@ class TestSweep:
         assert calls == [2, 4, 6, 8]
 
     def test_one_count_vectors_per_record(self, monkeypatch):
-        """The work a sweep does, pinned by call count rather than by time."""
-        calls = []
+        """The work a sweep and the benchmark's analytic op do, pinned by counts, not time.
 
-        def counted(params, grouping):
-            calls.append(params.t)
-            return count_vectors(params, grouping)
+        The op (``AnalyticSweep.run`` in ``perfbench/workloads.py``: the
+        sweep, the claims, lemma 1 and remark 3) runs once to warm up, then
+        again.  The second run counts every (t, q) point it reads, 587 of
+        them a second time, and runs the count formula's body (its size
+        check) for each, so no cache across calls crept in around or inside
+        ``count_vectors``; and it builds no ``SystemParams`` or ``UserGrouping``.
+        """
+        calls, checks, built = [], [], []
+        real_check = scheme._two_group_sizes
 
-        monkeypatch.setattr("ptcache.analysis.count_vectors", counted)
+        def counted(t, sizes):
+            calls.append(t)
+            return count_vectors(t, sizes)
+
+        def checked(sizes, t):
+            checks.append(t)
+            return real_check(sizes, t)
+
+        def recorded(real):
+            def __post_init__(self):
+                built.append(self)
+                real(self)
+            return __post_init__
+
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        op = workloads.AnalyticSweep()
+        op.run(0, None)
+        for module in (analysis, scheme, verify):
+            monkeypatch.setattr(module, "count_vectors", counted)
         records = sweep([2, 4, 6, 8], q_max=400)
         assert len(calls) == len(records) == 1580
+
+        calls.clear()
+        monkeypatch.setattr(scheme, "_two_group_sizes", checked)
+        for cls in (SystemParams, UserGrouping):
+            monkeypatch.setattr(cls, "__post_init__", recorded(cls.__post_init__))
+        op.check(op.run(0, None))
+        assert (len(calls), len(checks), built) == (2167, 2167, [])
 
     def test_odd_t_rejected(self):
         with pytest.raises(ValueError):
@@ -159,3 +199,47 @@ class TestSerialization:
         rows_csv = list(csv.DictReader(io.StringIO(records_to_csv(recs))))
         rows_json = json.loads(records_to_json(recs))
         assert [{k: str(v) for k, v in r.items()} for r in rows_json] == rows_csv
+
+
+@pytest.mark.parametrize("call,error,match", [
+    pytest.param(lambda: count_vectors(0, (4, 3)), ValueError, r"^t must be >= 1, got 0$",
+                 id="count_vectors-t0"),
+    pytest.param(lambda: count_vectors(3, (5, 2)), UnsupportedGrouping,
+                 r"^second group of size 2 cannot host type \(0,3\); need q2 >= t$",
+                 id="count_vectors-q-below-t"),
+    pytest.param(lambda: count_vectors(2, (1, 0)), ValueError, r"^K must be >= t\+1, got K=1, t=2$",
+                 id="count_vectors-q0"),
+    pytest.param(lambda: count_vectors(1, (3, 0)), UnsupportedGrouping,
+                 r"^group sizes must be positive, got \(3, 0\)$", id="count_vectors-q0-K-above-t"),
+    pytest.param(lambda: count_vectors(2, (3, 3)), UnsupportedGrouping,
+                 r"^equal two-group layouts collapse type components; use one group$",
+                 id="count_vectors-equal"),
+    pytest.param(lambda: count_vectors(2, (3, 4)), UnsupportedGrouping,
+                 r"^group sizes must be non-increasing, got \(3, 4\)$", id="count_vectors-increasing"),
+    pytest.param(lambda: count_vectors(2, (4, 3, 2)), UnsupportedGrouping,
+                 r"^3-group layouts are not supported$", id="count_vectors-three-groups"),
+    pytest.param(lambda: count_vectors(2, (2,)), ValueError, r"^K must be >= t\+1, got K=2, t=2$",
+                 id="count_vectors-one-group-K-eq-t"),
+    pytest.param(lambda: count_vectors(3, (2,)), ValueError, r"^K must be >= t\+1, got K=2, t=3$",
+                 id="count_vectors-one-group-K-below-t"),
+    pytest.param(lambda: f_pt(3, 0), ValueError, r"^t must be >= 1, got 0$", id="f_pt-t0"),
+    pytest.param(lambda: f_pt(3, 2), ValueError, r"^need q >= t\+1, got q=3, t=4$",
+                 id="f_pt-q-below-t"),
+    pytest.param(lambda: f_pt(0, 1), ValueError, r"^need q >= t\+1, got q=0, t=2$", id="f_pt-q0"),
+    pytest.param(lambda: gamma_terms(3, 0), ValueError, r"^t must be >= 1, got 0$", id="gamma_terms-t0"),
+    pytest.param(lambda: gamma_terms(2, 4), UnsupportedGrouping,
+                 r"^second group of size 2 cannot host type \(0,4\); need q2 >= t$",
+                 id="gamma_terms-q-below-t"),
+    pytest.param(lambda: gamma_terms(0, 2), ValueError, r"^K must be >= t\+1, got K=1, t=2$",
+                 id="gamma_terms-q0"),
+    pytest.param(lambda: verify_remark3(1), ValueError, r"^need q >= 3, got 1$",
+                 id="remark3-q-below-t"),
+    pytest.param(lambda: verify_remark3(0), ValueError, r"^need q >= 3, got 0$", id="remark3-q0"),
+])
+def test_rejections_keep_their_errors(call, error, match):
+    """Every layout the counts cannot serve is rejected with its error class and message
+    exactly: ``SystemParams``' ``ValueError`` for t < 1 and K <= t, ``UserGrouping``'s
+    and the layout's ``UnsupportedGrouping`` for the rest, and the callers' own checks."""
+    with pytest.raises(error, match=match) as caught:
+        call()
+    assert caught.type is error

@@ -568,7 +568,12 @@ class TestHonestDecodeAll:
             decode_all(store, [bad])
 
 
-FILES = {"file_99": 99, "file_str": "1", "file_none": None, "file_float": 1.5}
+FILES = {  # case: (the file the first constituent names, the file its transcript line shows)
+    "file_99": (99, 99), "file_str": ("1", "1"), "file_none": (None, None),
+    "file_float": (1.5, 1.5),
+    "file_bytes": (b"1", "b'1'"),  # JSON has no bytes: the JSON string of its repr
+    "file_true": (True, 1), "file_float_one": (1.0, 1),  # equal to file 1: written as 1
+}
 
 
 def malformed(store, m, case):
@@ -582,12 +587,12 @@ def malformed(store, m, case):
     member lacking that constituent, so its owner.  "unknown_round": the
     round becomes 3 of 2.  "transmitter_outside": the transmitter becomes
     99, not a member.  "negative_member": the group gains member -1.
-    "file_99"/"file_str"/"file_none"/"file_float": its first constituent names
-    file 99 (or "1", None, 1.5; ``FILES``), which no user demands.
+    "file_*": its first constituent names the file ``FILES`` gives (99, "1",
+    None, 1.5, b"1", True or 1.0), which the receiver does not demand.
     """
     n, first = m.constituents[0]
     if case in FILES:
-        return m._replace(constituents=((FILES[case], first),) + m.constituents[1:])
+        return m._replace(constituents=((FILES[case][0], first),) + m.constituents[1:])
     if case in ("unknown_index", "negative_index", "float_index", "list_index", "other_round"):
         pos = {
             "unknown_index": store.packets_per_file,
@@ -657,7 +662,9 @@ class TestMalformedConstituents:
         The second message is malformed.  A position outside the layout stops
         the transcript after the first message's line; any other fault is
         the decoder's to find, and every message still gets its line.  A
-        file no user demands is written as the message names it.
+        file no user demands is written as the message names it, as the
+        string of its repr where JSON has none, and as file 1's number when
+        it equals 1 (the decoder compares files by ``==`` too).
         """
         real = verify.stream_delivery
 
@@ -678,8 +685,8 @@ class TestMalformedConstituents:
         if case in FILES:
             assert plain.failure.startswith("UndemandedPacket")
             written = json.loads(path.read_text(encoding="utf-8").splitlines()[1])
-            file = written["constituents"][0]["file"]
-            assert (type(file), file) == (type(FILES[case]), FILES[case])
+            file, shown = written["constituents"][0]["file"], FILES[case][1]
+            assert (type(file), file) == (type(shown), shown)
 
 
 def flip_first_payload_bit(msgs):

@@ -63,16 +63,18 @@ class TestDeriveTypes:
         assert len(layout.subfile_types) == 5
         assert len(layout.group_types) == 6
 
-    @pytest.mark.parametrize("layout_fn", [derive_types, count_vectors],
-                             ids=["derive_types", "count_vectors"])
+    @pytest.mark.parametrize("layout_fn", [
+        lambda t, sizes: derive_types(params(sum(sizes), t), UserGrouping(sizes)),
+        count_vectors,
+    ], ids=["derive_types", "count_vectors"])
     def test_rejections(self, layout_fn):
         with pytest.raises(UnsupportedGrouping, match="^3-group layouts are not supported$"):
-            layout_fn(params(9, 2), UserGrouping((3, 3, 3)))
+            layout_fn(2, (3, 3, 3))
         with pytest.raises(UnsupportedGrouping, match="^equal two-group layouts collapse"):
-            layout_fn(params(6, 2), UserGrouping((3, 3)))
+            layout_fn(2, (3, 3))
         with pytest.raises(UnsupportedGrouping, match=r"^second group of size 2 cannot host "
                            r"type \(0,3\); need q2 >= t$"):
-            layout_fn(params(7, 3), UserGrouping((5, 2)))  # q2 < t
+            layout_fn(3, (5, 2))  # q2 < t
 
 
 class TestGrouping:
@@ -200,7 +202,7 @@ class TestFsVectors:
 
 class TestCountVectors:
     def test_example_values(self):
-        counts = count_vectors(params(7, 2), UserGrouping((4, 3)))
+        counts = count_vectors(2, (4, 3))
         assert counts.F == (3, 12, 6)
         assert counts.per_set == ((0, 3, 3), (2, 4, 0))
         assert counts.deltas == ((2, 1, -3),)
@@ -224,7 +226,7 @@ class TestCountVectors:
                         for i, g in enumerate(grouping.groups):
                             holding[i][v] += g[0] in sub
                     layout = derive_types(params(K, t), grouping)
-                    counts = count_vectors(params(K, t), grouping)
+                    counts = count_vectors(t, sizes)
                     assert layout.subfile_types == tuple(sorted(per_type))
                     assert counts.F == tuple(per_type[v] for v in layout.subfile_types)
                     assert counts.per_set == tuple(
@@ -234,7 +236,7 @@ class TestCountVectors:
         assert checked == 169
 
     def test_larger_instance(self):
-        counts = count_vectors(params(11, 4), UserGrouping((6, 5)))
+        counts = count_vectors(4, (6, 5))
         assert counts.F == (5, 60, 150, 100, 15)
 
     @pytest.mark.parametrize("t", range(1, 9))
@@ -242,7 +244,7 @@ class TestCountVectors:
         """The cache counts are quotients of F; each equals its binomial product."""
         for q2 in range(t, t + 41):
             for q1 in (q2 + 1, q2 + 3):
-                counts = count_vectors(params(q1 + q2, t), UserGrouping((q1, q2)))
+                counts = count_vectors(t, (q1, q2))
                 ks = range(1, t + 2)
                 F = tuple(binom(q1, k - 1) * binom(q2, t - k + 1) for k in ks)
                 F1 = tuple(binom(q1 - 1, k - 2) * binom(q2, t - k + 1) for k in ks)
@@ -253,7 +255,7 @@ class TestCountVectors:
 
     @pytest.mark.parametrize("K,t", [(2, 1), (5, 2), (13, 4), (17, 8)])
     def test_one_group_equals_its_binomials(self, K, t):
-        counts = count_vectors(params(K, t), UserGrouping((K,)))
+        counts = count_vectors(t, (K,))
         assert counts == CountVectors(F=(binom(K, t),), per_set=((binom(K - 1, t - 1),),), deltas=())
 
 
@@ -269,19 +271,19 @@ class TestPacketRatio:
         # gamma of the staircase/hill vector pair at t=3 follows
         # 2(2q-1)/(q+4); at q=4 that is 7/4.
         K = 2 * q + 1
-        counts = count_vectors(params(K, 3), UserGrouping((q + 1, q)))
+        counts = count_vectors(3, (q + 1, q))
         fs = FsVectors(intermediate=((0, 1, 2, 3), (0, 2, 1, 0)))
         gammas = solve_packet_ratio(fs, counts)
         assert gammas[1] == Fraction(2 * (2 * q - 1), q + 4)
 
     def test_single_coupled_group(self):
-        counts = count_vectors(params(5, 2), UserGrouping((5,)))
+        counts = count_vectors(2, (5,))
         fs = FsVectors(intermediate=((2,),))
         assert solve_packet_ratio(fs, counts) == (1,)
 
     def test_degenerate_system(self):
-        two = count_vectors(params(7, 2), UserGrouping((4, 3)))
-        one = count_vectors(params(7, 2), UserGrouping((7,)))
+        two = count_vectors(2, (4, 3))
+        one = count_vectors(2, (7,))
         cases = [
             (two, ((0, 1, 2), (1, 1, 1)), "zero memory leverage"),  # (1,1,1).delta == 0
             (one, ((2,), (2,)), "0 memory equations for 1 free ratios"),
@@ -294,7 +296,7 @@ class TestPacketRatio:
                 solve_packet_ratio(fs, counts)
 
     def test_invalid_ratio(self):
-        counts = count_vectors(params(7, 2), UserGrouping((4, 3)))
+        counts = count_vectors(2, (4, 3))
         fs = FsVectors(intermediate=((0, 1, 0), (0, 2, 0)))
         with pytest.raises(InvalidRatio):
             solve_packet_ratio(fs, counts)
@@ -307,7 +309,7 @@ class TestIntegerSizes:
         assert d.sizing.L == 84
 
     def test_rational_scaling(self):
-        counts = count_vectors(params(9, 3), UserGrouping((5, 4)))
+        counts = count_vectors(3, (5, 4))
         fs = FsVectors(intermediate=((0, 1, 2, 3), (0, 2, 1, 0)))
         sizing = integer_packet_sizes(solve_packet_ratio(fs, counts), fs, counts)
         assert sizing.ell == (4, 7)
@@ -431,10 +433,10 @@ K7_T2_LAYOUT = derive_types(params(7, 2), UserGrouping((4, 3)))
                  LengthMismatch, r"^plan covers 1 group types, layout has 4$", id="plan-length"),
     pytest.param(lambda: FsVectors(()), LengthMismatch,
                  r"^no intermediate vectors$", id="aggregate-empty"),
-    pytest.param(lambda: memory_terms([(1,)], count_vectors(params(5, 2), UserGrouping((5,)))),
+    pytest.param(lambda: memory_terms([(1,)], count_vectors(2, (5,))),
                  DegenerateSystem, r"^0 memory equations; the terms need one$", id="terms-one-group"),
     pytest.param(lambda: solve_packet_ratio(FsVectors(((1, 2, 3), (3, 2, 1))),
-                                            count_vectors(params(9, 3), UserGrouping((5, 4)))),
+                                            count_vectors(3, (5, 4))),
                  LengthMismatch, r"^dot product of lengths 3 and 4$", id="dot-length"),
     pytest.param(lambda: FsVectors(intermediate=((0, -1, 2),)), ValueError,
                  r"^FS entries must be non-negative$", id="fs-negative"),

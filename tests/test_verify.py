@@ -418,8 +418,8 @@ def _weights_doubled(real):
 
 def _count_vectors_shifted(real):
     """count_vectors with delta[0] moved by 1, so (2, 2, 2) leaves a residual."""
-    def count_vectors(params, grouping):
-        counts = real(params, grouping)
+    def count_vectors(t, sizes):
+        counts = real(t, sizes)
         delta = (counts.deltas[0][0] + 1,) + counts.deltas[0][1:]
         return CountVectors(F=counts.F, per_set=counts.per_set, deltas=(delta,))
     return count_vectors
