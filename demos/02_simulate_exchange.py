@@ -36,7 +36,7 @@ messages = generate_delivery(store, seed=0)
 print("=" * 64)
 print("Delivery for 7 users, everyone demanding a distinct file")
 print("=" * 64)
-print(f"packets per file: {store.packets_per_file}, file size: {store.bytes_per_file} bytes")
+print(f"packets per file: {d.packets_per_file}, file size: {store.bytes_per_file} bytes")
 print(f"cached per user:  {cached[1]} bytes "
       f"(= t/K of the library, exactly)")
 kept = sum(e[3] for e, v in zip(store.template, store.file_values(1)) if v is not None)

@@ -4,7 +4,7 @@ Construction engine, bit-exact simulator, and verification toolkit for
 device-to-device coded caching schemes with type-dependent packet sizes.
 """
 
-from .combinatorics import binom, hypergeo_weights, subsets_by_type, vector_lcm
+from .combinatorics import hypergeo_weights, subsets_by_type
 from .scheme import (
     CountVectors,
     DerivedScheme,
@@ -37,7 +37,7 @@ from .exchange import (
     total_transmitted_units,
 )
 from .analysis import RatioRecord, asymptotic_ratio, f_jcm, f_pt, ratio, sweep
-from .baseline import compare, jcm_construct
+from .baseline import compare
 from .verify import (
     VerificationReport,
     verify_claims,

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .combinatorics import binom
 from .scheme import (CountVectors, FsVectors, SystemParams, count_vectors, derive, frac_str,
                      memory_terms, preset, solve_packet_ratio)
 
@@ -50,7 +49,7 @@ def f_jcm(K: int, t: int) -> int:
     """Baseline subpacketization t * C(K, t)."""
     if K <= t:
         raise ValueError(f"need K > t, got K={K}, t={t}")
-    return t * binom(K, t)
+    return t * math.comb(K, t)
 
 
 def ratio(q: int, r: int) -> Fraction:
@@ -70,7 +69,7 @@ def asymptotic_ratio(t: int) -> tuple[Fraction, float]:
             "the t = 3 construction is a preset: ptcache construct --preset odd_t3 --K 11 --t 3"
         )
     r = t // 2
-    exact = 1 - Fraction(binom(t, r), 2 ** (t + 1))
+    exact = 1 - Fraction(math.comb(t, r), 2 ** (t + 1))
     return exact, 1.0 - math.sqrt(1.0 / (2.0 * math.pi * t))
 
 

@@ -1,8 +1,9 @@
 """Symmetric-splitting baseline scheme and PT-vs-baseline comparison.
 
 The baseline splits every file into C(K,t) subfiles and each subfile into t
-packets, with everyone transmitting in every multicast group.  It is routed
-through the PT engine as the single-group, all-transmit special case.
+packets, with everyone transmitting in every multicast group.  It is the
+PT engine's single-group, all-transmit special case:
+``derive(preset("jcm", params))``.
 """
 
 from __future__ import annotations
@@ -14,12 +15,7 @@ from typing import Sequence
 from . import verify
 # Not called here: kept because perfbench/spans.py wraps these baseline bindings.
 from .exchange import build_caches, decode, generate_delivery, split_files, total_transmitted_units  # noqa: F401
-from .scheme import DerivedScheme, SystemParams, derive, preset
-
-
-def jcm_construct(K: int, t: int, N: int, unit: int = 1) -> DerivedScheme:
-    """The baseline as a derived PT scheme: one group, uniform factor t."""
-    return derive(preset("jcm", SystemParams(K=K, t=t, N=N, unit=unit)))
+from .scheme import DerivedScheme, derive  # noqa: F401  (derive: wrapped, as above)
 
 
 class ComparisonFailed(ValueError):

@@ -17,7 +17,9 @@ from typing import Sequence
 from . import analysis, verify
 # Not called here: kept because perfbench/spans.py wraps these cli bindings.
 from .exchange import generate_delivery, split_files, write_transcript  # noqa: F401
+from .exchange import DemandOutOfRange, check_demands
 from .scheme import (
+    DerivedScheme,
     SchemeSpec,
     SystemParams,
     UserGrouping,
@@ -45,15 +47,14 @@ def _emit(text: str, path: str | None) -> None:
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
-def _parse_demands(raw: str, K: int, N: int) -> list[int]:
+def _parse_demands(raw: str, derivation: DerivedScheme) -> list[int]:
     if raw in ("distinct", "uniform"):
-        return verify.demand_vector(raw, K, N)
+        return verify.demand_vector(raw, derivation.params.K)
     values = _parse_ints("--demands", raw)
-    if len(values) != K:
-        raise ValueError(f"--demands {raw} has {len(values)} entries, expected {K}")
-    for n in values:
-        if not 1 <= n <= N:
-            raise ValueError(f"--demands {raw} names file {n}, outside 1..{N}")
+    try:
+        check_demands(derivation, values)
+    except DemandOutOfRange as exc:
+        raise DemandOutOfRange(f"--demands {raw}: {exc}") from None
     return values
 
 
@@ -98,8 +99,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     before delivery produced any messages.
     """
     derivation = derive(_spec_from(args))
-    p = derivation.params
-    demands = _parse_demands(args.demands, p.K, p.N)
+    demands = _parse_demands(args.demands, derivation)
     output = _out_path(args.output)
     created = output is not None and not os.path.exists(output)
     if output is not None:  # created, not truncated: _emit writes it after the audit

@@ -1,8 +1,8 @@
 """Exact combinatorics underlying packet-type caching schemes.
 
-Everything here is integer or rational and exact: binomial coefficients via
-big integers, subset enumeration classified by projection type, and the
-hypergeometric law of the ratio analysis as integer weights.  No floats.
+Everything here is integer and exact: subset enumeration classified by
+projection type, and the hypergeometric law of the ratio analysis as
+integer weights.  No floats.
 """
 
 from __future__ import annotations
@@ -14,28 +14,6 @@ from typing import Sequence
 
 class ComponentTooLarge(ValueError):
     """A type-vector component exceeds the size of its user group."""
-
-
-def binom(n: int, k: int) -> int:
-    """C(n, k) as an exact big integer; 0 when k < 0 or k > n."""
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
-def vector_lcm(factors: Sequence[int]) -> int:
-    """LCM of a set of splitting factors, with ``math.lcm``'s own rule lcm(0, x) = 0.
-
-    A zero factor means the subfile type is excluded from the coupled
-    group, which annihilates any other contribution.
-    """
-    if not factors:
-        raise ValueError("no factors to merge")
-    if any(f < 0 for f in factors):
-        raise ValueError(f"factors must be non-negative, got {factors}")
-    return math.lcm(*factors)
 
 
 def subsets_by_type(groups: Sequence[Sequence[int]], type_vec: Sequence[int]) -> list[tuple[int, ...]]:
@@ -68,10 +46,8 @@ def hypergeo_weights(q: int, t: int) -> tuple[tuple[int, ...], int]:
     the marked among t draws without replacement from 2q+1 (q+1 marked, q not):
     the first type component of a uniformly random t-subset under (q+1, q).
     """
-    if q < 1 or t < 1:
-        raise ValueError(f"need q >= 1 and t >= 1, got q={q}, t={t}")
-    if t > q:
-        raise ValueError(f"need t <= q, got t={t}, q={q}")
+    if not 0 <= t <= 2 * q + 1:
+        raise ValueError(f"need 0 <= t <= 2q+1, got q={q}, t={t}")
     weights = tuple(math.comb(q + 1, j) * math.comb(q, t - j) for j in range(t + 1))
     return weights, math.comb(2 * q + 1, t)
 

@@ -230,7 +230,7 @@ class PacketStore:
         self.schedule = schedule = schedule_of(derivation)
         self.template, self.offsets = schedule.template, schedule.offsets
         self.bytes_per_file = schedule.bytes_per_file
-        _check_demands(derivation, demands)
+        check_demands(derivation, demands)
         self.demands = tuple(demands)
         demanders: dict[int, int] = {}  # by file, the mask of its demanders
         for u, n in enumerate(demands, 1):
@@ -252,10 +252,6 @@ class PacketStore:
             self._values[n] = values
 
     @property
-    def packets_per_file(self) -> int:
-        return len(self.template)
-
-    @property
     def files(self) -> tuple[int, ...]:
         return tuple(sorted(self._values))
 
@@ -267,7 +263,7 @@ class PacketStore:
         return self._values[n]
 
 
-def _check_demands(derivation: DerivedScheme, demands: Sequence[int]) -> None:
+def check_demands(derivation: DerivedScheme, demands: Sequence[int]) -> None:
     """Raise ``DemandOutOfRange`` unless ``demands`` names one file in 1..N per user."""
     p = derivation.params
     if len(demands) != p.K:

@@ -28,8 +28,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .combinatorics import vector_lcm
-
 TypeVec = tuple[int, ...]
 
 
@@ -110,11 +108,6 @@ class UserGrouping:
     def m(self) -> int:
         return len(self.sizes)
 
-    @property
-    def n_distinct(self) -> int:
-        """Number of distinct group sizes (unique sets)."""
-        return len(set(self.sizes))
-
     def members(self, i: int) -> tuple[int, ...]:
         """User ids of group i (0-based), contiguous ascending."""
         start = 1 + sum(self.sizes[:i])
@@ -155,13 +148,6 @@ class SchemeSpec:
             )
         if not self.plans:
             raise ValueError("need at least one coupled group")
-        # Feasibility: the size-ratio system has one equation per adjacent
-        # unique-set pair, so it needs at least N_d coupled groups.
-        if len(self.plans) < self.grouping.n_distinct:
-            raise ValueError(
-                f"G={len(self.plans)} coupled groups cannot satisfy "
-                f"{self.grouping.n_distinct} unique sets (need G >= N_d)"
-            )
 
     @property
     def G(self) -> int:
@@ -257,10 +243,11 @@ def fs_and_repeats(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Intermediate FS vector of one coupled group, validated for delivery, and its repeats.
 
-    Entries are the vector-LCM of the contributing local factors (a zero
-    local excludes the type).  A group type's repeat count is how often each
-    of its transmitters sends: entry // local factor on every involved type
-    that is not excluded.  Raises IncompatibleLocals when these disagree
+    Entries are the LCM of the contributing local factors, of which there
+    is always one (type v is involved in group type v + e0); under
+    ``math.lcm``'s rule lcm(0, x) = 0, a zero local excludes the type.  A
+    group type's repeat count is how often each of its transmitters sends:
+    entry // local factor on every involved type that is not excluded.  Raises IncompatibleLocals when these disagree
     across its sides, so the merge is not deliverable.  0 marks a group type
     whose involved types are all excluded, so its transmissions are omitted.
 
@@ -277,7 +264,7 @@ def fs_and_repeats(
         factors = local_fs(s, plan.daggers[k])
         for comp, ti in layout.involved[k]:
             per_type[ti][k] = factors[comp]
-    entries = [vector_lcm(list(d.values())) for d in per_type]
+    entries = [math.lcm(*d.values()) for d in per_type]
     repeats = []
     for k, involved in enumerate(layout.involved):
         counts = {entries[ti] // per_type[ti][k] for _, ti in involved if entries[ti] > 0}

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .analysis import gamma_terms, ratio
-from .combinatorics import hypergeo_weights, vector_lcm
+from .combinatorics import hypergeo_weights
 # generate_delivery, decode_all and total_transmitted_units are not called
 # here: kept because perfbench/spans.py wraps these verify bindings.
 from .exchange import (  # noqa: F401
@@ -117,11 +118,9 @@ class VerificationReport:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def demand_vector(kind: str, K: int, N: int) -> list[int]:
+def demand_vector(kind: str, K: int) -> list[int]:
     """Named demand vectors: "distinct" (user u wants file u) or "uniform" (all want file 1)."""
     if kind == "distinct":
-        if N < K:
-            raise ValueError(f"distinct demands need N >= K, got N={N}, K={K}")
         return list(range(1, K + 1))
     if kind == "uniform":
         return [1] * K
@@ -160,7 +159,7 @@ def verify_end_to_end(
         derivation = scheme if isinstance(scheme, DerivedScheme) else derive(scheme)
         p = derivation.params
         if isinstance(demands, str):
-            demands = demand_vector(demands, p.K, p.N)
+            demands = demand_vector(demands, p.K)
         report.packets_per_file = derivation.packets_per_file
 
         store = split_files(derivation, demands)
@@ -388,7 +387,7 @@ def verify_odd_t_obstruction(r: int) -> CheckResult:
     s_hi = (r + 1, r + 1)
     lo_factor = local_fs(s_lo, frozenset({0}))[1]
     hi_factor = local_fs(s_hi, frozenset({1}))[0]
-    merged = vector_lcm([lo_factor, hi_factor])
+    merged = math.lcm(lo_factor, hi_factor)
     obstructed = merged > t
     return CheckResult(
         "odd_t_pivot_obstruction",

@@ -6,12 +6,12 @@ exact (integers or rationals) unless a percentage is named.
 """
 
 import itertools
+import math
 import time
 from fractions import Fraction
 
 from ptcache.analysis import asymptotic_ratio, f_jcm, f_pt
-from ptcache.baseline import compare, jcm_construct
-from ptcache.combinatorics import binom
+from ptcache.baseline import compare
 from ptcache.exchange import split_files
 from ptcache.scheme import (
     FsVectors,
@@ -76,7 +76,7 @@ def test_criterion_02_formula_vs_construction():
                 alpha[(sum(1 for u in sub if u <= q + 1), sum(1 for u in sub if u > q + 1))]
                 for sub in itertools.combinations(range(1, K + 1), t)
             )
-            ok &= store.packets_per_file == f_pt(q, r) == brute
+            ok &= len(store.template) == f_pt(q, r) == brute
             checked += 1
     elapsed = time.perf_counter() - start
     ok &= elapsed < 10.0
@@ -170,8 +170,8 @@ def test_criterion_09_baseline():
     ok = True
     for K in range(2, 10):
         for t in range(1, K):
-            d = jcm_construct(K, t, K)
-            ok &= d.packets_per_file == t * binom(K, t)
+            d = derive(preset("jcm", SystemParams(K=K, t=t, N=K)))
+            ok &= d.packets_per_file == t * math.comb(K, t)
             rep = verify_end_to_end(d, "distinct", seed=0)
             ok &= rep.passed and rep.rate == Fraction(K - t, t)
     compared = []
@@ -180,7 +180,7 @@ def test_criterion_09_baseline():
         ("theorem1", 13, 2), ("theorem1", 11, 4), ("odd_t3", 9, 3),
     ]:
         pt = derive(preset(name, SystemParams(K=K, t=t, N=K)))
-        rec = compare(pt, jcm_construct(K, t, K))
+        rec = compare(pt, derive(preset("jcm", SystemParams(K=K, t=t, N=K))))
         ok &= rec.pt_rate == rec.jcm_rate and rec.pt_packets < rec.jcm_packets
         compared.append(f"({K},{t}): {rec.pt_packets}<{rec.jcm_packets}")
     report(9, ok, f"baseline decodes at rate (K-t)/t for all K<=9; comparisons "

@@ -335,11 +335,14 @@ class TestVerify:
         "simulate --preset jcm --K 5 --t 2 --demands 1,2,3,4,x":
             "--demands 1,2,3,4,x is not a comma-separated list of integers",
         "simulate --preset jcm --K 5 --t 2 --demands 1,2":
-            "--demands 1,2 has 2 entries, expected 5",
+            "--demands 1,2: demand vector has length 2, expected 5",
         "simulate --preset theorem1 --K 7 --t 2 --demands 0,1,2,3,4,5,6":
-            "--demands 0,1,2,3,4,5,6 names file 0, outside 1..7",
+            "--demands 0,1,2,3,4,5,6: demand 0 outside 1..7",
         "simulate --preset jcm --K 5 --t 2 --N 6 --demands 1,2,3,4,7":
-            "--demands 1,2,3,4,7 names file 7, outside 1..6",
+            "--demands 1,2,3,4,7: demand 7 outside 1..6",
+        # one plan for a two-group layout: its length mismatch comes first
+        "construct --preset jcm --K 7 --t 2 --grouping 4,3":
+            "plan covers 1 group types, layout has 4",
         "sweep --t 2 --q-max 2": "q_max=2 leaves t=2 no point (need q_max >= 3)",
         "sweep --t 2 --q-max -5": "q_max=-5 leaves t=2 no point (need q_max >= 3)",
         "sweep --t 2,8 --q-max 6": "q_max=6 leaves t=8 no point (need q_max >= 9)",

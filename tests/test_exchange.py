@@ -5,6 +5,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import re
 import struct
 import tracemalloc
@@ -18,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 
 from ptcache import baseline, exchange, verify
 from ptcache.cli import main
-from ptcache.combinatorics import binom
 from ptcache.exchange import (
     CodedMessage,
     DeliveryCountMismatch,
@@ -89,19 +89,19 @@ def example1():
 class TestSplit:
     def test_example1_counts(self, example1):
         d, store = example1
-        assert store.packets_per_file == 36 == 3 * (7 * 7 - 1) // 4
+        assert len(store.template) == 36 == 3 * (7 * 7 - 1) // 4
         assert store.bytes_per_file == 84
 
     def test_jcm_counts(self):
         d = derived("jcm", 5, 2)
         store = split_files(d, [1] * 5)
-        assert store.packets_per_file == 2 * binom(5, 2) == 20
+        assert len(store.template) == 2 * math.comb(5, 2) == 20
         assert len({size for *_, size in store.template}) == 1  # equal sizes
 
     def test_larger_instance_brute_force(self):
         d = derived("theorem1", 11, 4)
         store = split_files(d, [1] * 11)
-        assert store.packets_per_file == 1180
+        assert len(store.template) == 1180
         # independent count: classify every 4-subset and sum aggregate entries
         agg = dict(zip(d.layout.subfile_types, d.fs.aggregate))
         total = 0
@@ -279,7 +279,7 @@ class TestDelivery:
         msgs = generate_delivery(store, seed=0)
         per_group = Counter(m.group for m in msgs)
         assert set(per_group.values()) == {3}  # every 3-subset emits 3 messages
-        assert len(per_group) == binom(5, 3)
+        assert len(per_group) == math.comb(5, 3)
 
     def test_demand_out_of_range(self, example1):
         """A delivery's demands are its store's, so a bad vector never gets a store."""
@@ -369,7 +369,7 @@ class TestDecode:
             for pid in packet_ids(store, m)
             if 1 not in pid[1]
         ]
-        assert len(mine) == 2 * binom(4, 2)  # t * C(K-1, t)
+        assert len(mine) == 2 * math.comb(4, 2)  # t * C(K-1, t)
         assert decode(1, store, msgs) == file_bytes(1, store.bytes_per_file)
 
     def test_repeated_demands(self, example1):
@@ -595,7 +595,7 @@ def malformed(store, m, case):
         return m._replace(constituents=((FILES[case][0], first),) + m.constituents[1:])
     if case in ("unknown_index", "negative_index", "float_index", "list_index", "other_round"):
         pos = {
-            "unknown_index": store.packets_per_file,
+            "unknown_index": len(store.template),
             "negative_index": -1,
             "float_index": float(first),
             "list_index": [first],
@@ -1070,7 +1070,7 @@ class TestBijection:
     def test_delivery_skips_no_needed_key(self, name, K, t, seed, demands, alpha_one):
         """Messages equal the reference's, which counts the alpha = 1 receivers it served."""
         d = derived(name, K, t)
-        demands = verify.demand_vector(demands, K, K)
+        demands = verify.demand_vector(demands, K)
         store = split_files(d, demands)
         msgs = generate_delivery(store, seed=seed)
         ones = 0

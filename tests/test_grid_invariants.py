@@ -45,7 +45,7 @@ def test_theorem1_end_to_end_grid(t, q):
     d = derive(preset("theorem1", SystemParams(K=K, t=t, N=K)))
     L = d.sizing.L
     for kind in ("distinct", "uniform"):
-        demands = demand_vector(kind, K, K)
+        demands = demand_vector(kind, K)
         store = split_files(d, demands)
         for seed in (0, 1, 2):
             messages = generate_delivery(store, seed=seed)

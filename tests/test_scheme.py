@@ -10,7 +10,6 @@ from pathlib import Path
 
 import pytest
 
-from ptcache.combinatorics import binom
 from ptcache.scheme import (
     CountVectors,
     DegenerateSystem,
@@ -38,6 +37,12 @@ from ptcache.scheme import (
     solve_packet_ratio,
     _hill_daggers,
 )
+
+
+def binom(n: int, k: int) -> int:
+    """C(n, k) with the zero rule at k < 0, where ``math.comb`` raises: the count
+    formulas reach C(q1-1, -1) at k = 1 and C(q2-1, -1) at k = t+1."""
+    return math.comb(n, k) if k >= 0 else 0
 
 
 def params(K, t, N=None, unit=1):
@@ -82,7 +87,6 @@ class TestGrouping:
         g = UserGrouping((4, 3))
         assert g.members(0) == (1, 2, 3, 4)
         assert g.members(1) == (5, 6, 7)
-        assert g.n_distinct == 2
 
     def test_ordering_enforced(self):
         with pytest.raises(UnsupportedGrouping):
@@ -369,12 +373,14 @@ class TestPresets:
             preset("nope", params(7, 2))
 
     def test_remark1_guard(self):
-        # two unique sets cannot be balanced by one coupled group
+        # two unique sets cannot be balanced by one coupled group: the one
+        # memory equation leaves no free ratio, so derive rejects the spec
         plan = TransmitterSelection.from_lists(
             [{1}, {0}, {0}, {0}]
         )
-        with pytest.raises(ValueError, match="N_d"):
-            SchemeSpec(params(7, 2), UserGrouping((4, 3)), (plan,))
+        spec = SchemeSpec(params(7, 2), UserGrouping((4, 3)), (plan,))
+        with pytest.raises(DegenerateSystem, match=r"^1 memory equations for 0 free ratios"):
+            derive(spec)
 
 
 class TestMemoryConstraint:

@@ -134,10 +134,10 @@ class TestEndToEnd:
         assert len(calls["generate_delivery"]) == 1
 
     def test_demand_vector_kinds(self):
-        assert demand_vector("distinct", 4, 5) == [1, 2, 3, 4]
-        assert demand_vector("uniform", 3, 5) == [1, 1, 1]
+        assert demand_vector("distinct", 4) == [1, 2, 3, 4]
+        assert demand_vector("uniform", 3) == [1, 1, 1]
         with pytest.raises(ValueError):
-            demand_vector("alternating", 4, 4)
+            demand_vector("alternating", 4)
 
 
 class TestAuditMemory:
@@ -230,7 +230,7 @@ class TestLemma1:
                 d = derive(preset("theorem1", SystemParams(K=2 * q + 1, t=t, N=2 * q + 1)))
                 store = split_files(d, [1] * (2 * q + 1))
                 rho_formula = Fraction(f_pt(q, r), f_jcm(2 * q + 1, t))
-                rho_split = Fraction(store.packets_per_file * t, t * f_jcm(2 * q + 1, t))
+                rho_split = Fraction(len(store.template) * t, t * f_jcm(2 * q + 1, t))
                 rho_expect = ratio_expectation(t, q)
                 assert rho_formula == rho_split == rho_expect
 
@@ -247,8 +247,8 @@ class TestLemma1:
             assert ratio_expectation(t, q) == reference
 
     def test_expectation_below_support_raises(self):
-        with pytest.raises(ValueError, match=r"^need t <= q, got t=4, q=3$"):
-            ratio_expectation(4, 3)
+        with pytest.raises(ValueError, match=r"^need 0 <= t <= 2q\+1, got q=3, t=8$"):
+            ratio_expectation(8, 3)
 
     def test_one_fraction_per_q(self, monkeypatch):
         """The identity leg's work, pinned by count rather than by time: one Fraction per q."""
@@ -335,8 +335,6 @@ class TestOddTObstruction:
 
 
 @pytest.mark.parametrize("call,match", [
-    pytest.param(lambda: demand_vector("distinct", 5, 4),
-                 r"^distinct demands need N >= K, got N=4, K=5$", id="distinct-N-below-K"),
     # f_pt takes r = t/2: an odd t would silently check the ratios of t - 1
     pytest.param(lambda: verify_lemma1(3, [4, 5]),
                  r"^t must be even and positive, got 3$", id="lemma1-odd-t"),
