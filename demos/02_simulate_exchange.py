@@ -5,9 +5,10 @@ checked byte for byte without touching disk.  The packet store is built from
 the demand vector: of each demanded file it keeps only the packets that a
 demander lacks, since no message carries a packet every demander caches.
 Delivery and decoding read the demand vector from the store, so a run has
-one.  The demo prints a few coded messages, then audits the whole run: cache
-budgets, per-message usefulness, exact rate, and decode completeness for
-every user.
+one.  Each user's cache budget, t/K of the library, was already checked when
+the derivation's delivery schedule was built for the store.  The demo prints
+a few coded messages, then audits the whole run: per-message usefulness,
+exact rate, and decode completeness for every user.
 """
 
 import io
@@ -39,7 +40,7 @@ print("=" * 64)
 print(f"packets per file: {d.packets_per_file}, file size: {store.bytes_per_file} bytes")
 print(f"cached per user:  {cached[1]} bytes "
       f"(= t/K of the library, exactly)")
-kept = sum(e[3] for e, v in zip(store.template, store.file_values(1)) if v is not None)
+kept = sum(e[3] for e, v in zip(store.template, store.values[1]) if v is not None)
 print(f"store keeps of file 1: {kept} of {store.bytes_per_file} bytes "
       f"(what user 1 lacks: (K-t)/K of the file)")
 per_round = Counter(m.round for m in messages)

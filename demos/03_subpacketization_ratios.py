@@ -2,9 +2,12 @@
 
 For each even t, the ratio of the heterogeneous construction's packet count
 to the symmetric baseline's falls strictly with q and converges from above
-to 1 - C(t, t/2) / 2^(t+1).  The demo prints the head of each curve and
-writes the full grid to ratios.csv.
+to 1 - C(t, t/2) / 2^(t+1), which ``asymptotic_ratio`` gives exactly.  The
+demo prints the head of each curve, the asymptote next to its Stirling
+approximation 1 - 1/sqrt(2 pi t), and writes the full grid to ratios.csv.
 """
+
+import math
 
 from ptcache.analysis import asymptotic_ratio, records_to_csv, sweep
 
@@ -16,7 +19,8 @@ print("Ratio head (exact) and asymptote per t")
 print("=" * 72)
 for t in T_VALUES:
     curve = [r for r in records if r.t == t]
-    exact, stirling = asymptotic_ratio(t)
+    exact = asymptotic_ratio(t)
+    stirling = 1.0 - math.sqrt(1.0 / (2.0 * math.pi * t))
     head = ", ".join(f"q={r.q}: {r.ratio} ({float(r.ratio):.4f})" for r in curve[:4])
     print(f"t={t}:  {head}")
     print(f"       asymptote {exact} = {float(exact):.6f} "

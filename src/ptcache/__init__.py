@@ -4,6 +4,8 @@ Construction engine, bit-exact simulator, and verification toolkit for
 device-to-device coded caching schemes with type-dependent packet sizes.
 """
 
+import types
+
 from .combinatorics import hypergeo_weights, subsets_by_type
 from .scheme import (
     CountVectors,
@@ -48,5 +50,6 @@ from .verify import (
     verify_remark3,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], types.ModuleType)]
 __version__ = "0.1.0"

@@ -57,20 +57,14 @@ def ratio(q: int, r: int) -> Fraction:
     return Fraction(f_pt(q, r), f_jcm(2 * q + 1, 2 * r))
 
 
-def asymptotic_ratio(t: int) -> tuple[Fraction, float]:
-    """Large-q limit of the ratio: exactly 1 - C(t, r)/2^(t+1).
-
-    The float is the Stirling approximation 1 - sqrt(1/(2 pi t)), returned
-    for display next to the exact value.
-    """
+def asymptotic_ratio(t: int) -> Fraction:
+    """Large-q limit of the ratio: exactly 1 - C(t, r)/2^(t+1)."""
     if t % 2 != 0 or t < 2:
         raise ValueError(
             f"even t required for theorem1 sweep: t must be even and positive, got {t}; "
             "the t = 3 construction is a preset: ptcache construct --preset odd_t3 --K 11 --t 3"
         )
-    r = t // 2
-    exact = 1 - Fraction(math.comb(t, r), 2 ** (t + 1))
-    return exact, 1.0 - math.sqrt(1.0 / (2.0 * math.pi * t))
+    return 1 - Fraction(math.comb(t, t // 2), 2 ** (t + 1))
 
 
 def gamma_terms(q: int, t: int) -> tuple[tuple[int, ...], int, int]:
@@ -81,9 +75,9 @@ def gamma_terms(q: int, t: int) -> tuple[tuple[int, ...], int, int]:
     products with theorem 1's two intermediate FS vectors; the packet-size
     ratio is -(first) / (second).
     """
-    counts = count_vectors(t, (q + 1, q))
-    a1, a2 = memory_terms(theorem1_fs(t).intermediate, counts)
-    return counts.deltas[0], a1, a2
+    delta = count_vectors(t, (q + 1, q)).deltas[0]
+    a1, a2 = memory_terms(theorem1_fs(t).intermediate, delta)
+    return delta, a1, a2
 
 
 @dataclass(frozen=True)
@@ -108,7 +102,7 @@ def sweep(t_list: Sequence[int], q_max: int | None = None) -> list[RatioRecord]:
     """
     records = []
     for t in sorted(set(t_list)):
-        asymptote = asymptotic_ratio(t)[0]
+        asymptote = asymptotic_ratio(t)
         qs = range(t + 1, (q_max if q_max is not None else t + 50) + 1)
         if not qs:
             raise ValueError(f"q_max={q_max} leaves t={t} no point (need q_max >= {t + 1})")

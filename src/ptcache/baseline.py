@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from . import verify
 # Not called here: kept because perfbench/spans.py wraps these baseline bindings.
@@ -36,10 +35,8 @@ class ComparisonRecord:
     jcm_decodes: bool
 
 
-def compare(
-    pt: DerivedScheme, jcm: DerivedScheme, demands: Sequence[int] | str = "distinct", seed: int = 0
-) -> ComparisonRecord:
-    """Run both schemes through ``verify_end_to_end`` on the same demands and seed.
+def compare(pt: DerivedScheme, jcm: DerivedScheme, seed: int = 0) -> ComparisonRecord:
+    """Run both schemes through ``verify_end_to_end`` on distinct demands and the same seed.
 
     Requires matching (K, t); raises ``ComparisonFailed`` if either run
     fails, and unless the rates are equal, PT subpacketization is strictly
@@ -47,8 +44,8 @@ def compare(
     """
     if (pt.params.K, pt.params.t) != (jcm.params.K, jcm.params.t):
         raise ValueError("schemes must share (K, t) to be comparable")
-    pt_report = verify.verify_end_to_end(pt, demands, seed)
-    jcm_report = verify.verify_end_to_end(jcm, demands, seed)
+    pt_report = verify.verify_end_to_end(pt, "distinct", seed)
+    jcm_report = verify.verify_end_to_end(jcm, "distinct", seed)
     for side, report in (("PT", pt_report), ("baseline", jcm_report)):
         if report.failure is not None:
             raise ComparisonFailed(f"{side} run failed: {report.failure}")

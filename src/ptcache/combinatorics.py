@@ -12,29 +12,21 @@ import math
 from typing import Sequence
 
 
-class ComponentTooLarge(ValueError):
-    """A type-vector component exceeds the size of its user group."""
-
-
 def subsets_by_type(groups: Sequence[Sequence[int]], type_vec: Sequence[int]) -> list[tuple[int, ...]]:
     """Every subset of the user set whose projection sizes match ``type_vec``.
 
     ``groups`` are the concrete user groups (disjoint, increasing ids within
     each group, all ids in group i below those of group i+1).  The result is
     in lexicographic order over sorted member tuples and has exactly
-    prod_i C(|groups[i]|, type_vec[i]) elements.
+    prod_i C(|groups[i]|, type_vec[i]) elements, none if a component exceeds its group.
     """
     if len(groups) != len(type_vec):
         raise ValueError(
             f"type vector length {len(type_vec)} != number of groups {len(groups)}"
         )
-    for members, c in zip(groups, type_vec):
+    for c in type_vec:
         if c < 0:
-            raise ComponentTooLarge(f"negative component {c}")
-        if c > len(members):
-            raise ComponentTooLarge(
-                f"component {c} exceeds group size {len(members)}"
-            )
+            raise ValueError(f"negative component {c}")
     per_group = [itertools.combinations(members, c) for members, c in zip(groups, type_vec)]
     return [tuple(itertools.chain.from_iterable(parts)) for parts in itertools.product(*per_group)]
 

@@ -37,10 +37,6 @@ class DemandOutOfRange(ValueError):
     """A demand vector of the wrong length, or an entry naming a file outside 1..N."""
 
 
-class FileNotSplit(ValueError):
-    """A packet store was asked for a file it never split."""
-
-
 class MemoryMismatch(ValueError):
     """A user's cached byte total differs from the memory budget."""
 
@@ -118,9 +114,9 @@ class DeliverySchedule:
     Demands only choose the files the packets are cut from.
 
     Raises ``PacketLayoutMismatch`` when the packets disagree with the
-    derivation's counts or sizes, and ``DeliveryCountMismatch`` when a
-    receiver's packet count is not (its transmitters) x (repeats), i.e. its
-    bijection cannot exist.
+    derivation's counts or sizes, ``DeliveryCountMismatch`` when a receiver's
+    packet count is not (its transmitters) x (repeats), i.e. its bijection
+    cannot exist, then ``MemoryMismatch`` unless each user caches t*L/K units.
     """
 
     def __init__(self, derivation: DerivedScheme):
@@ -166,19 +162,23 @@ class DeliverySchedule:
         self.cached_units = tuple(c // p.unit for c in cached)
         self._user_ranges: dict[int, list[tuple[int, int]]] = {}  # read while it is filled
         self._user_ranges = {1 << u: self.cached_ranges(1 << u) for u in range(1, p.K + 1)}
-        grouping = derivation.grouping
         groups_of: dict[int, tuple[list[tuple[int, ...]], tuple[int, ...]]] = {}  # by group type
         self.plans = []
         for g in range(1, G + 1):
             for k, s in enumerate(derivation.layout.group_types):
                 repeat_count = derivation.repeats[g - 1][k]
-                if repeat_count == 0 or any(c > size for c, size in zip(s, grouping.sizes)):
-                    continue  # no messages, or a group type with no instances at this grouping
+                if repeat_count == 0:
+                    continue  # no messages
                 if k not in groups_of:
                     members = subsets_by_type(groups, s)
                     groups_of[k] = (members, tuple(sum(1 << u for u in m) for m in members))
-                self.plans.append((g, s, *groups_of[k], *_slot_plan(
-                    derivation, g, k, repeat_count, groups_of[k][0][0])))
+                if groups_of[k][0]:  # else a group type with no instances at this grouping
+                    self.plans.append((g, s, *groups_of[k], *_slot_plan(
+                        derivation, g, k, repeat_count, groups_of[k][0][0])))
+        target = Fraction(p.t * derivation.sizing.L, p.K)
+        bad = {u: c for u, c in enumerate(self.cached_units[1:], 1) if c != target}
+        if bad:
+            raise MemoryMismatch(f"per-file cached units {bad} differ from target {target}")
 
     def cached_ranges(self, users: int) -> list[tuple[int, int]]:
         """The ``(start, stop)`` position ranges whose support holds every user of
@@ -218,10 +218,10 @@ class PacketStore:
     ``bytes_per_file`` are its.  The values are the store's: it is keyed
     by the demand vector ``demands``, splits each demanded file once, when it
     is built, and never grows afterwards.  A file is kept once, as its packet
-    payloads (``file_values``), except that a position every demander of the
-    file caches holds ``None``: no message carries it, no decoder XORs it,
-    and it is never converted.  A file's bytes are read one file at a time
-    and not kept.  Delivery and decoding read ``demands`` from here, so a
+    payloads by position (``values[n]``; shared, do not mutate), except that
+    a position every demander of the file caches holds ``None``: no message
+    carries it, no decoder XORs it, and it is never converted.  A file's
+    bytes are read one file at a time and not kept.  Delivery and decoding read ``demands`` from here, so a
     run has one demand vector, checked once, when the store is built.
     """
 
@@ -238,7 +238,7 @@ class PacketStore:
         bounds = self.offsets + (self.bytes_per_file,)
         slices = tuple(map(slice, bounds, bounds[1:]))  # cheaper to build than to keep
         end = [(len(slices), len(slices))]  # an empty cached range after the last position
-        self._values: dict[int, list] = {}
+        self.values: dict[int, list] = {}
         for n, users in sorted(demanders.items()):
             raw = file_bytes(n, self.bytes_per_file)
             values = [None] * len(slices)
@@ -249,18 +249,11 @@ class PacketStore:
                 )
                 lacked = stop
             del raw  # freed before the next file is read, not while it is
-            self._values[n] = values
+            self.values[n] = values
 
     @property
     def files(self) -> tuple[int, ...]:
-        return tuple(sorted(self._values))
-
-    def file_values(self, n: int) -> list:
-        """File n's packet payloads by canonical position, ``None`` where every
-        demander caches the packet (shared; do not mutate)."""
-        if n not in self._values:
-            raise FileNotSplit(f"file {n} was never split")
-        return self._values[n]
+        return tuple(sorted(self.values))
 
 
 def check_demands(derivation: DerivedScheme, demands: Sequence[int]) -> None:
@@ -283,20 +276,9 @@ def split_files(derivation: DerivedScheme, demands: Sequence[int]) -> PacketStor
 
 
 def build_caches(store: PacketStore) -> dict[int, int]:
-    """Each user's cached bytes of the library, by user, with the exact memory audit.
-
-    A user caches every packet whose support set contains it, and must cache
-    (t/K)*N*L*unit bytes; the identity is checked in integer arithmetic
-    (K * cached_units == t * L per file).
-    """
-    d = store.derivation
-    p = d.params
-    units = dict(enumerate(store.schedule.cached_units[1:], 1))
-    bad = {user: u for user, u in units.items() if u * p.K != p.t * d.sizing.L}
-    if bad:
-        target = Fraction(p.t * d.sizing.L, p.K)
-        raise MemoryMismatch(f"per-file cached units {bad} differ from target {target}")
-    return {user: u * p.unit * p.N for user, u in units.items()}
+    """Each user's cached bytes of the library, by user, as the schedule checked them."""
+    p = store.derivation.params
+    return {user: u * p.unit * p.N for user, u in enumerate(store.schedule.cached_units[1:], 1)}
 
 
 class CodedMessage(NamedTuple):
@@ -396,7 +378,7 @@ def _messages(store: PacketStore, seed: int) -> Iterator[CodedMessage]:
     """``stream_delivery``'s messages, for a checked seed."""
     schedule = store.schedule
     # By user: its demand and that file's values, as a constituent carries them.
-    file_of = [None] + [(n, store.file_values(n)) for n in store.demands]
+    file_of = [None] + [(n, store.values[n]) for n in store.demands]
     for g, s, groups, group_masks, receivers, sends in schedule.plans:
         size_bytes = schedule.size_of[g]
         first = schedule.first[g - 1]
@@ -471,7 +453,7 @@ def decode_all(store: PacketStore, messages: Iterable[CodedMessage]) -> dict[int
         if n != raw_file:
             raw = None  # the last file's bytes are freed before the next are read
             raw, raw_file = file_bytes(n, store.bytes_per_file), n
-        values = store.file_values(n)
+        values = store.values[n]
         parts = []
         lacked = 0  # the first position after the last cached range
         for start, stop in store.schedule.cached_ranges(1 << user) + end:
@@ -519,7 +501,7 @@ def decode_residuals(store: PacketStore, messages: Iterable[CodedMessage]) -> di
         slots = held[u] = [None] * len(store.template)
         for start, stop in schedule.cached_ranges(1 << u):
             slots[start:stop] = [0] * (stop - start)
-        owner_of[1 << u] = (n, store.file_values(n), slots)
+        owner_of[1 << u] = (n, store.values[n], slots)
     nobody = (None, None, None)
     group = None
     for msg in messages:

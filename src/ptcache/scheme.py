@@ -328,12 +328,10 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(operator.mul, a, b))
 
 
-def memory_terms(vectors: Sequence[Sequence[int]], counts: CountVectors) -> list[int]:
+def memory_terms(vectors: Sequence[Sequence[int]], delta: Sequence[int]) -> list[int]:
     """Each FS vector's memory term v . Delta: for v = alpha^(g), the terms of the memory
-    constraint sum_g gamma_g * (alpha^(g) . Delta) = 0 of the layout's one unique-set pair."""
-    if len(counts.deltas) != 1:
-        raise DegenerateSystem(f"{len(counts.deltas)} memory equations; the terms need one")
-    return [_dot(v, counts.deltas[0]) for v in vectors]
+    constraint sum_g gamma_g * (alpha^(g) . Delta) = 0 of a two-group layout's one Delta."""
+    return [_dot(v, delta) for v in vectors]
 
 
 _ONE = Fraction(1)  # gamma_1, one shared object: a Fraction is immutable
@@ -356,7 +354,7 @@ def solve_packet_ratio(fs: FsVectors, counts: CountVectors) -> tuple[Fraction, .
         )
     if G == 1:
         return (_ONE,)
-    a1, a2 = memory_terms(fs.intermediate, counts)
+    a1, a2 = memory_terms(fs.intermediate, counts.deltas[0])
     if a2 == 0:
         raise DegenerateSystem("second coupled group has zero memory leverage")
     if a1 * a2 >= 0:  # the sign of gamma = -a1/a2, read on the integers
@@ -475,7 +473,8 @@ def derive(spec: SchemeSpec) -> DerivedScheme:
     """Run the full static pipeline: types, FS vectors, ratios, sizes.
 
     No memory residual is checked: the solved gamma = -a1/a2 zeroes it
-    exactly (G = 1 has no equation), and ``build_caches`` audits memory in bytes.
+    exactly (G = 1 has no equation), and the ``DeliverySchedule`` recounts
+    each user's cached units.
     """
     layout = derive_types(spec.params, spec.grouping)
     intermediates, repeats = zip(*(fs_and_repeats(plan, layout) for plan in spec.plans))

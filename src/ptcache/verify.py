@@ -161,10 +161,9 @@ def verify_end_to_end(
         if isinstance(demands, str):
             demands = demand_vector(demands, p.K)
         report.packets_per_file = derivation.packets_per_file
+        report.memory_target = f"{Fraction(p.t * derivation.sizing.L, p.K) * p.N * p.unit} bytes"
 
-        store = split_files(derivation, demands)
-        target_units = Fraction(p.t * derivation.sizing.L, p.K)
-        report.memory_target = f"{target_units * p.N * p.unit} bytes"
+        store = split_files(derivation, demands)  # its schedule checks the memory identity
         report.memory_bytes = build_caches(store)
         report.memory_ok = True
 
@@ -212,16 +211,13 @@ def _B(t: int, k: int) -> int:
 def verify_claims(t: int, q: int) -> dict[str, CheckResult]:
     """The four analytic claims plus ratio positivity, at one (t, q) point.
 
-    Requires even t = 2r and q >= t.  For r = 1 the paired-difference
-    sequence has no interior, so only the endpoint signs are checked there.
-    Claim 4 runs only its q-dependent leg, pair[k-1] < 0 for each window
-    k <= r with q < phi(k), and lists those k as ``compared``; phi's decrease
-    reads only t and is proved once in the tests, by its beta identity.
+    Requires even t = 2r and q >= t, or raises the theorem1 preset's or
+    ``count_vectors``' error.  For r = 1 the paired-difference sequence has
+    no interior, so only the endpoint signs are checked there.  Claim 4 runs
+    only its q-dependent leg, pair[k-1] < 0 for each window k <= r with
+    q < phi(k), and lists those k as ``compared``; phi's decrease reads only
+    t and is proved once in the tests, by its beta identity.
     """
-    if t % 2 != 0 or t < 2:
-        raise ValueError(f"t must be even and positive, got {t}")
-    if q < t:
-        raise ValueError(f"need q >= t, got q={q}, t={t}")
     r = t // 2
     delta, a1, a2 = gamma_terms(q, t)
     results: dict[str, CheckResult] = {}
@@ -287,7 +283,7 @@ def ratio_expectation(t: int, q: int) -> Fraction:
 
 def verify_lemma1(t: int, q_range: Sequence[int]) -> CheckResult:
     """Strict ratio decrease over the distinct q, plus the expectation identity at each."""
-    if t % 2 != 0 or t < 2:
+    if t % 2 != 0 or t < 2:  # ``ratio`` takes r = t // 2, so an odd t would check t - 1
         raise ValueError(f"t must be even and positive, got {t}")
     r = t // 2
     qs = sorted(set(q_range))
@@ -295,8 +291,6 @@ def verify_lemma1(t: int, q_range: Sequence[int]) -> CheckResult:
         raise EmptyRange("no q values to check")
     if len(qs) == 1:
         raise EmptyRange(f"one q value ({qs[0]}) to check: a decrease needs two")
-    if any(q < t + 1 for q in qs):
-        raise ValueError(f"need q >= t+1 throughout, got {qs}")
     ratios = [ratio(q, r) for q in qs]
     decreasing = all(b < a for a, b in zip(ratios, ratios[1:]))
     identity = all(ratio_expectation(t, q) == rho for q, rho in zip(qs, ratios))
@@ -359,7 +353,7 @@ def verify_remark3(q: int) -> CheckResult:
     if q < 3:
         raise ValueError(f"need q >= 3, got {q}")
     vectors = _remark3_vectors()
-    residuals = dict(zip(vectors, memory_terms(vectors, count_vectors(2, (q + 1, q)))))
+    residuals = dict(zip(vectors, memory_terms(vectors, count_vectors(2, (q + 1, q)).deltas[0])))
     zero_vectors = {vec for vec, res in residuals.items() if res == 0}
     return CheckResult(
         "remark3_homogeneous_uniqueness",

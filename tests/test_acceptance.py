@@ -90,7 +90,7 @@ def test_criterion_03_asymptotics():
     details = []
     for t in (2, 4, 6, 8):
         r = t // 2
-        asym = asymptotic_ratio(t)[0]
+        asym = asymptotic_ratio(t)
         ratios = [
             Fraction(f_pt(q, r), f_jcm(2 * q + 1, t)) for q in range(t + 1, t + 51)
         ]

@@ -66,9 +66,9 @@ class TestClosedForms:
                 assert f_pt(q, t // 2) < f_jcm(2 * q + 1, t)
 
     def test_asymptote(self):
-        assert asymptotic_ratio(2)[0] == Fraction(3, 4)
-        assert asymptotic_ratio(4)[0] == Fraction(13, 16)
-        assert asymptotic_ratio(8)[0] == 1 - Fraction(70, 512) == Fraction(221, 256)
+        assert asymptotic_ratio(2) == Fraction(3, 4)
+        assert asymptotic_ratio(4) == Fraction(13, 16)
+        assert asymptotic_ratio(8) == 1 - Fraction(70, 512) == Fraction(221, 256)
 
     def test_ratio_closed_form_t2(self):
         # at t=2 the ratio collapses to (3/4)(1 + 1/K)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from ptcache.combinatorics import ComponentTooLarge, hypergeo_weights, subsets_by_type
+from ptcache.combinatorics import hypergeo_weights, subsets_by_type
 
 
 GROUPS_4_3 = ((1, 2, 3, 4), (5, 6, 7))
@@ -40,8 +40,18 @@ def test_subsets_by_type_empty():
 
 
 def test_subsets_by_type_component_too_large():
-    with pytest.raises(ComponentTooLarge):
-        subsets_by_type(GROUPS_4_3, (0, 4))
+    """C(3, 4) = 0: a group of 3 hosts no 4-subset, so the type has no instance."""
+    assert subsets_by_type(GROUPS_4_3, (0, 4)) == []
+
+
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=3).flatmap(
+    lambda sizes: st.tuples(st.just(sizes), st.tuples(*(st.integers(0, q + 2) for q in sizes)))))
+def test_subset_count_is_the_product_of_binomials(point):
+    """len == prod_i C(|g_i|, v_i), zero factors included (a component above its group's size)."""
+    sizes, v = point
+    ids = iter(range(1, sum(sizes) + 1))
+    groups = [tuple(next(ids) for _ in range(q)) for q in sizes]
+    assert len(subsets_by_type(groups, v)) == math.prod(map(math.comb, sizes, v))
 
 
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 6))
@@ -104,7 +114,7 @@ def test_fraction_round_trip(a, b, c, d):
 @pytest.mark.parametrize("call,error,match", [
     pytest.param(lambda: subsets_by_type([(1, 2), (3,)], (1,)), ValueError,
                  r"^type vector length 1 != number of groups 2$", id="subsets-length"),
-    pytest.param(lambda: subsets_by_type([(1, 2), (3,)], (1, -1)), ComponentTooLarge,
+    pytest.param(lambda: subsets_by_type([(1, 2), (3,)], (1, -1)), ValueError,
                  r"^negative component -1$", id="subsets-negative"),
     pytest.param(lambda: hypergeo_weights(2, 6), ValueError,
                  r"^need 0 <= t <= 2q\+1, got q=2, t=6$", id="pmf-t-above-support"),

@@ -24,7 +24,6 @@ from ptcache.exchange import (
     DeliveryCountMismatch,
     DemandOutOfRange,
     DuplicateDelivery,
-    FileNotSplit,
     MemoryMismatch,
     MissingPacket,
     PacketLayoutMismatch,
@@ -114,7 +113,7 @@ class TestSplit:
         """With every user demanding file 3, the store holds all of it."""
         d, _ = example1
         store = split_files(d, [3] * 7)
-        values = store.file_values(3)
+        values = store.values[3]
         joined = b"".join(
             values[pos].to_bytes(size, "big")
             for pos, (_, _, _, size) in enumerate(store.template)
@@ -149,8 +148,6 @@ class TestSplit:
         d = derived("theorem1", 7, 2, N=9)
         store = split_files(d, [3, 1, 3, 1, 1, 3, 3])
         assert store.files == (1, 3)
-        with pytest.raises(FileNotSplit, match="file 2 was never split"):
-            store.file_values(2)
 
 
 STORE_POINTS = [("theorem1", 7, 2), ("theorem1", 11, 4), ("odd_t3", 9, 3),
@@ -159,7 +156,7 @@ STORE_POINTS = [("theorem1", 7, 2), ("theorem1", 11, 4), ("odd_t3", 9, 3),
 
 def held(store, n):
     """Per position, whether the store holds file n's packet there."""
-    return [v is not None for v in store.file_values(n)]
+    return [v is not None for v in store.values[n]]
 
 
 def lacked_by_some(store, users):
@@ -199,7 +196,7 @@ class TestDemandKeyedStore:
             demanders = [u for u, m in enumerate(demands, 1) if m == n]
             assert held(store, n) == lacked_by_some(store, demanders)
             data = file_bytes(n, store.bytes_per_file)
-            for pos, v in enumerate(store.file_values(n)):
+            for pos, v in enumerate(store.values[n]):
                 if v is not None:
                     offset, size = store.offsets[pos], store.template[pos][3]
                     assert v == int.from_bytes(data[offset:offset + size], "big")
@@ -249,14 +246,27 @@ class TestCaches:
         store = split_files(d, [1] * 11)
         assert len(set(build_caches(store).values())) == 1
 
-    def test_memory_mismatch(self, example1):
+    MISMATCH = ("per-file cached units {1: 21, 2: 21, 3: 21, 4: 21, 5: 20, 6: 20, 7: 20} "
+                "differ from target 144/7")
+
+    @staticmethod
+    def unbalanced(d):
         """Packet sizes (1, 4) with L = 72 pass both layout checks, but users 1-4
         cache 21 units of a file and users 5-7 cache 20, against t*L/K = 144/7."""
-        d = example1[0]
-        sizing = SimpleNamespace(ell=(1, 4), L=72)
-        store = split_files(Overridden(d, sizing=sizing), [1] * 7)
-        with pytest.raises(MemoryMismatch, match="differ from target 144/7"):
-            build_caches(store)
+        return Overridden(d, sizing=SimpleNamespace(ell=(1, 4), L=72))
+
+    def test_memory_mismatch(self, example1):
+        """The schedule, built for the store, recounts each user's units and raises."""
+        with pytest.raises(MemoryMismatch, match=f"^{re.escape(self.MISMATCH)}$"):
+            split_files(self.unbalanced(example1[0]), [1] * 7)
+
+    def test_memory_mismatch_report_states_the_target(self, example1, monkeypatch):
+        """The audit sets the target, t*L/K units of each of N files, before it splits."""
+        monkeypatch.setattr(verify, "derive", lambda spec: self.unbalanced(example1[0]))
+        report = verify.verify_end_to_end(preset("theorem1", SystemParams(K=7, t=2, N=7)))
+        assert report.failure == f"MemoryMismatch: {self.MISMATCH}"
+        assert report.memory_target == "144 bytes"
+        assert not report.memory_ok and report.memory_bytes == {}
 
 
 class TestDelivery:
@@ -427,6 +437,7 @@ class TestDecode:
         d = derived("theorem1", 7, 2)
         report = verify.verify_end_to_end(d, [1, 2, 3, 4, 5, 6, entry])
         assert report.failure == f"DemandOutOfRange: demand {entry!r} is not an integer"
+        assert report.memory_target == "168 bytes"  # t*L/K units of N files, from the derivation alone
 
     def test_seed_changes_assignment_not_counts(self, example1):
         _, store = example1
@@ -972,7 +983,7 @@ def drained_orders(seed, g, members, alphas):
         plans=[plan], size_of={g: 1}, first=[{mask ^ (1 << u): 1 for u in group}] * g,
     )
     store = SimpleNamespace(
-        schedule=schedule, demands=[1] * max(group), file_values=lambda n: [0] * 64,
+        schedule=schedule, demands=[1] * max(group), values={1: [0] * 64},
     )
     orders = [[] for _ in alphas]
     for (r, j, _), m in zip(sends, stream_delivery(store, seed), strict=True):

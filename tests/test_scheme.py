@@ -388,7 +388,7 @@ class TestMemoryConstraint:
     def test_residual_zero_on_grid(self, t):
         for q in range(t + 1, t + 7):
             d = derive(preset("theorem1", params(2 * q + 1, t)))
-            terms = memory_terms(d.fs.intermediate, d.counts)
+            terms = memory_terms(d.fs.intermediate, d.counts.deltas[0])
             assert sum(map(operator.mul, d.gamma, terms)) == 0
 
     def test_products_signs(self):
@@ -439,8 +439,8 @@ K7_T2_LAYOUT = derive_types(params(7, 2), UserGrouping((4, 3)))
                  LengthMismatch, r"^plan covers 1 group types, layout has 4$", id="plan-length"),
     pytest.param(lambda: FsVectors(()), LengthMismatch,
                  r"^no intermediate vectors$", id="aggregate-empty"),
-    pytest.param(lambda: memory_terms([(1,)], count_vectors(2, (5,))),
-                 DegenerateSystem, r"^0 memory equations; the terms need one$", id="terms-one-group"),
+    pytest.param(lambda: memory_terms([(1,)], ()),
+                 LengthMismatch, r"^dot product of lengths 1 and 0$", id="terms-length"),
     pytest.param(lambda: solve_packet_ratio(FsVectors(((1, 2, 3), (3, 2, 1))),
                                             count_vectors(3, (5, 4))),
                  LengthMismatch, r"^dot product of lengths 3 and 4$", id="dot-length"),
@@ -547,3 +547,23 @@ def test_library_has_no_unreferenced_private_names():
                       if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
                       and name not in read]
     assert found == []
+
+
+def test_library_raises_every_error_class_it_defines():
+    """Every ``ValueError`` subclass defined in the library (directly or through
+    another) is raised by the library, so an error class whose last ``raise`` a
+    deletion removed fails here, even if a test still raises it."""
+    classes, raised = {}, set()
+    for name, node in library_nodes():
+        if isinstance(node, ast.ClassDef):
+            bases = {b.id for b in node.bases if isinstance(b, ast.Name)}
+            classes[node.name] = (f"{name}:{node.lineno}", bases)
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                raised.add(exc.id)
+    errors = {"ValueError"}
+    while grown := {c for c, (_, bases) in classes.items() if bases & errors} - errors:
+        errors |= grown
+    assert "MemoryMismatch" in errors  # the scan found the library's error classes
+    assert [f"{classes[c][0]} {c}" for c in sorted(errors - {"ValueError"}) if c not in raised] == []

@@ -11,9 +11,11 @@ from ptcache.combinatorics import hypergeo_weights
 from ptcache.exchange import split_files
 from ptcache.scheme import (
     CountVectors,
+    PresetConstraintViolated,
     SchemeSpec,
     SystemParams,
     TransmitterSelection,
+    UnsupportedGrouping,
     UserGrouping,
     derive,
     preset,
@@ -205,10 +207,16 @@ class TestClaims:
         assert all(phi[k + 1] < phi[k] for k in pairs)
 
     def test_input_validation(self):
-        with pytest.raises(ValueError):
+        """Each rejection is its owner's: the theorem1 preset's for odd t,
+        ``count_vectors``' for q < t, whose second group cannot host (0, t),
+        and ``SystemParams``' for t < 1."""
+        with pytest.raises(PresetConstraintViolated, match=r"^t must be even \(t = 2r\)$"):
             verify_claims(3, 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(UnsupportedGrouping,
+                           match=r"^second group of size 3 cannot host type \(0,4\); need q2 >= t$"):
             verify_claims(4, 3)
+        with pytest.raises(ValueError, match=r"^t must be >= 1, got 0$"):
+            verify_claims(0, 5)
 
 
 class TestLemma1:
@@ -339,7 +347,7 @@ class TestOddTObstruction:
     pytest.param(lambda: verify_lemma1(3, [4, 5]),
                  r"^t must be even and positive, got 3$", id="lemma1-odd-t"),
     pytest.param(lambda: verify_lemma1(4, [5, 4]),
-                 r"^need q >= t\+1 throughout, got \[4, 5\]$", id="lemma1-small-q"),
+                 r"^need q >= t\+1, got q=4, t=4$", id="lemma1-small-q"),
     pytest.param(lambda: verify_remark3(2), r"^need q >= 3, got 2$", id="remark3-small-q"),
     pytest.param(lambda: verify_odd_t_obstruction(0), r"^need r >= 1, got 0$", id="odd-t-r0"),
 ])
