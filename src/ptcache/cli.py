@@ -17,7 +17,7 @@ from typing import Sequence
 from . import analysis, verify
 # Not called here: kept because perfbench/spans.py wraps these cli bindings.
 from .exchange import generate_delivery, split_files, write_transcript  # noqa: F401
-from .exchange import DemandOutOfRange, check_demands
+from .exchange import DemandOutOfRange, check_demands, rewriting
 from .scheme import (
     DerivedScheme,
     SchemeSpec,
@@ -43,7 +43,7 @@ def _emit(text: str, path: str | None) -> None:
     if resolved is None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
     else:
-        with open(resolved, "w", encoding="utf-8") as fh:
+        with rewriting(resolved) as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
 
 

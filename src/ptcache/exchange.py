@@ -23,7 +23,10 @@ import hashlib
 import itertools
 import json
 import operator
+import os
+import stat
 import struct
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, NoReturn, Sequence, TextIO
 
@@ -678,8 +681,26 @@ def record_transcript(
     fh.write("\n".join(block))
 
 
+@contextmanager
+def rewriting(path: str) -> Iterator[TextIO]:
+    """Open ``path`` as UTF-8 text to write from its start; cut it where the writing ended.
+
+    The file is created if missing, but never truncated on open or renamed
+    over: on ext4 (default ``auto_da_alloc``) either starts writing the new
+    data to disk at once, and the next run's truncate waits for that write
+    (README, "CLI").  Only a regular file is cut, so ``/dev/null`` works.
+    """
+    with open(path, "w", encoding="utf-8",
+              opener=lambda name, flags: os.open(name, flags & ~os.O_TRUNC, 0o666)) as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+
+
 def write_transcript(messages: Iterable[CodedMessage], path: str, store: PacketStore) -> None:
-    """Write the transcript of ``messages`` to ``path`` (``record_transcript``)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write the transcript of ``messages`` to ``path`` (``record_transcript``, ``rewriting``)."""
+    with rewriting(path) as fh:
         for _ in record_transcript(messages, fh, store):
             pass

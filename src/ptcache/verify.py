@@ -31,6 +31,7 @@ from .exchange import (  # noqa: F401
     decode_residuals,
     generate_delivery,
     record_transcript,
+    rewriting,
     split_files,
     stream_delivery,
     total_transmitted_units,
@@ -169,7 +170,7 @@ def verify_end_to_end(
 
         messages = stream_delivery(store, seed=seed)
         tally = [0, 0]  # messages, payload units
-        with open(transcript, "w", encoding="utf-8") if transcript else nullcontext() as fh:
+        with rewriting(transcript) if transcript else nullcontext() as fh:
             if fh is not None:
                 messages = record_transcript(messages, fh, store)
             messages = _tallied(messages, p.unit, tally)

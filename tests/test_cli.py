@@ -1,3 +1,4 @@
+import builtins
 import csv
 import io
 import json
@@ -395,6 +396,79 @@ class TestSweep:
         )
         assert code == 0
         assert (tmp_path / "ratios.csv").exists()
+
+
+@pytest.fixture
+def file_calls(monkeypatch):
+    """Record every ``os.open`` as ``(path, flags)`` and every rename's target.
+
+    Builtin ``open`` does not call ``os.open``, so it gets an opener that
+    does, unless its caller passed one: then each open shows its real flags.
+    """
+    opened, renamed = [], []
+    real_os_open, real_open = os.open, builtins.open
+
+    def spy_open(path, flags, mode=0o777, **kwargs):
+        opened.append((os.fspath(path), flags))
+        return real_os_open(path, flags, mode, **kwargs)
+
+    def routed_open(file, mode="r", buffering=-1, encoding=None, errors=None, newline=None,
+                    closefd=True, opener=None):
+        opener = opener or (lambda path, flags: os.open(path, flags, 0o666))
+        return real_open(file, mode, buffering, encoding, errors, newline, closefd, opener)
+
+    def spy_rename(real):
+        def rename(src, dst, **kwargs):
+            renamed.append(os.fspath(dst))
+            return real(src, dst, **kwargs)
+        return rename
+
+    monkeypatch.setattr(os, "open", spy_open)
+    monkeypatch.setattr(builtins, "open", routed_open)
+    monkeypatch.setattr(os, "replace", spy_rename(os.replace))
+    monkeypatch.setattr(os, "rename", spy_rename(os.rename))
+    return opened, renamed
+
+
+class TestRewriteInPlace:
+    """Output files are rewritten from their start and cut at their end, never truncated
+    to zero on open or renamed over (on ext4 either waits for the last run's writeback)."""
+
+    SIM = ["simulate", "--preset", "theorem1", "--K", "7", "--t", "2", "--seed", "5"]
+    COMMANDS = {
+        "simulate": SIM + ["--transcript", "{transcript}"],
+        "construct": ["construct", "--preset", "theorem1", "--K", "7", "--t", "2"],
+        "verify": ["verify", "--remark3", "--q-range", "3"],
+        "sweep": ["sweep", "--t", "2", "--q-max", "5"],
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_output_rewritten_through_a_symlink(self, capsys, tmp_path, file_calls, command):
+        """A longer earlier output leaves no tail, and a symlinked --output stays a symlink."""
+        target, link = tmp_path / "target", tmp_path / "link"
+        transcript = tmp_path / "run.jsonl"
+        for path in (target, transcript):
+            path.write_text("an earlier, longer output\n" * 1000, encoding="utf-8")
+        link.symlink_to(target)
+        argv = [a.format(transcript=transcript) for a in self.COMMANDS[command]]
+        code, _, _ = run_cli(capsys, *argv, "--output", str(link))
+        opened, renamed = file_calls
+        outputs = {str(link)} | ({str(transcript)} if command == "simulate" else set())
+        assert code == 0
+        assert outputs <= {path for path, _ in opened}
+        assert [path for path, flags in opened if path in outputs and flags & os.O_TRUNC] == []
+        assert renamed == []
+        assert link.is_symlink()
+        fresh = [a.format(transcript=tmp_path / "fresh.jsonl") for a in self.COMMANDS[command]]
+        _, out, _ = run_cli(capsys, *fresh)
+        assert target.read_text(encoding="utf-8") == out
+        if command == "simulate":
+            assert transcript.read_bytes() == (tmp_path / "fresh.jsonl").read_bytes()
+
+    def test_transcript_to_dev_null(self, capsys):
+        code, out, _ = run_cli(capsys, *self.SIM, "--transcript", os.devnull)
+        assert code == 0
+        assert json.loads(out)["message_count"] == 90
 
 
 def readme_commands():

@@ -6,10 +6,14 @@ assignment, payload bytes or line formatting shows up here.
 """
 
 import hashlib
+import json
 
 import pytest
 
+from ptcache import verify
 from ptcache.cli import main
+
+from test_exchange import malformed
 
 GOLDEN = [
     # preset, K, t, seed, demands, sha256, lines
@@ -80,3 +84,42 @@ def test_one_split_and_one_delivery_per_run(tmp_path, exchange_calls):
         "stream_delivery": 1, "split_files": 1,
     }
     assert transcript.read_bytes().count(b"\n") == 90
+
+
+def test_rerun_over_a_longer_run_leaves_no_stale_tail(tmp_path):
+    """Rerun into the paths of the K=17 t=4 run: both files end where the new run's output does."""
+    transcript, report = tmp_path / "run.jsonl", tmp_path / "r.json"
+    preset, K, t, seed, demands, _, _ = GOLDEN[-1]
+    assert main(simulate_argv(preset, K, t, seed, demands, transcript, report)) == 0
+    stale = transcript.stat().st_size, report.stat().st_size
+    preset, K, t, seed, demands, sha, lines = GOLDEN[0]
+    assert main(simulate_argv(preset, K, t, seed, demands, transcript, report)) == 0
+    fresh = tmp_path / "fresh.json"
+    assert main(simulate_argv(preset, K, t, seed, demands, tmp_path / "fresh.jsonl", fresh)) == 0
+    assert transcript.stat().st_size < stale[0] and report.stat().st_size < stale[1]
+    data = transcript.read_bytes()
+    assert data.count(b"\n") == lines
+    assert hashlib.sha256(data).hexdigest() == sha
+    assert report.read_bytes() == fresh.read_bytes()
+
+
+def test_rerun_stopped_early_leaves_no_stale_tail(tmp_path, monkeypatch):
+    """A transcript stopped by a constituent outside the layout keeps no line of the run before."""
+    transcript, report = tmp_path / "run.jsonl", tmp_path / "r.json"
+    preset, K, t, seed, demands, _, lines = GOLDEN[0]
+    assert main(simulate_argv(preset, K, t, seed, demands, transcript, report)) == 0
+    real = verify.stream_delivery
+
+    def tampering(store, *args, **kwargs):
+        msgs = list(real(store, *args, **kwargs))
+        return msgs[:1] + [malformed(store, msgs[1], "unknown_index")] + msgs[2:]
+
+    monkeypatch.setattr(verify, "stream_delivery", tampering)
+    assert main(simulate_argv(preset, K, t, seed, demands, transcript, report)) == 1
+    fresh_transcript, fresh = tmp_path / "fresh.jsonl", tmp_path / "fresh.json"
+    assert main(simulate_argv(preset, K, t, seed, demands, fresh_transcript, fresh)) == 1
+    doc = json.loads(report.read_text(encoding="utf-8"))
+    assert doc["failure"].startswith("UndecodableMessage") and doc["message_count"] == 1
+    assert transcript.read_bytes().count(b"\n") == 1 < lines
+    assert transcript.read_bytes() == fresh_transcript.read_bytes()
+    assert report.read_bytes() == fresh.read_bytes()
