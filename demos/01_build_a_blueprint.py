@@ -33,10 +33,10 @@ print(f"  cache difference = {d.counts.deltas[0]}")
 print()
 print("The packet-size ratio that equalizes cached bytes across groups,")
 print("and the smallest integer packet sizes realizing it:")
-print(f"  gamma = {[str(g) for g in d.gamma]}")
+print(f"  gamma = {[str(g) for g in d.sizing.gamma]}")
 print(f"  packet sizes (units) = {d.sizing.ell}, file length L = {d.sizing.L}")
 print(f"  packets per file     = {d.packets_per_file}")
-print(f"  delivery rate        = {d.rate}")
+print(f"  delivery rate        = {d.params.rate}")
 print()
 
 print("=" * 64)
@@ -45,7 +45,7 @@ print("=" * 64)
 for name, K, t in [("theorem1", 11, 4), ("odd_t3", 9, 3), ("even_K", 12, 2), ("jcm", 5, 2)]:
     d = derive(preset(name, SystemParams(K=K, t=t, N=K)))
     print(f"{name:9s} K={K:2d} t={t}:  aggregate={d.fs.aggregate}  "
-          f"gamma={[str(g) for g in d.gamma]}  F={d.packets_per_file}  L={d.sizing.L}")
+          f"gamma={[str(g) for g in d.sizing.gamma]}  F={d.packets_per_file}  L={d.sizing.L}")
 
 print()
 print("Blueprints serialize to JSON (same document the CLI emits):")

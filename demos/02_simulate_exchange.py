@@ -47,7 +47,7 @@ per_round = Counter(m.round for m in messages)
 print(f"messages: {len(messages)} total, per round {dict(per_round)}")
 units = total_transmitted_units(messages, d)
 print(f"transmitted: {units} units; rate = {Fraction(units, d.sizing.L)} "
-      f"(optimal (K-t)/t = {d.rate})")
+      f"(optimal (K-t)/t = {d.params.rate})")
 print()
 
 print("First three messages (payloads are XORs of the named packets):")

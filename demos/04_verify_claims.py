@@ -45,7 +45,7 @@ print("=" * 72)
 print("The (q+1, q) split minimizes packets among two-group splits")
 print("=" * 72)
 for K, t in [(13, 2), (15, 4)]:
-    res = verify_lemma3((K - 1) // 2, t // 2)
+    res = verify_lemma3(K, t)
     print(f"K={K}, t={t}: table {res.witness['table']}, "
           f"argmin q1={res.witness['argmin']}, passed={res.passed}")
 print()

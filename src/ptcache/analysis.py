@@ -37,9 +37,8 @@ def _packets(counts: CountVectors, t: int) -> int:
     return sum(map(operator.mul, theorem1_fs(t).aggregate, counts.F))
 
 
-def f_pt(q: int, r: int) -> int:
-    """Subpacketization of the heterogeneous construction at (K, t) = (2q+1, 2r)."""
-    t = 2 * r
+def f_pt(q: int, t: int) -> int:
+    """Subpacketization at (K, t) = (2q+1, t); q < t+1 is rejected here: ``count_vectors`` takes q = t."""
     if q < t + 1:
         raise ValueError(f"need q >= t+1, got q={q}, t={t}")
     return _packets(count_vectors(t, (q + 1, q)), t)
@@ -52,9 +51,9 @@ def f_jcm(K: int, t: int) -> int:
     return t * math.comb(K, t)
 
 
-def ratio(q: int, r: int) -> Fraction:
-    """Exact F_PT / F_JCM at (2q+1, 2r)."""
-    return Fraction(f_pt(q, r), f_jcm(2 * q + 1, 2 * r))
+def ratio(q: int, t: int) -> Fraction:
+    """Exact F_PT / F_JCM at (2q+1, t)."""
+    return Fraction(f_pt(q, t), f_jcm(2 * q + 1, t))
 
 
 def asymptotic_ratio(t: int) -> Fraction:

@@ -149,9 +149,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.lemma3:
         if args.K is None or args.t is None:
             raise ValueError("--lemma3 needs --K and --t")
-        if args.K % 2 == 0 or args.t % 2 == 1:
-            raise ValueError("--lemma3 needs odd K and even t")
-        checks.append(verify.verify_lemma3((args.K - 1) // 2, args.t // 2))
+        checks.append(verify.verify_lemma3(args.K, args.t))
     if args.remark3:
         if args.q_range is None:
             raise ValueError("--remark3 needs --q-range")

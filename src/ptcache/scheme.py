@@ -44,7 +44,7 @@ class IncompatibleLocals(ValueError):
 
 
 class LengthMismatch(ValueError):
-    """FS vectors of different lengths cannot be aggregated."""
+    """Vectors of different lengths cannot be combined."""
 
 
 class DegenerateSystem(ValueError):
@@ -279,19 +279,14 @@ def fs_and_repeats(
 
 @dataclass(frozen=True)
 class FsVectors:
-    """Per-coupled-group intermediate FS vectors and their entrywise sum, the aggregate."""
+    """Per-coupled-group intermediate FS vectors and their entrywise sum, the aggregate.
+    Unchecked: ``derive`` builds one per plan, all on one layout, from lcms of factors >= 0."""
 
     intermediate: tuple[tuple[int, ...], ...]
     aggregate: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.intermediate:
-            raise LengthMismatch("no intermediate vectors")
-        if len(set(map(len, self.intermediate))) > 1:
-            raise LengthMismatch(f"mixed lengths {[len(v) for v in self.intermediate]}")
         object.__setattr__(self, "aggregate", tuple(map(sum, zip(*self.intermediate))))
-        if any(e < 0 for v in self.intermediate for e in v):
-            raise ValueError("FS entries must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -365,15 +360,14 @@ def solve_packet_ratio(fs: FsVectors, counts: CountVectors) -> tuple[Fraction, .
 @dataclass(frozen=True)
 class PacketSizing:
     """Integer per-coupled-group packet sizes, file length (units), and the ratios
-    ``gamma`` (ell_g/ell_1) that the sizes realise: the solved ratios by construction."""
+    ``gamma`` (ell_g/ell_1) that the sizes realise: the solved ratios by construction,
+    so every size is positive (``solve_packet_ratio`` returns only a positive gamma)."""
 
     gamma: tuple[Fraction, ...] = field(init=False)
     ell: tuple[int, ...]
     L: int
 
     def __post_init__(self) -> None:
-        if any(e <= 0 for e in self.ell):
-            raise ValueError(f"packet sizes must be positive, got {self.ell}")
         object.__setattr__(self, "gamma", tuple(Fraction(e, self.ell[0]) for e in self.ell))
 
 
@@ -412,17 +406,9 @@ class DerivedScheme:
         return self.spec.grouping
 
     @property
-    def gamma(self) -> tuple[Fraction, ...]:
-        return self.sizing.gamma
-
-    @property
     def packets_per_file(self) -> int:
         """Subpacketization level: aggregate FS vector dotted with the counts."""
         return _dot(self.fs.aggregate, self.counts.F)
-
-    @property
-    def rate(self) -> Fraction:
-        return self.params.rate
 
     def to_json_dict(self) -> dict:
         p = self.params
@@ -458,7 +444,7 @@ class DerivedScheme:
                 "L": self.sizing.L,
             },
             "F_PT": self.packets_per_file,
-            "rate": frac_str(self.rate),
+            "rate": frac_str(self.params.rate),
         }
 
     def to_json(self) -> str:

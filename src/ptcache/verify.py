@@ -235,16 +235,15 @@ def verify_claims(t: int, q: int) -> dict[str, CheckResult]:
 
     pair = [delta[k - 1] + delta[t + 1 - k] for k in range(1, r + 1)] + [delta[r]]
     negatives = [i for i, d in enumerate(pair, start=1) if d < 0]
-    nonneg = [i for i, d in enumerate(pair, start=1) if d >= 0]
     change_point = max(negatives) if negatives else 0
+    # negatives = 1..change_point leaves the rest non-negative; pair[r] > 0 caps it at r
     single_change = (
         bool(negatives)
         and negatives == list(range(1, change_point + 1))
-        and nonneg == list(range(change_point + 1, r + 2))
         and pair[r] > 0
     )
     if r >= 2:
-        single_change = single_change and 2 <= change_point <= r
+        single_change = single_change and 2 <= change_point
     results["claim3_single_change"] = CheckResult(
         "claim3_single_change",
         single_change,
@@ -264,7 +263,7 @@ def verify_claims(t: int, q: int) -> dict[str, CheckResult]:
         "lemma2_ratio_positive",
         a1 < 0 < a2,
         {"alpha1_dot_delta": a1, "alpha2_dot_delta": a2,
-         "gamma": frac_str(gamma) if gamma else None},
+         "gamma": frac_str(gamma) if gamma is not None else None},
     )
     return results
 
@@ -284,15 +283,12 @@ def ratio_expectation(t: int, q: int) -> Fraction:
 
 def verify_lemma1(t: int, q_range: Sequence[int]) -> CheckResult:
     """Strict ratio decrease over the distinct q, plus the expectation identity at each."""
-    if t % 2 != 0 or t < 2:  # ``ratio`` takes r = t // 2, so an odd t would check t - 1
-        raise ValueError(f"t must be even and positive, got {t}")
-    r = t // 2
     qs = sorted(set(q_range))
     if not qs:
         raise EmptyRange("no q values to check")
     if len(qs) == 1:
         raise EmptyRange(f"one q value ({qs[0]}) to check: a decrease needs two")
-    ratios = [ratio(q, r) for q in qs]
+    ratios = [ratio(q, t) for q in qs]
     decreasing = all(b < a for a, b in zip(ratios, ratios[1:]))
     identity = all(ratio_expectation(t, q) == rho for q, rho in zip(qs, ratios))
     return CheckResult(
@@ -302,34 +298,28 @@ def verify_lemma1(t: int, q_range: Sequence[int]) -> CheckResult:
     )
 
 
-def verify_lemma3(q: int, r: int) -> CheckResult:
-    """Grouping scan: (q+1, q) strictly minimizes packets among (q1, K-q1).
+def verify_lemma3(K: int, t: int) -> CheckResult:
+    """Grouping scan: (q+1, q) strictly minimizes packets among (q1, K-q1), K = 2q+1.
 
-    Scans q1 in [q+1 : K-t-1], at least two groupings, counting each one's
-    packets per file through ``derive`` with theorem1's selections held
-    fixed.  A grouping that ``derive`` rejects raises its named error.
+    The theorem1 preset gates (K, t): odd K, even t and q >= t+1, so the scan
+    of q1 in [q+1 : K-t-1] is never empty.  It needs at least two groupings,
+    counting each one's packets per file through ``derive`` with theorem1's
+    selections held fixed; the witness names the grouping with the fewest.
     """
-    t = 2 * r
-    K = 2 * q + 1
-    lo, hi = q + 1, K - t - 1
-    if lo > hi:
-        raise EmptyRange(f"no groupings to scan: [{lo}:{hi}]")
-    if lo == hi:
-        raise EmptyRange(f"one grouping ({lo}, {K - lo}) to scan: a strict minimum needs two")
     params = SystemParams(K, t, K)
     plans = preset("theorem1", params).plans
+    lo, hi = (K + 1) // 2, K - t - 1
+    if lo == hi:
+        raise EmptyRange(f"one grouping ({lo}, {K - lo}) to scan: a strict minimum needs two")
     table = {
         q1: derive(SchemeSpec(params, UserGrouping((q1, K - q1)), plans)).packets_per_file
         for q1 in range(lo, hi + 1)
     }
-    best = min(table.values())
-    strict_min_at_lo = table[lo] == best and all(
-        v > table[lo] for q1, v in table.items() if q1 != lo
-    )
     return CheckResult(
         "lemma3_grouping_minimality",
-        strict_min_at_lo,
-        {"K": K, "t": t, "table": {str(k): v for k, v in table.items()}, "argmin": lo},
+        all(v > table[lo] for q1, v in table.items() if q1 != lo),
+        {"K": K, "t": t, "table": {str(k): v for k, v in table.items()},
+         "argmin": min(table, key=table.get)},
     )
 
 

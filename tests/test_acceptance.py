@@ -42,7 +42,7 @@ def test_criterion_01_example1_reproduction():
     d = derive(preset("theorem1", SystemParams(K=7, t=2, N=7)))
     ok = d.fs.intermediate == ((0, 1, 2), (0, 1, 0))
     ok &= d.fs.aggregate == (0, 2, 2)
-    ok &= d.gamma[1] == 5 == 7 - 2
+    ok &= d.sizing.gamma[1] == 5 == 7 - 2
     ok &= d.packets_per_file == 36 == 3 * (7**2 - 1) // 4
     ok &= f_jcm(7, 2) == 42
     ok &= Fraction(36, 42) == Fraction(6, 7)
@@ -76,7 +76,7 @@ def test_criterion_02_formula_vs_construction():
                 alpha[(sum(1 for u in sub if u <= q + 1), sum(1 for u in sub if u > q + 1))]
                 for sub in itertools.combinations(range(1, K + 1), t)
             )
-            ok &= len(store.template) == f_pt(q, r) == brute
+            ok &= len(store.template) == f_pt(q, t) == brute
             checked += 1
     elapsed = time.perf_counter() - start
     ok &= elapsed < 10.0
@@ -89,10 +89,9 @@ def test_criterion_03_asymptotics():
     ok = True
     details = []
     for t in (2, 4, 6, 8):
-        r = t // 2
         asym = asymptotic_ratio(t)
         ratios = [
-            Fraction(f_pt(q, r), f_jcm(2 * q + 1, t)) for q in range(t + 1, t + 51)
+            Fraction(f_pt(q, t), f_jcm(2 * q + 1, t)) for q in range(t + 1, t + 51)
         ]
         ok &= all(b < a for a, b in zip(ratios, ratios[1:]))  # exact strict decrease
         ok &= all(rho > asym for rho in ratios)               # from above
@@ -109,9 +108,8 @@ def test_criterion_04_hypergeometric_identity():
     ok = True
     checked = 0
     for t in (2, 4, 6):
-        r = t // 2
         for q in range(t + 1, t + 16):
-            ok &= Fraction(f_pt(q, r), f_jcm(2 * q + 1, t)) == ratio_expectation(t, q)
+            ok &= Fraction(f_pt(q, t), f_jcm(2 * q + 1, t)) == ratio_expectation(t, q)
             checked += 1
     report(4, ok, f"ratio == hypergeometric expectation exactly on {checked} points "
                   f"(zero tolerance)")
@@ -133,7 +131,7 @@ def test_criterion_06_grouping_minimality():
     ok = True
     argmins = []
     for K, t in [(13, 2), (15, 2), (15, 4), (17, 4)]:
-        res = verify_lemma3((K - 1) // 2, t // 2)
+        res = verify_lemma3(K, t)
         ok &= res.passed and res.witness["argmin"] == (K - 1) // 2 + 1
         argmins.append(f"({K},{t})->q1={res.witness['argmin']}")
     report(6, ok, f"strict argmin at q1=q+1: {', '.join(argmins)}")
@@ -161,7 +159,7 @@ def test_criterion_08_odd_t3_instance():
     gammas = solve_packet_ratio(pair, counts)
     ok &= gammas[1] == Fraction(7, 4) == Fraction(2 * (2 * 4 - 1), 4 + 4)
     ok &= integer_packet_sizes(gammas, pair, counts).ell == (4, 7)
-    ok &= d.gamma[1] == Fraction(1, 4)
+    ok &= d.sizing.gamma[1] == Fraction(1, 4)
     report(8, ok, "F=210, ratio=5/6, rate=2, decode pass; gamma 7/4 for the "
                   "staircase/hill pair, 1/4 for the deliverable (0,3,3,0) design")
 

@@ -46,14 +46,14 @@ def brute_force_f_pt(q, r):
 
 class TestClosedForms:
     def test_f_pt_values(self):
-        assert f_pt(3, 1) == 36 == brute_force_f_pt(3, 1)
-        assert f_pt(4, 1) == 60
-        assert f_pt(5, 2) == 1180 == brute_force_f_pt(5, 2)
+        assert f_pt(3, 2) == 36 == brute_force_f_pt(3, 1)
+        assert f_pt(4, 2) == 60
+        assert f_pt(5, 4) == 1180 == brute_force_f_pt(5, 2)
 
     def test_f_pt_matches_engine_split(self):
         for t, q in [(2, 3), (2, 5), (4, 5)]:
             d = derive(preset("theorem1", SystemParams(K=2 * q + 1, t=t, N=2 * q + 1)))
-            assert f_pt(q, t // 2) == d.packets_per_file
+            assert f_pt(q, t) == d.packets_per_file
 
     def test_f_jcm(self):
         assert f_jcm(7, 2) == 42
@@ -63,7 +63,7 @@ class TestClosedForms:
     def test_saving_is_strict(self):
         for t in (2, 4, 6, 8):
             for q in range(t + 1, t + 10):
-                assert f_pt(q, t // 2) < f_jcm(2 * q + 1, t)
+                assert f_pt(q, t) < f_jcm(2 * q + 1, t)
 
     def test_asymptote(self):
         assert asymptotic_ratio(2) == Fraction(3, 4)
@@ -74,13 +74,13 @@ class TestClosedForms:
         # at t=2 the ratio collapses to (3/4)(1 + 1/K)
         for q in range(3, 10):
             K = 2 * q + 1
-            assert ratio(q, 1) == Fraction(3, 4) * (1 + Fraction(1, K))
+            assert ratio(q, 2) == Fraction(3, 4) * (1 + Fraction(1, K))
 
     def test_errors(self):
         with pytest.raises(PresetConstraintViolated):
             theorem1_fs(3)
         with pytest.raises(ValueError):
-            f_pt(4, 2)  # q < t+1
+            f_pt(4, 4)  # q < t+1
         with pytest.raises(ValueError):
             f_jcm(4, 4)
 
@@ -112,7 +112,7 @@ class TestSweep:
         for t, q in [(2, 3), (2, 7), (4, 5), (6, 8)]:
             d = derive(preset("theorem1", SystemParams(K=2 * q + 1, t=t, N=2 * q + 1)))
             rec = sweep([t], q_max=q)[-1]
-            assert rec.q == q and rec.gamma == d.gamma[1]
+            assert rec.q == q and rec.gamma == d.sizing.gamma[1]
 
     def test_gamma_t2_formula(self):
         recs = sweep([2], q_max=8)
@@ -223,9 +223,9 @@ class TestSerialization:
     pytest.param(lambda: count_vectors(3, (2,)), ValueError, r"^K must be >= t\+1, got K=2, t=3$",
                  id="count_vectors-one-group-K-below-t"),
     pytest.param(lambda: f_pt(3, 0), ValueError, r"^t must be >= 1, got 0$", id="f_pt-t0"),
-    pytest.param(lambda: f_pt(3, 2), ValueError, r"^need q >= t\+1, got q=3, t=4$",
+    pytest.param(lambda: f_pt(3, 4), ValueError, r"^need q >= t\+1, got q=3, t=4$",
                  id="f_pt-q-below-t"),
-    pytest.param(lambda: f_pt(0, 1), ValueError, r"^need q >= t\+1, got q=0, t=2$", id="f_pt-q0"),
+    pytest.param(lambda: f_pt(0, 2), ValueError, r"^need q >= t\+1, got q=0, t=2$", id="f_pt-q0"),
     pytest.param(lambda: gamma_terms(3, 0), ValueError, r"^t must be >= 1, got 0$", id="gamma_terms-t0"),
     pytest.param(lambda: gamma_terms(2, 4), UnsupportedGrouping,
                  r"^second group of size 2 cannot host type \(0,4\); need q2 >= t$",

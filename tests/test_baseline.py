@@ -33,11 +33,11 @@ class TestConstruction:
     def test_small_cases(self):
         d = jcm_at(5, 2)
         assert d.packets_per_file == 20
-        assert d.rate == Fraction(3, 2)
+        assert d.params.rate == Fraction(3, 2)
         assert jcm_at(7, 2).packets_per_file == 42
         d43 = jcm_at(4, 3)
         assert d43.packets_per_file == 12
-        assert d43.rate == Fraction(1, 3)
+        assert d43.params.rate == Fraction(1, 3)
 
     def test_direct_oracle_matches_engine(self):
         for K, t in [(4, 2), (5, 2), (6, 3), (7, 4)]:
@@ -89,26 +89,41 @@ class TestComparison:
         with pytest.raises(ComparisonFailed, match="packets"):
             compare(jcm, jcm)
 
-    @pytest.mark.parametrize("skew,match", [
-        (lambda report: setattr(report, "rate", report.rate + 1), "rates differ"),
-        (lambda report: report.decode_ok.update({1: False}), "decode failed"),
-        (lambda report: setattr(report, "failure", "MissingPacket: x"),
-         "baseline run failed: MissingPacket"),
-    ])
-    def test_rate_and_decode_checked(self, monkeypatch, skew, match):
+    @staticmethod
+    def _skewed_compare(monkeypatch, skew, *skewed_sides):
+        """``compare`` at K=7 t=2, with ``skew`` applied to the reports of the named sides."""
         pt = derive(preset("theorem1", SystemParams(K=7, t=2, N=7)))
-        jcm = jcm_at(7, 2)
+        sides = {"PT": pt, "baseline": jcm_at(7, 2)}
         real = verify.verify_end_to_end
 
         def skewed(derivation, demands, seed):
             report = real(derivation, demands, seed)
-            if derivation is jcm:
+            if any(derivation is sides[side] for side in skewed_sides):
                 skew(report)
             return report
 
         monkeypatch.setattr(verify, "verify_end_to_end", skewed)
-        with pytest.raises(ComparisonFailed, match=match):
-            compare(pt, jcm)
+        return compare(sides["PT"], sides["baseline"])
+
+    @pytest.mark.parametrize("skew,message", [
+        (lambda report: setattr(report, "rate_ok", False), "baseline run failed: rate_ok false"),
+        (lambda report: report.decode_ok.update({1: False}), "baseline run failed: decode_ok false"),
+        (lambda report: setattr(report, "failure", "MissingPacket: x"),
+         "baseline run failed: MissingPacket"),
+    ])
+    def test_rate_and_decode_checked(self, monkeypatch, skew, message):
+        """A run that did not pass fails the comparison, named by its failure or failed checks."""
+        with pytest.raises(ComparisonFailed, match=f"^{message}"):
+            self._skewed_compare(monkeypatch, skew, "baseline")
+
+    def test_shared_wrong_rate_fails(self, monkeypatch):
+        """Two runs at the same wrong rate agree with each other, yet neither passed."""
+        def wrong_rate(report):
+            report.rate += 1
+            report.rate_ok = False
+
+        with pytest.raises(ComparisonFailed, match="^PT run failed: rate_ok false$"):
+            self._skewed_compare(monkeypatch, wrong_rate, "PT", "baseline")
 
     def test_one_split_and_one_delivery_per_side(self, exchange_calls):
         pt = derive(preset("theorem1", SystemParams(K=7, t=2, N=7)))

@@ -312,7 +312,7 @@ class TestVerify:
         "verify --claims --t 4": "--claims needs --t and --q-range",
         "verify --lemma1 --q-range 3:5": "--lemma1 needs --t and --q-range",
         "verify --lemma3 --t 2": "--lemma3 needs --K and --t",
-        "verify --lemma3 --K 12 --t 2": "--lemma3 needs odd K and even t",
+        "verify --lemma3 --K 12 --t 2": "K must be odd (K = 2q+1)",
         "verify --remark3": "--remark3 needs --q-range",
         "verify --odd-t": "--odd-t needs --r-range",
         "verify --claims --t 4 --q-range 9:5": "--q-range 9:5 has no points (need lo <= hi)",

@@ -142,7 +142,7 @@ def test_every_accepted_plan_pair_executes():
                     continue
                 outcomes["derived"] += 1
                 terms = memory_terms(d.fs.intermediate, d.counts.deltas[0])
-                assert sum(map(operator.mul, d.gamma, terms)) == 0, (K, t, p1, p2)
+                assert sum(map(operator.mul, d.sizing.gamma, terms)) == 0, (K, t, p1, p2)
                 for kind in ("distinct", "uniform"):
                     report = verify_end_to_end(d, kind, seed=0)
                     assert report.passed, (K, t, p1, p2, kind, report.failure)

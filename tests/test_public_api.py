@@ -4,6 +4,8 @@
 import except the submodules, so ``from ptcache import *`` binds no module.
 """
 
+import inspect
+
 import ptcache
 
 PUBLIC = [
@@ -21,3 +23,17 @@ PUBLIC = [
 
 def test_public_names_are_pinned():
     assert sorted(ptcache.__all__) == PUBLIC
+
+
+def test_analytic_entries_take_t_not_r():
+    """The analytic checks and closed forms take the paper's (K, t) or (q, t), never r = t/2,
+    so that an odd t reaches the layer that rejects it; the odd-t obstruction's t = 2r+1 is
+    odd by design."""
+    taking_r = [
+        f"{module.__name__}.{name}"
+        for module in (ptcache.analysis, ptcache.verify)
+        for name, fn in inspect.getmembers(module, inspect.isfunction)
+        if not name.startswith("_") and fn.__module__ == module.__name__
+        and "r" in inspect.signature(fn).parameters
+    ]
+    assert taking_r == ["ptcache.verify.verify_odd_t_obstruction"]

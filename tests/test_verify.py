@@ -233,11 +233,10 @@ class TestLemma1:
 
     def test_three_ways_agree(self):
         for t in (2, 4):
-            r = t // 2
             for q in range(t + 1, t + 5):
                 d = derive(preset("theorem1", SystemParams(K=2 * q + 1, t=t, N=2 * q + 1)))
                 store = split_files(d, [1] * (2 * q + 1))
-                rho_formula = Fraction(f_pt(q, r), f_jcm(2 * q + 1, t))
+                rho_formula = Fraction(f_pt(q, t), f_jcm(2 * q + 1, t))
                 rho_split = Fraction(len(store.template) * t, t * f_jcm(2 * q + 1, t))
                 rho_expect = ratio_expectation(t, q)
                 assert rho_formula == rho_split == rho_expect
@@ -290,7 +289,7 @@ class TestLemma1:
 
 class TestLemma3:
     def test_k13(self):
-        res = verify_lemma3(6, 1)
+        res = verify_lemma3(13, 2)
         assert res.passed
         assert res.witness["table"] == {"7": 126, "8": 136, "9": 144, "10": 150}
         assert res.witness["argmin"] == 7
@@ -299,18 +298,19 @@ class TestLemma3:
         # one grouping compares nothing, so it cannot fail
         message = r"^one grouping \(4, 3\) to scan: a strict minimum needs two$"
         with pytest.raises(EmptyRange, match=message):
-            verify_lemma3(3, 1)
+            verify_lemma3(7, 2)
         with pytest.raises(EmptyRange, match=r"^one grouping \(6, 5\) to scan"):
-            verify_lemma3(5, 2)  # K = 11, t = 4
+            verify_lemma3(11, 4)
 
     def test_k15_t4(self):
-        res = verify_lemma3(7, 2)
+        res = verify_lemma3(15, 4)
         assert res.passed
         assert res.witness["argmin"] == 8
 
     def test_empty_range(self):
-        with pytest.raises(EmptyRange):
-            verify_lemma3(2, 1)
+        # q < t+1 leaves no grouping to scan; the theorem1 preset rejects it first
+        with pytest.raises(PresetConstraintViolated, match=r"^need q >= t\+1, got q=2, t=2$"):
+            verify_lemma3(5, 2)
 
 
 class TestRemark3:
@@ -342,22 +342,23 @@ class TestOddTObstruction:
         assert res.witness["pivot_factors"] == [r, r + 1]
 
 
-@pytest.mark.parametrize("call,match", [
-    # f_pt takes r = t/2: an odd t would silently check the ratios of t - 1
-    pytest.param(lambda: verify_lemma1(3, [4, 5]),
-                 r"^t must be even and positive, got 3$", id="lemma1-odd-t"),
-    pytest.param(lambda: verify_lemma1(4, [5, 4]),
+@pytest.mark.parametrize("call,error,match", [
+    # an odd t reaches the theorem1 preset through ratio -> theorem1_fs
+    pytest.param(lambda: verify_lemma1(3, [4, 5]), PresetConstraintViolated,
+                 r"^t must be even \(t = 2r\)$", id="lemma1-odd-t"),
+    pytest.param(lambda: verify_lemma1(4, [5, 4]), ValueError,
                  r"^need q >= t\+1, got q=4, t=4$", id="lemma1-small-q"),
-    pytest.param(lambda: verify_remark3(2), r"^need q >= 3, got 2$", id="remark3-small-q"),
-    pytest.param(lambda: verify_odd_t_obstruction(0), r"^need r >= 1, got 0$", id="odd-t-r0"),
+    pytest.param(lambda: verify_remark3(2), ValueError, r"^need q >= 3, got 2$", id="remark3-small-q"),
+    pytest.param(lambda: verify_odd_t_obstruction(0), ValueError, r"^need r >= 1, got 0$",
+                 id="odd-t-r0"),
 ])
-def test_input_checks(call, match):
-    with pytest.raises(ValueError, match=match):
+def test_input_checks(call, error, match):
+    with pytest.raises(error, match=match):
         call()
 
 
 def _failed_checks():
-    """Names of the analytic checks that fail, each run at one point.
+    """The witness of each analytic check that fails, by name, each run at one point.
 
     Claims at t = 24, q = 25, where claim 4 compares k = 11; lemma 3 at
     K = 17, t = 4, whose argmin is q1 = 9; the odd-t check at both r = 1
@@ -366,12 +367,12 @@ def _failed_checks():
     results = [
         *verify_claims(24, 25).values(),
         verify_lemma1(4, range(5, 9)),
-        verify_lemma3(8, 2),
+        verify_lemma3(17, 4),
         verify_remark3(4),
         verify_odd_t_obstruction(1),
         verify_odd_t_obstruction(2),
     ]
-    return {res.name for res in results if not res.passed}
+    return {res.name: res.witness for res in results if not res.passed}
 
 
 def _moved(i, j, amount):
@@ -448,7 +449,8 @@ def _vectors_doubled(real):
                  id="claim4-leg"),
     pytest.param("gamma_terms", _gamma_terms_with(a2=-1), {"lemma2_ratio_positive"}, id="a2-negated"),
     pytest.param("gamma_terms", _gamma_terms_with(a1=-1), {"lemma2_ratio_positive"}, id="a1-negated"),
-    pytest.param("ratio", lambda real: lambda q, r: real(q, r) if q != 6 else real(5, r),
+    pytest.param("gamma_terms", _gamma_terms_with(a1=0), {"lemma2_ratio_positive"}, id="a1-zero"),
+    pytest.param("ratio", lambda real: lambda q, t: real(q, t) if q != 6 else real(5, t),
                  {"lemma1_ratio_decreasing"}, id="ratio-flat"),
     pytest.param("hypergeo_weights", _weights_doubled, {"lemma1_ratio_decreasing"},
                  id="expectation-doubled"),
@@ -462,6 +464,19 @@ def _vectors_doubled(real):
 ])
 def test_every_analytic_check_can_fail(monkeypatch, attr, perturb, failed):
     """Perturbing the one input a check reads flips exactly the checks that read it."""
-    assert _failed_checks() == set()
+    assert _failed_checks() == {}
     monkeypatch.setattr(verify, attr, perturb(getattr(verify, attr)))
-    assert _failed_checks() == failed
+    assert _failed_checks().keys() == failed
+
+
+@pytest.mark.parametrize("attr,perturb,name,key,value", [
+    # gamma = -a1/a2 is 0, not a missing value
+    pytest.param("gamma_terms", _gamma_terms_with(a1=0), "lemma2_ratio_positive", "gamma", "0/1",
+                 id="a1-zero"),
+    # inflating q1 = 9 leaves the fewest packets at q1 = 10
+    pytest.param("derive", _derive_inflating_q1(9), "lemma3_grouping_minimality", "argmin", 10,
+                 id="argmin-inflated"),
+])
+def test_failing_witness_names_the_counterexample(monkeypatch, attr, perturb, name, key, value):
+    monkeypatch.setattr(verify, attr, perturb(getattr(verify, attr)))
+    assert _failed_checks()[name][key] == value
