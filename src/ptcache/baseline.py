@@ -48,9 +48,7 @@ def compare(pt: DerivedScheme, jcm: DerivedScheme, seed: int = 0) -> ComparisonR
     jcm_report = verify.verify_end_to_end(jcm, "distinct", seed)
     for side, report in (("PT", pt_report), ("baseline", jcm_report)):
         if not report.passed:
-            checks = {"memory_ok": report.memory_ok, "rate_ok": report.rate_ok,
-                      "decode_ok": report.decode_ok and all(report.decode_ok.values())}
-            why = report.failure or ", ".join(name for name, ok in checks.items() if not ok) + " false"
+            why = report.failure or ", ".join(report.failed_checks) + " false"
             raise ComparisonFailed(f"{side} run failed: {why}")
     record = ComparisonRecord(
         K=pt.params.K,

@@ -37,7 +37,7 @@ Constituent = tuple[int, int]  # (file, flat position)
 
 
 class DemandOutOfRange(ValueError):
-    """A demand vector of the wrong length, or an entry naming a file outside 1..N."""
+    """A demand vector of the wrong length, or an entry outside 1..N or past the 8-byte file key."""
 
 
 class MemoryMismatch(ValueError):
@@ -103,17 +103,18 @@ class DeliverySchedule:
     lexicographic, coupled group ascending, packet index ascending.
     Concatenating one file's packets in this order reproduces the file.
     ``template`` holds each position's ``(support, coupled_group, index,
-    size)`` and ``offsets`` its first byte.  A support mask is a
-    support as a bitmask (bit u for user u): ``support_runs`` holds the
-    ``(support mask, start, stop)`` range of positions of each support set,
-    ``first[g - 1]`` maps a support mask to the position of index 1 of its
-    coupled group g packets, and ``lacking[g]`` each round g position to its
-    support mask's complement (so ``group_mask & lacking[g][pos]`` is the set
-    of members lacking the packet).  ``size_of[g]`` is round g's packet size in
-    bytes, ``cached_units[u]`` the units of one file user u caches, and
-    ``plans`` ``stream_delivery``'s groups and slot plans: per round and
-    group type, in message order, ``(round, group type, groups, group masks,
-    receivers, sends)`` (``_slot_plan``).
+    size)``; ``offsets`` has one more entry, each position's first byte and
+    then the file's length.  A support mask is a support as a bitmask (bit u
+    for user u): ``support_runs`` holds the ``(support mask, start, stop)``
+    range of positions of each support set.  Three tables are keyed by round
+    g = 1..G: ``size_of[g]`` is its packet size in bytes, ``first[g]`` maps a
+    support mask to the position of index 1 of its coupled group g packets,
+    and ``lacking[g]`` each round g position to its support mask's complement
+    (so ``group_mask & lacking[g][pos]`` is the set of members lacking the
+    packet).  ``cached_units[u]`` is the units of one file that user u's
+    ``cached_ranges`` hold, and ``plans`` ``stream_delivery``'s groups and
+    slot plans: per round and group type, in message order, ``(round, groups,
+    group masks, receivers, sends)`` (``_slot_plan``).
     Demands only choose the files the packets are cut from.
 
     Raises ``PacketLayoutMismatch`` when the packets disagree with the
@@ -124,62 +125,57 @@ class DeliverySchedule:
 
     def __init__(self, derivation: DerivedScheme):
         p = derivation.params
-        G = derivation.spec.G
         groups = derivation.grouping.groups
+        self.size_of = {g: ell * p.unit for g, ell in enumerate(derivation.sizing.ell, 1)}
         entries: list[tuple[tuple[int, ...], int, int, int]] = []
         runs: list[tuple[int, int, int]] = []
-        cached = [0] * (p.K + 1)  # by user, the bytes of one file it caches
-        self.first: tuple[dict[int, int], ...] = tuple({} for _ in range(G))
-        self.lacking: dict[int, dict[int, int]] = {g: {} for g in range(1, G + 1)}
+        self.first: dict[int, dict[int, int]] = {g: {} for g in self.size_of}
+        self.lacking: dict[int, dict[int, int]] = {g: {} for g in self.size_of}
         for ti, v in enumerate(derivation.layout.subfile_types):
             for support in subsets_by_type(groups, v):
                 mask = sum(1 << u for u in support)
                 lack = ~mask  # one int, shared by the support's positions
                 start = len(entries)
-                for g in range(1, G + 1):
+                for g, size in self.size_of.items():
                     alpha = derivation.fs.intermediate[g - 1][ti]
                     pos = len(entries)
                     if alpha:
-                        self.first[g - 1][mask] = pos
+                        self.first[g][mask] = pos
                     self.lacking[g].update(dict.fromkeys(range(pos, pos + alpha), lack))
-                    size = derivation.sizing.ell[g - 1] * p.unit
                     entries.extend((support, g, j, size) for j in range(1, alpha + 1))
-                    for u in support:
-                        cached[u] += alpha * size
                 if len(entries) > start:
                     runs.append((mask, start, len(entries)))
         self.template = tuple(entries)
         self.support_runs = tuple(runs)
-        self.offsets = tuple(itertools.accumulate((e[3] for e in entries[:-1]), initial=0))
+        self.offsets = tuple(itertools.accumulate((e[3] for e in entries), initial=0))
         self.bytes_per_file = derivation.sizing.L * p.unit
-        if sum(e[3] for e in entries) != self.bytes_per_file:
+        if self.offsets[-1] != self.bytes_per_file:
             raise PacketLayoutMismatch(
-                f"packet sizes sum to {sum(e[3] for e in entries)} bytes, "
-                f"expected {self.bytes_per_file}"
+                f"packet sizes sum to {self.offsets[-1]} bytes, expected {self.bytes_per_file}"
             )
         if len(entries) != derivation.packets_per_file:
             raise PacketLayoutMismatch(
                 f"{len(entries)} packets per file, expected {derivation.packets_per_file}"
             )
-        self.size_of = {g: ell * p.unit for g, ell in enumerate(derivation.sizing.ell, 1)}
-        self.cached_units = tuple(c // p.unit for c in cached)
         self._user_ranges: dict[int, list[tuple[int, int]]] = {}  # read while it is filled
         self._user_ranges = {1 << u: self.cached_ranges(1 << u) for u in range(1, p.K + 1)}
-        groups_of: dict[int, tuple[list[tuple[int, ...]], tuple[int, ...]]] = {}  # by group type
-        self.plans = []
-        for g in range(1, G + 1):
-            for k, s in enumerate(derivation.layout.group_types):
-                repeat_count = derivation.repeats[g - 1][k]
-                if repeat_count == 0:
-                    continue  # no messages
-                if k not in groups_of:
-                    members = subsets_by_type(groups, s)
-                    groups_of[k] = (members, tuple(sum(1 << u for u in m) for m in members))
-                if groups_of[k][0]:  # else a group type with no instances at this grouping
-                    self.plans.append((g, s, *groups_of[k], *_slot_plan(
-                        derivation, g, k, repeat_count, groups_of[k][0][0])))
+        self.cached_units = {
+            u: sum(self.offsets[b] - self.offsets[a] for a, b in self._user_ranges[1 << u]) // p.unit
+            for u in range(1, p.K + 1)
+        }
+        # By group type that a round sends and that has instances, its groups and their masks.
+        groups_of = {
+            k: (members, tuple(sum(1 << u for u in m) for m in members))
+            for k, s in enumerate(derivation.layout.group_types)
+            if any(row[k] for row in derivation.repeats) and (members := subsets_by_type(groups, s))
+        }
+        self.plans = [
+            (g, *groups_of[k], *_slot_plan(derivation, g, k, repeat_count, groups_of[k][0][0]))
+            for g, row in enumerate(derivation.repeats, 1)
+            for k, repeat_count in enumerate(row) if repeat_count and k in groups_of
+        ]
         target = Fraction(p.t * derivation.sizing.L, p.K)
-        bad = {u: c for u, c in enumerate(self.cached_units[1:], 1) if c != target}
+        bad = {u: c for u, c in self.cached_units.items() if c != target}
         if bad:
             raise MemoryMismatch(f"per-file cached units {bad} differ from target {target}")
 
@@ -238,8 +234,7 @@ class PacketStore:
         demanders: dict[int, int] = {}  # by file, the mask of its demanders
         for u, n in enumerate(demands, 1):
             demanders[n] = demanders.get(n, 0) | 1 << u
-        bounds = self.offsets + (self.bytes_per_file,)
-        slices = tuple(map(slice, bounds, bounds[1:]))  # cheaper to build than to keep
+        slices = tuple(map(slice, self.offsets, self.offsets[1:]))  # cheaper to build than to keep
         end = [(len(slices), len(slices))]  # an empty cached range after the last position
         self.values: dict[int, list] = {}
         for n, users in sorted(demanders.items()):
@@ -260,7 +255,7 @@ class PacketStore:
 
 
 def check_demands(derivation: DerivedScheme, demands: Sequence[int]) -> None:
-    """Raise ``DemandOutOfRange`` unless ``demands`` names one file in 1..N per user."""
+    """Raise ``DemandOutOfRange`` unless ``demands`` names one file per user, in 1..N, below 2**64."""
     p = derivation.params
     if len(demands) != p.K:
         raise DemandOutOfRange(f"demand vector has length {len(demands)}, expected {p.K}")
@@ -271,6 +266,8 @@ def check_demands(derivation: DerivedScheme, demands: Sequence[int]) -> None:
             raise DemandOutOfRange(f"demand {d!r} is not an integer") from None
         if not 1 <= d <= p.N:
             raise DemandOutOfRange(f"demand {d} outside 1..{p.N}")
+        if d >= 2**64:
+            raise DemandOutOfRange(f"demand {d} does not fit the file oracle's 8-byte index")
 
 
 def split_files(derivation: DerivedScheme, demands: Sequence[int]) -> PacketStore:
@@ -281,7 +278,7 @@ def split_files(derivation: DerivedScheme, demands: Sequence[int]) -> PacketStor
 def build_caches(store: PacketStore) -> dict[int, int]:
     """Each user's cached bytes of the library, by user, as the schedule checked them."""
     p = store.derivation.params
-    return {user: u * p.unit * p.N for user, u in enumerate(store.schedule.cached_units[1:], 1)}
+    return {user: u * p.unit * p.N for user, u in store.schedule.cached_units.items()}
 
 
 class CodedMessage(NamedTuple):
@@ -382,10 +379,10 @@ def _messages(store: PacketStore, seed: int) -> Iterator[CodedMessage]:
     schedule = store.schedule
     # By user: its demand and that file's values, as a constituent carries them.
     file_of = [None] + [(n, store.values[n]) for n in store.demands]
-    for g, s, groups, group_masks, receivers, sends in schedule.plans:
+    for g, groups, group_masks, receivers, sends in schedule.plans:
         size_bytes = schedule.size_of[g]
-        first = schedule.first[g - 1]
-        pack_key = struct.Struct(">qH%dIi" % sum(s)).pack  # seed, round, members, block
+        first = schedule.first[g]
+        pack_key = struct.Struct(">qH%dIi" % len(groups[0])).pack  # seed, round, members, block
         # By receiver: its slot, alpha and shuffle steps (entry i, i + 1, word), in draw order.
         drawn = itertools.count()
         steps = [(i, alpha, [(k, k + 1, next(drawn)) for k in range(alpha - 1, 0, -1)])
@@ -445,8 +442,7 @@ def decode_all(store: PacketStore, messages: Iterable[CodedMessage]) -> dict[int
     """
     residuals = decode_residuals(store, messages)
     demands = store.demands
-    sizes = [e[3] for e in store.template]
-    offsets = store.offsets + (store.bytes_per_file,)
+    sizes, offsets = [e[3] for e in store.template], store.offsets
     end = [(len(sizes), len(sizes))]  # an empty cached range after the last position
     files = {}
     raw_file = None  # the file ``raw`` holds

@@ -149,10 +149,6 @@ class SchemeSpec:
         if not self.plans:
             raise ValueError("need at least one coupled group")
 
-    @property
-    def G(self) -> int:
-        return len(self.plans)
-
 
 @dataclass(frozen=True)
 class TypeLayout:

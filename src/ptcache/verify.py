@@ -92,14 +92,15 @@ class VerificationReport:
     failure: str | None = None
 
     @property
+    def failed_checks(self) -> list[str]:
+        """Which of ``memory_ok``, ``rate_ok``, ``decode_ok`` (all users, at least one) read false."""
+        checks = {"memory_ok": self.memory_ok, "rate_ok": self.rate_ok,
+                  "decode_ok": bool(self.decode_ok) and all(self.decode_ok.values())}
+        return [name for name, ok in checks.items() if not ok]
+
+    @property
     def passed(self) -> bool:
-        return (
-            self.failure is None
-            and self.memory_ok
-            and self.rate_ok
-            and bool(self.decode_ok)
-            and all(self.decode_ok.values())
-        )
+        return self.failure is None and not self.failed_checks
 
     def to_json_dict(self) -> dict:
         return {

@@ -341,6 +341,10 @@ class TestVerify:
             "--demands 0,1,2,3,4,5,6: demand 0 outside 1..7",
         "simulate --preset jcm --K 5 --t 2 --N 6 --demands 1,2,3,4,7":
             "--demands 1,2,3,4,7: demand 7 outside 1..6",
+        # N admits file 2**64 + 1, but the file oracle keys a file by 8 bytes
+        "simulate --preset jcm --K 3 --t 1 --N 18446744073709551617 --demands 1,2,18446744073709551617":
+            "--demands 1,2,18446744073709551617: demand 18446744073709551617 "
+            "does not fit the file oracle's 8-byte index",
         # one plan for a two-group layout: its length mismatch comes first
         "construct --preset jcm --K 7 --t 2 --grouping 4,3":
             "plan covers 1 group types, layout has 4",

@@ -45,7 +45,7 @@ from ptcache.exchange import (
     total_transmitted_units,
     write_transcript,
 )
-from ptcache.scheme import SystemParams, derive, preset
+from ptcache.scheme import SchemeSpec, SystemParams, TransmitterSelection, UserGrouping, derive, preset
 
 
 def derived(name, K, t, N=None, unit=1):
@@ -144,6 +144,18 @@ class TestSplit:
         with pytest.raises(DemandOutOfRange, match=f"demand {n} outside 1..9"):
             split_files(d, [1, n, 1, 1, 1, 1, 1])
 
+    def test_file_past_the_8_byte_key(self):
+        """N may exceed 2**64, but ``file_bytes`` keys a file by 8 bytes: file 2**64 is a
+        named error, which the audit reports, not an ``OverflowError``."""
+        d = derived("theorem1", 7, 2, N=2**64 + 1)
+        with pytest.raises(DemandOutOfRange, match=r"^demand 18446744073709551616 does not fit"):
+            split_files(d, [1, 2, 3, 4, 5, 6, 2**64])
+        report = verify.verify_end_to_end(d, [1, 2, 3, 4, 5, 6, 2**64 + 1])
+        assert report.failure == (
+            "DemandOutOfRange: demand 18446744073709551617 does not fit the file oracle's 8-byte index"
+        )
+        assert split_files(d, [2**64 - 1] * 7).files == (2**64 - 1,)
+
     def test_files_split_once(self):
         d = derived("theorem1", 7, 2, N=9)
         store = split_files(d, [3, 1, 3, 1, 1, 3, 3])
@@ -227,6 +239,106 @@ class TestSchedule:
         del d
         gc.collect()
         assert schedule() is None
+
+
+def support_mask(support):
+    return sum(1 << u for u in support)
+
+
+def table_cases():
+    """Every preset, ``unit`` > 1, and theorem1 K=7 t=2 at grouping (5, 2), whose group
+    type (0, 3) has no instances: under the preset's plans (as ``--grouping 5,2``), and
+    under a round-2 plan that gives that type a repeat."""
+    p = SystemParams(K=7, t=2, N=7)
+    spec = preset("theorem1", p)
+    wide = UserGrouping((5, 2))
+    sends_empty_type = TransmitterSelection.from_lists([{1}, {1}, {1}, {0}])
+    return {
+        "theorem1-7-2": derived("theorem1", 7, 2),
+        "theorem1-11-4-unit3": derived("theorem1", 11, 4, unit=3),
+        "odd_t3-9-3": derived("odd_t3", 9, 3),
+        "even_K-10-4-unit2": derived("even_K", 10, 4, unit=2),
+        "jcm-6-3-unit5": derived("jcm", 6, 3, unit=5),
+        "theorem1-7-2-grouping-5,2": derive(SchemeSpec(p, wide, spec.plans)),
+        "theorem1-7-2-grouping-5,2-round2-sends-0,3": derive(
+            SchemeSpec(p, wide, (spec.plans[0], sends_empty_type))
+        ),
+    }
+
+
+TABLE_CASES = table_cases()
+
+
+class TestScheduleTables:
+    """The schedule's tables against an independent recount of its ``template``."""
+
+    @pytest.fixture(params=list(TABLE_CASES))
+    def case(self, request):
+        d = TABLE_CASES[request.param]
+        return d, exchange.schedule_of(d)
+
+    def test_cached_units_are_the_sizes_a_user_holds(self, case):
+        d, s = case
+        unit = d.params.unit
+        assert s.cached_units == {
+            u: sum(e[3] for e in s.template if u in e[0]) // unit for u in range(1, d.params.K + 1)
+        }
+
+    def test_offsets_carry_each_size_and_the_end(self, case):
+        d, s = case
+        assert len(s.offsets) == len(s.template) + 1
+        assert s.offsets[0] == 0 and s.offsets[-1] == s.bytes_per_file == d.sizing.L * d.params.unit
+        for i, (_, g, _, size) in enumerate(s.template):
+            assert s.offsets[i + 1] - s.offsets[i] == size == s.size_of[g]
+
+    def test_round_tables_share_one_key(self, case):
+        d, s = case
+        rounds = list(range(1, len(d.spec.plans) + 1))
+        assert list(s.size_of) == list(s.first) == list(s.lacking) == rounds
+        for g in rounds:
+            assert s.lacking[g] == {
+                i: ~support_mask(e[0]) for i, e in enumerate(s.template) if e[1] == g
+            }
+            assert s.first[g] == {
+                support_mask(e[0]): i for i, e in enumerate(s.template) if e[1:3] == (g, 1)
+            }
+
+    def test_support_runs_tile_the_template(self, case):
+        _, s = case
+        runs, start = [], 0
+        for support, entries in itertools.groupby(s.template, key=lambda e: e[0]):
+            stop = start + len(list(entries))
+            runs.append((support_mask(support), start, stop))
+            start = stop
+        assert start == len(s.template)
+        assert s.support_runs == tuple(runs)
+
+    def test_plans_name_no_group_type(self, case):
+        """A plan is ``(round, groups, masks, receivers, sends)``, one per round and group
+        type with instances that the round sends, in message order."""
+        d, s = case
+        sent = [
+            (g, d.layout.group_types[k])
+            for g, row in enumerate(d.repeats, 1) for k, repeats in enumerate(row) if repeats
+        ]
+        comps = {u: c for c, members in enumerate(d.grouping.groups) for u in members}
+        planned = []
+        for g, groups, masks, _, _ in s.plans:
+            assert groups and masks == tuple(map(support_mask, groups))
+            counts = Counter(comps[u] for u in groups[0])
+            planned.append((g, tuple(counts[c] for c in range(d.grouping.m))))
+        assert planned == [(g, s_k) for g, s_k in sent if all(
+            s_k[c] <= len(members) for c, members in enumerate(d.grouping.groups)
+        )]
+
+    def test_group_types_enumerated_once(self, exchange_calls):
+        """One ``subsets_by_type`` call per subfile type and per group type some round sends."""
+        p = SystemParams(K=11, t=4, N=11)
+        d = derive(preset("theorem1", p))
+        calls = exchange_calls("subsets_by_type")
+        exchange.DeliverySchedule(d)
+        used = {k for row in d.repeats for k, repeats in enumerate(row) if repeats}
+        assert len(calls["subsets_by_type"]) == len(d.layout.subfile_types) + len(used)
 
 
 class TestCaches:
@@ -978,9 +1090,9 @@ def drained_orders(seed, g, members, alphas):
     group = tuple(members)
     mask = sum(1 << u for u in group)
     sends = [(r, 1, [(r, j)]) for r, alpha in enumerate(alphas) for j in range(alpha)]
-    plan = (g, (len(group),), [group], [mask], list(enumerate(alphas)), sends)
+    plan = (g, [group], [mask], list(enumerate(alphas)), sends)
     schedule = SimpleNamespace(
-        plans=[plan], size_of={g: 1}, first=[{mask ^ (1 << u): 1 for u in group}] * g,
+        plans=[plan], size_of={g: 1}, first={g: {mask ^ (1 << u): 1 for u in group}},
     )
     store = SimpleNamespace(
         schedule=schedule, demands=[1] * max(group), values={1: [0] * 64},

@@ -1,16 +1,21 @@
-"""Every name the benchmark's tracer binds still exists in ptcache.
+"""Every name the benchmark's tracer binds still exists in ptcache, and its count hook
+reads what a real call of it passes and returns.
 
 ``perfbench/spans.py`` wraps ``(module, attribute)`` pairs of ``ptcache``
-by name; a deleted or renamed binding would only show when the benchmark
-runs.  The file is loaded by path, as it is, without importing the rest of
-``perfbench``.
+by name; a deleted or renamed binding, or a hook that no longer fits its
+function, would only show when the benchmark runs.  The file is loaded by
+path, as it is, without importing the rest of ``perfbench``.
 """
 
 import importlib
 import importlib.util
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
+
+from ptcache.exchange import generate_delivery, split_files
+from ptcache.scheme import SystemParams, derive, preset
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -35,3 +40,45 @@ def test_targets_found():
 def test_binding_resolves_to_a_callable(module_name, attr):
     module = importlib.import_module(f"ptcache.{module_name}")
     assert callable(getattr(module, attr, None)), f"ptcache.{module_name}.{attr}"
+
+
+def real_args(attr, tmp_path):
+    """Arguments of a real call of the function a hooked binding names, at theorem1 K=7 t=2."""
+    d = derive(preset("theorem1", SystemParams(K=7, t=2, N=7)))
+    demands = list(range(1, 8))
+    store = split_files(d, demands)
+    messages = generate_delivery(store, 0)
+    return {
+        "split_files": (d, demands),
+        "generate_delivery": (store, 0),
+        "write_transcript": (messages, str(tmp_path / "run.jsonl"), store),
+        "decode": (1, store, messages),
+        "sweep": ([2], 5),
+    }[attr]
+
+
+# The decode hook predates the store as the one run object: it reads ``args[1].store``,
+# but ``decode(user, store, messages)`` is passed the ``PacketStore`` itself.
+STALE_DECODE_HOOK = pytest.mark.xfail(
+    strict=True, raises=AttributeError,
+    reason="spans._count_decode reads args[1].store (CHANGES.md's FOUND on _count_decode); "
+           "the benchmark change that mends the hook drops this mark",
+)
+HOOKED = [
+    pytest.param(m, a, hook, id=f"{m}.{a}",
+                 marks=[STALE_DECODE_HOOK] if hook.__name__ == "_count_decode" else [])
+    for m, a, _, hook in TARGETS if hook is not None
+]
+
+
+def test_hooks_found():
+    assert HOOKED
+
+
+@pytest.mark.parametrize("module_name,attr,hook", HOOKED)
+def test_count_hook_reads_a_real_call(module_name, attr, hook, tmp_path):
+    args = real_args(attr, tmp_path)
+    result = getattr(importlib.import_module(f"ptcache.{module_name}"), attr)(*args)
+    counts = defaultdict(int)
+    hook(counts, args, result)
+    assert counts and all(v > 0 for v in counts.values()), dict(counts)
