@@ -131,33 +131,20 @@ _CSV_COLUMNS = (
 )
 
 
-def _float12(x: Fraction) -> str:
-    return f"{float(x):.12g}"
-
-
-def record_row(rec: RatioRecord) -> dict[str, object]:
-    return {
-        "K": rec.K,
-        "t": rec.t,
-        "q": rec.q,
-        "r": rec.r,
-        "F_PT": rec.F_PT,
-        "F_JCM": rec.F_JCM,
-        "ratio_exact": frac_str(rec.ratio),
-        "ratio_float": _float12(rec.ratio),
-        "asymptote_exact": frac_str(rec.asymptote),
-        "asymptote_float": _float12(rec.asymptote),
-        "gamma": frac_str(rec.gamma),
-    }
+def _row(rec: RatioRecord) -> tuple:
+    """``rec``'s sweep row, one value per ``_CSV_COLUMNS`` entry; floats to 12 significant digits."""
+    return (rec.K, rec.t, rec.q, rec.r, rec.F_PT, rec.F_JCM,
+            frac_str(rec.ratio), f"{float(rec.ratio):.12g}",
+            frac_str(rec.asymptote), f"{float(rec.asymptote):.12g}", frac_str(rec.gamma))
 
 
 def records_to_csv(records: Sequence[RatioRecord]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
-    writer.writerows(record_row(rec).values() for rec in records)  # streamed, one row alive
+    writer.writerows(map(_row, records))  # streamed, one row alive
     return buf.getvalue()
 
 
 def records_to_json(records: Sequence[RatioRecord]) -> str:
-    return json.dumps([record_row(rec) for rec in records], indent=2)
+    return json.dumps([dict(zip(_CSV_COLUMNS, _row(rec))) for rec in records], indent=2)

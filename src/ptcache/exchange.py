@@ -512,19 +512,18 @@ def decode_residuals(store: PacketStore, messages: Iterable[CodedMessage]) -> di
             raise UndecodableMessage(
                 f"transmitter {transmitter} is not a member of group {group}"
             )
-        transmitter_bit = 1 << transmitter
         payload = msg.payload
         masks = lacking.get(msg.round)
         if masks is None or len(payload) != size_of[msg.round]:
             _reject_round(msg, size_of)
         total = int.from_bytes(payload, "big")
-        seen = 0
+        seen = 1 << transmitter  # an owner in seen is the transmitter or another constituent's
         unknowns = []
         for n, pos in msg.constituents:
             try:
                 lack = group_mask & masks.get(pos, 0)
                 demand, values, slots = owner_of.get(lack, nobody)
-                if demand != n or lack == transmitter_bit or lack & seen:
+                if demand != n or lack & seen:
                     _reject_constituent(msg, n, pos, group_mask, masks, store)
                 seen |= lack
                 total ^= values[pos]
@@ -604,8 +603,8 @@ def _reject_constituent(
     )
 
 
-_HEAD = '{"round":%d,"group":[%s],"transmitter":%d,"repeat":%d,"constituents":['
-_TAIL = '],"payload_sha256":"%s"}'
+_HEAD = '{"round":%d,"group":[%s],'
+_LINE = '%s"transmitter":%d,"repeat":%d,"constituents":[%s],"payload_sha256":"%s"}'
 _BLOCK = 256  # transcript lines per write; 2048 cost 0.8 MB of peak RSS at K=17 t=4
 
 
@@ -616,58 +615,52 @@ def record_transcript(
 
     Each line is the compact ``json.dumps`` of ``{"round", "group",
     "transmitter", "repeat", "constituents": [{"file", "support",
-    "coupled_group", "index"}, ...], "payload_sha256"}``, built by one
-    ``%`` format per constituent count.  A constituent is the text of its
-    file followed by the text of its flat position, both built once from
-    ``store``; a group's text is built once per group tuple, which the
-    rounds share.  A position outside the layout raises the decoder's
-    ``UndecodableMessage`` once the earlier messages' lines are written; a
-    file the store never split is written as given (its ``json.dumps``, or
-    the JSON string of its ``repr`` where JSON has no form for it, as for
-    ``b"1"``), for ``decode_residuals`` to judge.  A file equal (``==``, same
-    hash) to a split file, as ``True`` or ``1.0`` is to file 1, is written as
-    that file's number, because the decoder also compares files by ``==``.
-    Lines are written in blocks of ``_BLOCK``, one newline after each, one
-    join and one write per block; the last block when the messages run out.
+    "coupled_group", "index"}, ...], "payload_sha256"}``: one ``_LINE`` fill
+    of the ``(round, group)`` head, the transmitter, the repeat, one join of
+    the constituents and the payload hash.  The head is rebuilt only when a
+    message's round or group is not the same object as the last message's.
+    A constituent is the text of its file followed by the text of its flat
+    position, both built once from ``store``.  A position outside the layout
+    raises the decoder's ``UndecodableMessage`` once the earlier messages'
+    lines are written; a file the store never split is written as given (its
+    ``json.dumps``, or the JSON string of its ``repr`` where JSON has no form
+    for it, as for ``b"1"``), for ``decode_residuals`` to judge.  A file
+    equal (``==``, same hash) to a split file, as ``True`` or ``1.0`` is to
+    file 1, is written as that file's number, because the decoder also
+    compares files by ``==``.  Lines are written in blocks of ``_BLOCK``, one
+    newline after each, one join and one write per block; the last block
+    when the messages run out.
     """
     file_text = {n: '{"file":%d,' % n for n in store.files}
     packet_text = [
         '"support":[%s],"coupled_group":%d,"index":%d}' % (",".join(map(str, support)), g, j)
         for support, g, j, _ in store.template
     ]
-    formats: dict[int, str] = {}  # by constituent count
     sha256 = hashlib.sha256
-    group = group_text = None
+    rnd = group = object()  # no message's round or group: the first message builds the head
     block = []
     for m in messages:
-        if m.group is not group:
-            group = m.group
-            group_text = ",".join(map(str, group))
-        count = len(m.constituents)
-        fmt = formats.get(count)
-        if fmt is None:
-            fmt = formats[count] = _HEAD + ",".join(["%s%s"] * count) + _TAIL
-        args = [m.round, group_text, m.transmitter, m.repeat]
         try:
-            for n, pos in m.constituents:
-                if pos < 0:  # a list index from the end, not a position
-                    raise IndexError(pos)
-                args.append(file_text[n])
-                args.append(packet_text[pos])
+            parts = [file_text[n] + packet_text[pos] for n, pos in m.constituents if pos >= 0]
+            if len(parts) < len(m.constituents):  # a negative position indexes from the end
+                raise IndexError
         except (KeyError, IndexError, TypeError):
             # Kept apart from the fast loop: one loop with dict.get, or a dict with __missing__,
             # ran 2.5-5.4% slower on the K=17 t=4 transcript (median of 40 interleaved pairs).
-            del args[4:]
+            # A file is its json.dumps (%d rejects "1" and None); on a position outside the
+            # layout, the lines so far are written, not this one.
+            parts = []
             for n, pos in m.constituents:
-                # The lines so far are written, not this one.
                 if not (isinstance(pos, int) and 0 <= pos < len(packet_text)):
                     block.append("")
                     fh.write("\n".join(block))
                     raise UndecodableMessage(f"{(n, pos)} is not a packet of the layout") from None
-                args.append('{"file":%s,' % json.dumps(n, default=repr))  # %d rejects "1" and None
-                args.append(packet_text[pos])
-        args.append(sha256(m.payload).hexdigest())
-        block.append(fmt % tuple(args))
+                parts.append('{"file":%s,' % json.dumps(n, default=repr) + packet_text[pos])
+        if m.round is not rnd or m.group is not group:
+            rnd, group = m.round, m.group
+            head = _HEAD % (rnd, ",".join(map(str, group)))
+        block.append(_LINE % (head, m.transmitter, m.repeat, ",".join(parts),
+                              sha256(m.payload).hexdigest()))
         if len(block) == _BLOCK:
             block.append("")  # the join then ends the block with a newline
             fh.write("\n".join(block))

@@ -999,7 +999,7 @@ class TestTranscript:
         """Messages of 0, 1 and t + 1 constituents, one group tuple in both rounds.
 
         Real deliveries carry t constituents per message, so these are built
-        by hand; each count gets its own line format.
+        by hand; one line template serves every count.
         """
         _, store = example1
         group = (1, 2, 5)
@@ -1012,6 +1012,27 @@ class TestTranscript:
             CodedMessage(1, (3, 4, 6), 6, 1, b"", ((2, r1[-1]), (5, r1[1]))),
             CodedMessage(2, group, 1, 1, b"\x04", ((6, r2[1]),)),
             CodedMessage(1, group, 2, 3, b"\x05", ()),
+        ]
+        assert transcript_of(msgs, store) == [compact_json(store, m) for m in msgs]
+
+    def test_head_follows_round_and_group(self, example1):
+        """The (round, group) head is rebuilt when either changes, not the group alone.
+
+        Two consecutive messages share one group tuple but differ in round;
+        the next group is equal to it but a distinct tuple; the last message
+        has no constituents.
+        """
+        _, store = example1
+        group = (1, 2, 5)
+        twin = tuple(list(group))
+        assert twin == group and twin is not group
+        r1 = [p for p, e in enumerate(store.template) if e[1] == 1]
+        r2 = [p for p, e in enumerate(store.template) if e[1] == 2]
+        msgs = [
+            CodedMessage(1, group, 1, 1, b"\x01", ((2, r1[0]), (5, r1[1]))),
+            CodedMessage(2, group, 1, 1, b"\x02", ((2, r2[0]), (5, r2[1]))),
+            CodedMessage(2, twin, 2, 1, b"\x03", ((1, r2[2]), (5, r2[3]))),
+            CodedMessage(2, twin, 5, 1, b"\x04", ()),
         ]
         assert transcript_of(msgs, store) == [compact_json(store, m) for m in msgs]
 

@@ -1,7 +1,7 @@
-"""Golden analytic outputs: the sweep CSV, `ptcache construct` JSON and
-`ptcache verify` JSON, pinned by SHA-256.
+"""Golden analytic outputs: the sweep CSV and JSON, `ptcache construct` JSON
+and `ptcache verify` JSON, pinned by SHA-256.
 
-The sweep and construct hashes were taken while `analysis` still kept its
+The sweep CSV and construct hashes were taken while `analysis` still kept its
 own copy of the subfile-count formula, and the verify hashes but the
 `--claims` one while `verify` still kept its own copies of F_PT, F_JCM and
 α·F.  Any change to a count, γ, a ratio, a witness or the output format
@@ -16,6 +16,9 @@ from ptcache.analysis import records_to_csv, sweep
 from ptcache.cli import main
 
 SWEEP_CSV_SHA256 = "0f8e014c432b350656eb5a2617e615464e7e766ff4ac9d0093d8f9d99282f86b"
+# `ptcache sweep --t 2,4 --q-max 60 --format json`, taken while each JSON
+# record was still built by restating the column names
+SWEEP_JSON_SHA256 = "a0b8e169e50ec6123e99df74b0b54049ba99ee4223b0fa8a0224f0f7d3521cf0"
 
 CONSTRUCT = [
     # preset, K, t, sha256 of the emitted JSON
@@ -54,6 +57,13 @@ def test_sweep_csv_hash():
     text = records_to_csv(sweep([2, 4, 6, 8], q_max=400))
     assert text.count("\n") == 1 + 1580
     assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_CSV_SHA256
+
+
+def test_sweep_json_hash(tmp_path):
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "--t", "2,4", "--q-max", "60", "--format", "json",
+                 "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_JSON_SHA256
 
 
 @pytest.mark.parametrize("preset,K,t,sha", CONSTRUCT)
