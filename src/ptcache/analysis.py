@@ -6,6 +6,11 @@ F_PT = alpha . F packets: alpha and gamma from one ``derive`` per t, F from
 it accepts; the baseline uses t * C(K, t).  For fixed t the ratio
 falls strictly with q toward 1 - C(t, r) / 2^(t+1).  Counts stay integer;
 a ``Fraction`` is built only for a reported ratio, asymptote or gamma.
+
+For fixed t, F_PT and the two memory terms are integer polynomials in q of
+degree at most t, so ``sweep`` reads the owners at q = t+1 .. 2t+1 only and
+reaches every later q exactly through their forward-difference table at
+q = t+1, built inside the call: t integer additions per quantity and point.
 """
 
 from __future__ import annotations
@@ -18,10 +23,10 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .scheme import (CountVectors, FsVectors, SystemParams, count_vectors, derive, frac_str,
-                     memory_terms, preset, solve_packet_ratio)
+                     memory_terms, preset, second_ratio)
 
 
 @functools.cache
@@ -98,6 +103,10 @@ def sweep(t_list: Sequence[int], q_max: int | None = None) -> list[RatioRecord]:
     """Ratio records over a (t, q) grid, sorted by (t, q), one per point.
 
     For each t, q runs from t+1 up to q_max (default t+50); no q is a ValueError.
+    The first t+1 points seed F_PT and the memory terms (a1, a2) from the
+    owners, one ``count_vectors`` each; ``_extended`` carries the three on
+    exactly (each has degree at most t in q).  F_JCM is one ``math.comb`` and
+    gamma one ``second_ratio`` per point.
     """
     records = []
     for t in sorted(set(t_list)):
@@ -105,9 +114,13 @@ def sweep(t_list: Sequence[int], q_max: int | None = None) -> list[RatioRecord]:
         qs = range(t + 1, (q_max if q_max is not None else t + 50) + 1)
         if not qs:
             raise ValueError(f"q_max={q_max} leaves t={t} no point (need q_max >= {t + 1})")
-        for q in qs:
+        intermediate = theorem1_fs(t).intermediate
+        seeds = []
+        for q in qs[:t + 1]:
             counts = count_vectors(t, (q + 1, q))
-            F_PT = _packets(counts, t)
+            seeds.append((_packets(counts, t), *memory_terms(intermediate, counts.deltas[0])))
+        columns = (_extended(column, len(qs)) for column in zip(*seeds))
+        for q, F_PT, a1, a2 in zip(qs, *columns):
             F_JCM = f_jcm(2 * q + 1, t)
             records.append(
                 RatioRecord(
@@ -119,10 +132,25 @@ def sweep(t_list: Sequence[int], q_max: int | None = None) -> list[RatioRecord]:
                     F_JCM=F_JCM,
                     ratio=Fraction(F_PT, F_JCM),
                     asymptote=asymptote,
-                    gamma=solve_packet_ratio(theorem1_fs(t), counts)[1],
+                    gamma=second_ratio(a1, a2),
                 )
             )
     return records
+
+
+def _extended(values: Sequence[int], n: int) -> Iterator[int]:
+    """The first n values, at consecutive q, of the integer polynomial of degree below
+    len(values) that starts with ``values`` (which come back first, exactly).
+
+    The table holds the Newton coefficients c_j = Delta^j f(q0), so that
+    f(q0 + x) = sum_j c_j C(x, j); a step to the next q adds c_(j+1) to each c_j.
+    """
+    table = list(values)
+    for j in range(1, len(table)):
+        table[j:] = map(operator.sub, table[j:], table[j - 1:-1])
+    for _ in range(n):
+        yield table[0]
+        table[:-1] = map(operator.add, table, table[1:])
 
 
 _CSV_COLUMNS = (

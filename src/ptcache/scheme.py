@@ -333,24 +333,37 @@ def solve_packet_ratio(fs: FsVectors, counts: CountVectors) -> tuple[Fraction, .
 
     The constraint is one linear equation per adjacent unique-set pair:
     sum_g gamma_g * (alpha^(g) . Delta_i) = 0.  Supported layouts have at
-    most one pair, so the system is solvable only as G=1 with no equation or
-    G=2 with one, each in closed form; the ratio must be strictly positive.
+    most one pair, so the system is solvable only as G=1 with no equation,
+    G=1 whose one memory term is 0 (one packet size holds it), or G=2 with
+    one equation, solved by ``second_ratio``; the ratio must be strictly positive.
     """
     G = len(fs.intermediate)
     n_eq = len(counts.deltas)
-    if (G, n_eq) not in ((1, 0), (2, 1)):
+    if (G, n_eq) not in ((1, 0), (1, 1), (2, 1)):
         raise DegenerateSystem(
             f"{n_eq} memory equations for {G - 1} free ratios; "
-            "only G=1 with none or G=2 with one is solvable"
+            "only G=1 with at most one or G=2 with one is solvable"
         )
-    if G == 1:
+    if n_eq == 0:
         return (_ONE,)
-    a1, a2 = memory_terms(fs.intermediate, counts.deltas[0])
+    terms = memory_terms(fs.intermediate, counts.deltas[0])
+    if G == 2:
+        return (_ONE, second_ratio(*terms))
+    if terms[0] != 0:
+        raise DegenerateSystem(
+            f"1 memory equations for 0 free ratios: the one coupled group's term is {terms[0]}, not 0"
+        )
+    return (_ONE,)
+
+
+def second_ratio(a1: int, a2: int) -> Fraction:
+    """gamma_2 = -a1/a2, solving two coupled groups' one memory equation a1 + gamma_2 * a2 = 0
+    from its terms (``memory_terms``); a2 = 0 pins nothing, and gamma_2 must be positive."""
     if a2 == 0:
         raise DegenerateSystem("second coupled group has zero memory leverage")
     if a1 * a2 >= 0:  # the sign of gamma = -a1/a2, read on the integers
         raise InvalidRatio(f"packet size ratio {Fraction(-a1, a2)} is not positive")
-    return (_ONE, Fraction(-a1, a2))
+    return Fraction(-a1, a2)
 
 
 @dataclass(frozen=True)

@@ -133,15 +133,17 @@ class TestSweep:
         sweep([2, 4, 6, 8], q_max=400)
         assert calls == [2, 4, 6, 8]
 
-    def test_one_count_vectors_per_record(self, monkeypatch):
+    def test_t_plus_one_count_vectors_per_t(self, monkeypatch):
         """The work a sweep and the benchmark's analytic op do, pinned by counts, not time.
 
-        The op (``AnalyticSweep.run`` in ``perfbench/workloads.py``: the
-        sweep, the claims, lemma 1 and remark 3) runs once to warm up, then
-        again.  The second run counts every (t, q) point it reads, 587 of
-        them a second time, and runs the count formula's body (its size
-        check) for each, so no cache across calls crept in around or inside
-        ``count_vectors``; and it builds no ``SystemParams`` or ``UserGrouping``.
+        A sweep reads ``count_vectors`` at the first t+1 points of each t and
+        extends the rest by differences.  The op (``AnalyticSweep.run`` in
+        ``perfbench/workloads.py``: the sweep, the claims, lemma 1 and remark 3)
+        runs once to warm up, then again.  The second run counts each (t, q)
+        point as often as the op reads it, and runs the count formula's body
+        (its size check) for each, so no cache across calls crept in around
+        or inside ``count_vectors``; and it builds no ``SystemParams`` or
+        ``UserGrouping``.
         """
         calls, checks, built = [], [], []
         real_check = scheme._two_group_sizes
@@ -168,14 +170,32 @@ class TestSweep:
         for module in (analysis, scheme, verify):
             monkeypatch.setattr(module, "count_vectors", counted)
         records = sweep([2, 4, 6, 8], q_max=400)
-        assert len(calls) == len(records) == 1580
+        assert len(records) == 1580
+        assert calls == [t for t in (2, 4, 6, 8) for _ in range(t + 1)]
 
         calls.clear()
         monkeypatch.setattr(scheme, "_two_group_sizes", checked)
         for cls in (SystemParams, UserGrouping):
             monkeypatch.setattr(cls, "__post_init__", recorded(cls.__post_init__))
         op.check(op.run(0, None))
-        assert (len(calls), len(checks), built) == (2167, 2167, [])
+        assert (len(calls), len(checks), built) == (611, 611, [])
+
+    @pytest.mark.parametrize("t", [2, 4, 6, 8, 10, 12])
+    def test_records_equal_the_per_point_owners(self, t):
+        """Every record the difference table extends equals the one its point's owners
+        give, over ranges shorter than, equal to and longer than the t+1 seeds, and
+        its ratio equals the hypergeometric expectation, which shares no code with
+        ``count_vectors`` or the table."""
+        fs = theorem1_fs(t)
+        for q_max in (*range(t + 1, 2 * t + 4), 4 * t + 20):
+            records = sweep([t], q_max=q_max)
+            assert [r.q for r in records] == list(range(t + 1, q_max + 1))
+            for r in records:
+                q = r.q
+                gamma = scheme.solve_packet_ratio(fs, count_vectors(t, (q + 1, q)))[1]
+                assert (r.K, r.r, r.F_PT, r.F_JCM, r.gamma) == (
+                    2 * q + 1, t // 2, f_pt(q, t), f_jcm(2 * q + 1, t), gamma), (t, q_max, q)
+                assert r.ratio == verify.ratio_expectation(t, q), (t, q_max, q)
 
     def test_odd_t_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,5 @@
-"""Golden analytic outputs: the sweep CSV and JSON, `ptcache construct` JSON
-and `ptcache verify` JSON, pinned by SHA-256.
+"""Golden analytic outputs: the sweep CSV (at t <= 8 and at t = 10, 12, 16) and
+JSON, `ptcache construct` JSON and `ptcache verify` JSON, pinned by SHA-256.
 
 The sweep CSV and construct hashes were taken while `analysis` still kept its
 own copy of the subfile-count formula, and the verify hashes but the
@@ -16,6 +16,9 @@ from ptcache.analysis import records_to_csv, sweep
 from ptcache.cli import main
 
 SWEEP_CSV_SHA256 = "0f8e014c432b350656eb5a2617e615464e7e766ff4ac9d0093d8f9d99282f86b"
+# records_to_csv(sweep([10, 12, 16], q_max=200)), taken while every point still
+# read its own count_vectors: past t = 8, where the difference table is deeper
+SWEEP_WIDE_T_CSV_SHA256 = "d9d3d6f8d85f44101fa0d77515023dfd40b33bb163febcea97bad5d60f8aeae1"
 # `ptcache sweep --t 2,4 --q-max 60 --format json`, taken while each JSON
 # record was still built by restating the column names
 SWEEP_JSON_SHA256 = "a0b8e169e50ec6123e99df74b0b54049ba99ee4223b0fa8a0224f0f7d3521cf0"
@@ -57,6 +60,12 @@ def test_sweep_csv_hash():
     text = records_to_csv(sweep([2, 4, 6, 8], q_max=400))
     assert text.count("\n") == 1 + 1580
     assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_CSV_SHA256
+
+
+def test_sweep_csv_hash_past_t8():
+    text = records_to_csv(sweep([10, 12, 16], q_max=200))
+    assert text.count("\n") == 1 + 562
+    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_WIDE_T_CSV_SHA256
 
 
 def test_sweep_json_hash(tmp_path):

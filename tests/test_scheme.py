@@ -369,13 +369,15 @@ class TestPresets:
             preset("nope", params(7, 2))
 
     def test_remark1_guard(self):
-        # two unique sets cannot be balanced by one coupled group: the one
-        # memory equation leaves no free ratio, so derive rejects the spec
+        # two unique sets cannot be balanced by one coupled group whose memory
+        # term is not 0: the one equation leaves no free ratio, so derive
+        # rejects the spec (a zero term is test_verify's one-size blueprint)
         plan = TransmitterSelection.from_lists(
             [{1}, {0}, {0}, {0}]
         )
         spec = SchemeSpec(params(7, 2), UserGrouping((4, 3)), (plan,))
-        with pytest.raises(DegenerateSystem, match=r"^1 memory equations for 0 free ratios"):
+        with pytest.raises(DegenerateSystem,
+                           match=r"^1 memory equations for 0 free ratios: .* term is -5, not 0$"):
             derive(spec)
 
 

@@ -60,6 +60,20 @@ class TestEndToEnd:
         assert report.rate == Fraction(3, 2)
         assert report.packets_per_file == 20
 
+    def test_one_size_blueprint(self):
+        """One coupled group on a two-group layout whose one memory term is 0 is a
+        scheme with one packet size: K=12, t=3, grouping (7,5), FS vector (0,1,2,0)
+        needs 280 packets, where JCM needs 660."""
+        plan = TransmitterSelection.from_lists([{1}, {0}, {0}, {1}, {0}])
+        d = derive(SchemeSpec(SystemParams(K=12, t=3, N=12), UserGrouping((7, 5)), (plan,)))
+        assert d.fs.intermediate == ((0, 1, 2, 0),)
+        assert (d.packets_per_file, d.sizing.ell, d.sizing.L) == (280, (1,), 280)
+        assert f_jcm(12, 3) == 660
+        for kind in ("distinct", "uniform"):
+            report = verify_end_to_end(d, kind, seed=0)
+            assert report.passed, (kind, report.failure)
+            assert (report.rate, report.message_count) == (3, 840)
+
     def test_even_K_instance_validity(self):
         report = verify_end_to_end(
             preset("even_K", SystemParams(K=12, t=2, N=12)), "distinct", seed=0
