@@ -11,19 +11,19 @@ For fixed t, F_PT and the two memory terms are integer polynomials in q of
 degree at most t, so ``sweep`` reads the owners at q = t+1 .. 2t+1 only and
 reaches every later q exactly through their forward-difference table at
 q = t+1, built inside the call: t integer additions per quantity and point.
+``ratios`` seeds F_PT the same way over lemma 1's q set.  ``_rows`` formats
+each sweep row once, for the JSON and for the CSV's one ``%`` template.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import json
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .scheme import (CountVectors, FsVectors, SystemParams, count_vectors, derive, frac_str,
                      memory_terms, preset, second_ratio)
@@ -59,6 +59,19 @@ def f_jcm(K: int, t: int) -> int:
 def ratio(q: int, t: int) -> Fraction:
     """Exact F_PT / F_JCM at (2q+1, t)."""
     return Fraction(f_pt(q, t), f_jcm(2 * q + 1, t))
+
+
+def ratios(qs: Sequence[int], t: int) -> list[Fraction]:
+    """``ratio`` at each of the increasing ``qs``, from t+1 ``f_pt`` values.
+
+    ``f_pt`` is read at qs[0] .. qs[0]+t only, so it stays the one gate on q;
+    each F_PT is then sum_j c_j C(q - qs[0], j) over their Newton coefficients,
+    so a sparse q set costs no steps across its span.
+    """
+    q0 = qs[0]
+    table = _differences([f_pt(q0 + j, t) for j in range(t + 1)])
+    return [Fraction(sum(c * math.comb(q - q0, j) for j, c in enumerate(table)), f_jcm(2 * q + 1, t))
+            for q in qs]
 
 
 def asymptotic_ratio(t: int) -> Fraction:
@@ -114,6 +127,7 @@ def sweep(t_list: Sequence[int], q_max: int | None = None) -> list[RatioRecord]:
         qs = range(t + 1, (q_max if q_max is not None else t + 50) + 1)
         if not qs:
             raise ValueError(f"q_max={q_max} leaves t={t} no point (need q_max >= {t + 1})")
+        r = t // 2
         intermediate = theorem1_fs(t).intermediate
         seeds = []
         for q in qs[:t + 1]:
@@ -122,32 +136,27 @@ def sweep(t_list: Sequence[int], q_max: int | None = None) -> list[RatioRecord]:
         columns = (_extended(column, len(qs)) for column in zip(*seeds))
         for q, F_PT, a1, a2 in zip(qs, *columns):
             F_JCM = f_jcm(2 * q + 1, t)
-            records.append(
-                RatioRecord(
-                    K=2 * q + 1,
-                    t=t,
-                    q=q,
-                    r=t // 2,
-                    F_PT=F_PT,
-                    F_JCM=F_JCM,
-                    ratio=Fraction(F_PT, F_JCM),
-                    asymptote=asymptote,
-                    gamma=second_ratio(a1, a2),
-                )
-            )
+            records.append(RatioRecord(2 * q + 1, t, q, r, F_PT, F_JCM, Fraction(F_PT, F_JCM),
+                                       asymptote, second_ratio(a1, a2)))
     return records
+
+
+def _differences(values: Sequence[int]) -> list[int]:
+    """The Newton coefficients c_j = Delta^j f(q0) of ``values`` = f(q0), f(q0+1), ...:
+    f(q0 + x) = sum_j c_j C(x, j) for the polynomial of degree below len(values) through them."""
+    table = list(values)
+    for j in range(1, len(table)):
+        table[j:] = map(operator.sub, table[j:], table[j - 1:-1])
+    return table
 
 
 def _extended(values: Sequence[int], n: int) -> Iterator[int]:
     """The first n values, at consecutive q, of the integer polynomial of degree below
     len(values) that starts with ``values`` (which come back first, exactly).
 
-    The table holds the Newton coefficients c_j = Delta^j f(q0), so that
-    f(q0 + x) = sum_j c_j C(x, j); a step to the next q adds c_(j+1) to each c_j.
+    A step to the next q adds c_(j+1) to each Newton coefficient c_j (``_differences``).
     """
-    table = list(values)
-    for j in range(1, len(table)):
-        table[j:] = map(operator.sub, table[j:], table[j - 1:-1])
+    table = _differences(values)
     for _ in range(n):
         yield table[0]
         table[:-1] = map(operator.add, table, table[1:])
@@ -159,20 +168,29 @@ _CSV_COLUMNS = (
 )
 
 
-def _row(rec: RatioRecord) -> tuple:
-    """``rec``'s sweep row, one value per ``_CSV_COLUMNS`` entry; floats to 12 significant digits."""
-    return (rec.K, rec.t, rec.q, rec.r, rec.F_PT, rec.F_JCM,
-            frac_str(rec.ratio), f"{float(rec.ratio):.12g}",
-            frac_str(rec.asymptote), f"{float(rec.asymptote):.12g}", frac_str(rec.gamma))
+# Every field is an int, a p/q string or a %.12g float, so none ever needs quoting.
+_LINE = ",".join(["%s"] * len(_CSV_COLUMNS)) + "\n"
 
 
-def records_to_csv(records: Sequence[RatioRecord]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
-    writer.writerows(map(_row, records))  # streamed, one row alive
-    return buf.getvalue()
+def _rows(records: Iterable[RatioRecord]) -> Iterator[tuple]:
+    """Each record's sweep row, one value per ``_CSV_COLUMNS`` entry; floats to 12 significant digits.
+
+    The asymptote is formatted only when it is a new object (once per t in a sweep);
+    F_PT / F_JCM is correctly rounded, so it is the float of the exact ratio.
+    """
+    asymptote = None
+    for rec in records:
+        if rec.asymptote is not asymptote:
+            asymptote = rec.asymptote
+            asymptote_fields = frac_str(asymptote), f"{float(asymptote):.12g}"
+        yield (rec.K, rec.t, rec.q, rec.r, rec.F_PT, rec.F_JCM,
+               frac_str(rec.ratio), f"{rec.F_PT / rec.F_JCM:.12g}", *asymptote_fields,
+               frac_str(rec.gamma))
 
 
-def records_to_json(records: Sequence[RatioRecord]) -> str:
-    return json.dumps([dict(zip(_CSV_COLUMNS, _row(rec))) for rec in records], indent=2)
+def records_to_csv(records: Iterable[RatioRecord]) -> str:
+    return ",".join(_CSV_COLUMNS) + "\n" + "".join(_LINE % row for row in _rows(records))
+
+
+def records_to_json(records: Iterable[RatioRecord]) -> str:
+    return json.dumps([dict(zip(_CSV_COLUMNS, row)) for row in _rows(records)], indent=2)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .analysis import gamma_terms, ratio
+from .analysis import gamma_terms, ratios
 from .combinatorics import hypergeo_weights
 # generate_delivery, decode_all and total_transmitted_units are not called
 # here: kept because perfbench/spans.py wraps these verify bindings.
@@ -252,7 +252,7 @@ def verify_claims(t: int, q: int) -> dict[str, CheckResult]:
     )
 
     window = [k for k in range(2, t + 2) if _B(t, k) > 0]
-    compared = [k for k in window if k <= r and q < Fraction(_A(t, k), _B(t, k))]
+    compared = [k for k in window if k <= r and q * _B(t, k) < _A(t, k)]  # B > 0 in the window
     results["claim4_phi_monotone"] = CheckResult(
         "claim4_phi_monotone",
         all(pair[k - 1] < 0 for k in compared),
@@ -283,19 +283,23 @@ def ratio_expectation(t: int, q: int) -> Fraction:
 
 
 def verify_lemma1(t: int, q_range: Sequence[int]) -> CheckResult:
-    """Strict ratio decrease over the distinct q, plus the expectation identity at each."""
+    """Strict ratio decrease over the distinct q, plus the expectation identity at each.
+
+    The ratios come from ``ratios``, which reads ``f_pt`` at the first q .. q+t
+    only; the hypergeometric expectation, read per q, shares no code with it.
+    """
     qs = sorted(set(q_range))
     if not qs:
         raise EmptyRange("no q values to check")
     if len(qs) == 1:
         raise EmptyRange(f"one q value ({qs[0]}) to check: a decrease needs two")
-    ratios = [ratio(q, t) for q in qs]
-    decreasing = all(b < a for a, b in zip(ratios, ratios[1:]))
-    identity = all(ratio_expectation(t, q) == rho for q, rho in zip(qs, ratios))
+    rhos = ratios(qs, t)
+    decreasing = all(b < a for a, b in zip(rhos, rhos[1:]))
+    identity = all(ratio_expectation(t, q) == rho for q, rho in zip(qs, rhos))
     return CheckResult(
         "lemma1_ratio_decreasing",
         decreasing and identity,
-        {"q": qs, "ratios": [frac_str(x) for x in ratios], "expectation_identity": identity},
+        {"q": qs, "ratios": [frac_str(x) for x in rhos], "expectation_identity": identity},
     )
 
 

@@ -15,6 +15,7 @@ from ptcache.analysis import (
     f_pt,
     gamma_terms,
     ratio,
+    ratios,
     records_to_csv,
     records_to_json,
     sweep,
@@ -137,9 +138,11 @@ class TestSweep:
         """The work a sweep and the benchmark's analytic op do, pinned by counts, not time.
 
         A sweep reads ``count_vectors`` at the first t+1 points of each t and
-        extends the rest by differences.  The op (``AnalyticSweep.run`` in
-        ``perfbench/workloads.py``: the sweep, the claims, lemma 1 and remark 3)
-        runs once to warm up, then again.  The second run counts each (t, q)
+        extends the rest by differences; lemma 1 likewise seeds t+1 points per t
+        (``analysis.ratios``) and reads every other q off their Newton form.  The
+        op (``AnalyticSweep.run`` in ``perfbench/workloads.py``: the sweep, the
+        claims, lemma 1 and remark 3) runs once to warm up, then again.  The
+        second run counts each (t, q)
         point as often as the op reads it, and runs the count formula's body
         (its size check) for each, so no cache across calls crept in around
         or inside ``count_vectors``; and it builds no ``SystemParams`` or
@@ -178,7 +181,8 @@ class TestSweep:
         for cls in (SystemParams, UserGrouping):
             monkeypatch.setattr(cls, "__post_init__", recorded(cls.__post_init__))
         op.check(op.run(0, None))
-        assert (len(calls), len(checks), built) == (611, 611, [])
+        # sweep 24 + claims 160 + lemma 1 24 + remark 3 27
+        assert (len(calls), len(checks), built) == (235, 235, [])
 
     @pytest.mark.parametrize("t", [2, 4, 6, 8, 10, 12])
     def test_records_equal_the_per_point_owners(self, t):
@@ -202,7 +206,40 @@ class TestSweep:
             sweep([3], q_max=5)
 
 
+@pytest.mark.parametrize("t", range(2, 13, 2))  # theorem 1 takes even t only
+def test_ratios_equal_the_per_q_ratio(t):
+    """``ratios``' Newton form equals ``ratio`` at every q: ranges from t+1, ranges
+    starting above it, ranges shorter than the t+1 seeds, and a sparse set."""
+    q_sets = [
+        range(t + 1, 4 * t + 20),
+        range(t + 7, 3 * t + 30),
+        range(t + 1, t + 3),
+        range(2 * t + 5, 2 * t + 6),
+        [t + 1, t + 9, 5 * t + 77],
+    ]
+    for qs in q_sets:
+        assert ratios(qs, t) == [ratio(q, t) for q in qs], (t, qs)
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("t", range(2, 17, 2))  # the sweep takes even t only
+    def test_csv_equals_a_csv_writer_rendering(self, t):
+        """The one-template CSV is the ``csv`` module's rendering of the same rows, so a
+        field that ever needs quoting shows here; the rows are formatted independently."""
+        for q_max in (t + 1, 2 * t + 3, 200):
+            records = sweep([t], q_max=q_max)
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(analysis._CSV_COLUMNS)
+            for rec in records:
+                writer.writerow([rec.K, rec.t, rec.q, rec.r, rec.F_PT, rec.F_JCM,
+                                 f"{rec.ratio.numerator}/{rec.ratio.denominator}",
+                                 f"{float(rec.ratio):.12g}",
+                                 f"{rec.asymptote.numerator}/{rec.asymptote.denominator}",
+                                 f"{float(rec.asymptote):.12g}",
+                                 f"{rec.gamma.numerator}/{rec.gamma.denominator}"])
+            assert records_to_csv(records) == buf.getvalue(), (t, q_max)
+
     def test_csv_columns_and_values(self):
         text = records_to_csv(sweep([2], q_max=4))
         rows = list(csv.DictReader(io.StringIO(text)))

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ptcache import baseline, verify
+from ptcache import analysis, baseline, verify
 from ptcache.analysis import f_jcm, f_pt
 from ptcache.combinatorics import hypergeo_weights
 from ptcache.exchange import split_files
@@ -283,6 +283,16 @@ class TestLemma1:
         assert verify_lemma1(4, range(5, 105)).passed
         assert len(built) == 100
 
+    def test_a_wrong_last_seed_fails_the_identity(self, monkeypatch):
+        """One wrong Newton seed cannot drift unnoticed: F_PT off by one at q = qs[0]+t,
+        the last of the t+1 seeds, moves only c_t and so every ratio from that q on.
+        (``_failed_checks``' range(5, 9) stops short of q = 9: C(x, t) = 0 for x < t.)"""
+        real = analysis.f_pt
+        monkeypatch.setattr(analysis, "f_pt", lambda q, t: real(q, t) + (q == 5 + t))
+        res = verify_lemma1(4, range(5, 15))
+        assert not res.passed
+        assert res.witness["expectation_identity"] is False
+
     def test_empty_range(self):
         with pytest.raises(EmptyRange, match="^no q values to check$"):
             verify_lemma1(2, [])
@@ -464,7 +474,7 @@ def _vectors_doubled(real):
     pytest.param("gamma_terms", _gamma_terms_with(a2=-1), {"lemma2_ratio_positive"}, id="a2-negated"),
     pytest.param("gamma_terms", _gamma_terms_with(a1=-1), {"lemma2_ratio_positive"}, id="a1-negated"),
     pytest.param("gamma_terms", _gamma_terms_with(a1=0), {"lemma2_ratio_positive"}, id="a1-zero"),
-    pytest.param("ratio", lambda real: lambda q, t: real(q, t) if q != 6 else real(5, t),
+    pytest.param("ratios", lambda real: lambda qs, t: [real([5 if q == 6 else q], t)[0] for q in qs],
                  {"lemma1_ratio_decreasing"}, id="ratio-flat"),
     pytest.param("hypergeo_weights", _weights_doubled, {"lemma1_ratio_decreasing"},
                  id="expectation-doubled"),
