@@ -7,10 +7,10 @@ it accepts; the baseline uses t * C(K, t).  For fixed t the ratio
 falls strictly with q toward 1 - C(t, r) / 2^(t+1).  Counts stay integer;
 a ``Fraction`` is built only for a reported ratio, asymptote or gamma.
 
-For fixed t, F_PT and the two memory terms are integer polynomials in q of
-degree at most t, so ``sweep`` reads the owners at q = t+1 .. 2t+1 only and
-reaches every later q exactly through their forward-difference table at
-q = t+1, built inside the call: t integer additions per quantity and point.
+For fixed t, F_PT, F_JCM and the two memory terms are integer polynomials in
+q of degree at most t, so ``sweep`` reads the owners at q = t+1 .. 2t+1 only
+and reaches every later q exactly from their Newton coefficients at q = t+1,
+built per call: t ``itertools.accumulate`` running-sum passes per quantity.
 ``ratios`` seeds F_PT the same way over lemma 1's q set.  ``_rows`` formats
 each sweep row once, for the JSON and for the CSV's one ``%`` template.
 """
@@ -23,6 +23,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .scheme import (CountVectors, FsVectors, SystemParams, count_vectors, derive, frac_str,
@@ -70,8 +71,8 @@ def ratios(qs: Sequence[int], t: int) -> list[Fraction]:
     """
     q0 = qs[0]
     table = _differences([f_pt(q0 + j, t) for j in range(t + 1)])
-    return [Fraction(sum(c * math.comb(q - q0, j) for j, c in enumerate(table)), f_jcm(2 * q + 1, t))
-            for q in qs]
+    return [Fraction(sum(map(operator.mul, table, map(math.comb, repeat(q - q0), range(t + 1)))),
+                     f_jcm(2 * q + 1, t)) for q in qs]
 
 
 def asymptotic_ratio(t: int) -> Fraction:
@@ -116,10 +117,10 @@ def sweep(t_list: Sequence[int], q_max: int | None = None) -> list[RatioRecord]:
     """Ratio records over a (t, q) grid, sorted by (t, q), one per point.
 
     For each t, q runs from t+1 up to q_max (default t+50); no q is a ValueError.
-    The first t+1 points seed F_PT and the memory terms (a1, a2) from the
-    owners, one ``count_vectors`` each; ``_extended`` carries the three on
-    exactly (each has degree at most t in q).  F_JCM is one ``math.comb`` and
-    gamma one ``second_ratio`` per point.
+    The first t+1 points seed F_PT and the memory terms (a1, a2) from one
+    ``count_vectors`` each and F_JCM from ``f_jcm``; ``_extended`` carries the
+    four on exactly (each has degree at most t in q).  Per point only the
+    ratio's ``Fraction`` and gamma's ``second_ratio`` remain.
     """
     records = []
     for t in sorted(set(t_list)):
@@ -132,10 +133,10 @@ def sweep(t_list: Sequence[int], q_max: int | None = None) -> list[RatioRecord]:
         seeds = []
         for q in qs[:t + 1]:
             counts = count_vectors(t, (q + 1, q))
-            seeds.append((_packets(counts, t), *memory_terms(intermediate, counts.deltas[0])))
-        columns = (_extended(column, len(qs)) for column in zip(*seeds))
-        for q, F_PT, a1, a2 in zip(qs, *columns):
-            F_JCM = f_jcm(2 * q + 1, t)
+            seeds.append((_packets(counts, t), f_jcm(2 * q + 1, t),
+                          *memory_terms(intermediate, counts.deltas[0])))
+        columns = [_extended(column, len(qs)) for column in zip(*seeds)]
+        for q, F_PT, F_JCM, a1, a2 in zip(qs, *columns):
             records.append(RatioRecord(2 * q + 1, t, q, r, F_PT, F_JCM, Fraction(F_PT, F_JCM),
                                        asymptote, second_ratio(a1, a2)))
     return records
@@ -150,16 +151,20 @@ def _differences(values: Sequence[int]) -> list[int]:
     return table
 
 
-def _extended(values: Sequence[int], n: int) -> Iterator[int]:
+def _extended(values: Sequence[int], n: int) -> list[int]:
     """The first n values, at consecutive q, of the integer polynomial of degree below
     len(values) that starts with ``values`` (which come back first, exactly).
 
-    A step to the next q adds c_(j+1) to each Newton coefficient c_j (``_differences``).
+    From the top Newton coefficient (``_differences``) n times, each lower coefficient c
+    turns the column into its running sums from c: one ``accumulate`` pass, no step per point.
     """
-    table = _differences(values)
-    for _ in range(n):
-        yield table[0]
-        table[:-1] = map(operator.add, table, table[1:])
+    if n == 0:
+        return []
+    *lower, top = _differences(values)
+    column = [top] * n
+    for c in reversed(lower):
+        column = list(accumulate(column[:-1], initial=c))
+    return column
 
 
 _CSV_COLUMNS = (

@@ -306,7 +306,7 @@ def count_vectors(t: int, sizes: tuple[int, ...]) -> CountVectors:
     per (t, q), and ``_two_group_sizes`` builds those only to name a rejection.
     """
     types = _compositions(t, len(_two_group_sizes(sizes, t)))
-    # List comprehensions, not generators: ``analysis.sweep`` calls this once per (t, q).
+    # List comprehensions, not generators: ``verify.verify_claims`` calls this once per (t, q).
     F = tuple([math.prod(map(math.comb, sizes, v)) for v in types])
     per_set = tuple([tuple([f * v[i] // q for f, v in zip(F, types)]) for i, q in enumerate(sizes)])
     deltas = tuple([tuple(map(operator.sub, b, a)) for a, b in zip(per_set, per_set[1:])])

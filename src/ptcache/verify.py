@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -278,7 +279,7 @@ def ratio_expectation(t: int, q: int) -> Fraction:
     """
     weights, total = hypergeo_weights(q, t)
     r = t // 2
-    below = sum(2 * j * w for j, w in enumerate(weights[:r]))
+    below = 2 * sum(map(operator.mul, range(r), weights))
     return Fraction(below + t * sum(weights[r:]), t * total)
 
 

@@ -3,6 +3,8 @@ import importlib.util
 import io
 import itertools
 import json
+import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -184,6 +186,21 @@ class TestSweep:
         # sweep 24 + claims 160 + lemma 1 24 + remark 3 27
         assert (len(calls), len(checks), built) == (235, 235, [])
 
+    @pytest.mark.parametrize("q_max", [9, 400])
+    def test_f_jcm_read_at_the_seeds_only(self, monkeypatch, q_max):
+        """F_JCM has degree t in q, so a sweep reads ``f_jcm`` at its first t+1 points
+        of each t (all of them when there are fewer) and extends the rest."""
+        calls = []
+
+        def counted(K, t):
+            calls.append(t)
+            return f_jcm(K, t)
+
+        monkeypatch.setattr(analysis, "f_jcm", counted)
+        ts = (2, 4, 6, 8)
+        sweep(ts, q_max=q_max)
+        assert calls == [t for t in ts for _ in range(min(t + 1, q_max - t))]
+
     @pytest.mark.parametrize("t", [2, 4, 6, 8, 10, 12])
     def test_records_equal_the_per_point_owners(self, t):
         """Every record the difference table extends equals the one its point's owners
@@ -219,6 +236,21 @@ def test_ratios_equal_the_per_q_ratio(t):
     ]
     for qs in q_sets:
         assert ratios(qs, t) == [ratio(q, t) for q in qs], (t, qs)
+
+
+@pytest.mark.parametrize("degree", range(13))
+def test_extended_equals_the_newton_form(degree):
+    """``_extended`` gives sum_j c_j C(x, j) at x = 0 .. n-1 from the polynomial's first
+    degree+1 values, for mixed-sign coefficients and n from none through past the seeds."""
+    rng = random.Random(degree)
+    coefficients = [rng.choice((-1, 1)) * rng.randint(1, 10 ** 6) for _ in range(degree + 1)]
+
+    def direct(x):
+        return sum(c * math.comb(x, j) for j, c in enumerate(coefficients))
+
+    values = [direct(x) for x in range(degree + 1)]
+    for n in (0, 1, degree, degree + 1, degree + 6, 400):
+        assert analysis._extended(values, n) == [direct(x) for x in range(n)], n
 
 
 class TestSerialization:

@@ -19,6 +19,9 @@ SWEEP_CSV_SHA256 = "0f8e014c432b350656eb5a2617e615464e7e766ff4ac9d0093d8f9d99282
 # records_to_csv(sweep([10, 12, 16], q_max=200)), taken while every point still
 # read its own count_vectors: past t = 8, where the difference table is deeper
 SWEEP_WIDE_T_CSV_SHA256 = "d9d3d6f8d85f44101fa0d77515023dfd40b33bb163febcea97bad5d60f8aeae1"
+# `ptcache sweep --t 2,4,6,8 --q-max 9`, taken while F_JCM was still read per
+# point: t = 6 has 3 points and t = 8 one, fewer than their t+1 seeds
+SWEEP_SHORT_CSV_SHA256 = "e437db4fe0db69bb3a823cadf40f4fd83a6aae4da10e5d10ab8aea9c26be6245"
 # `ptcache sweep --t 2,4 --q-max 60 --format json`, taken while each JSON
 # record was still built by restating the column names
 SWEEP_JSON_SHA256 = "a0b8e169e50ec6123e99df74b0b54049ba99ee4223b0fa8a0224f0f7d3521cf0"
@@ -66,6 +69,14 @@ def test_sweep_csv_hash_past_t8():
     text = records_to_csv(sweep([10, 12, 16], q_max=200))
     assert text.count("\n") == 1 + 562
     assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_WIDE_T_CSV_SHA256
+
+
+def test_sweep_csv_hash_shorter_than_the_seeds(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--t", "2,4,6,8", "--q-max", "9", "--output", str(out)]) == 0
+    text = out.read_text()
+    assert text.count("\n") == 1 + 7 + 5 + 3 + 1
+    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_SHORT_CSV_SHA256
 
 
 def test_sweep_json_hash(tmp_path):
