@@ -5,7 +5,10 @@ F_PT = alpha . F packets: alpha and gamma from one ``derive`` per t, F from
 ``count_vectors(t, (q+1, q))``, which builds no parameter object for a point
 it accepts; the baseline uses t * C(K, t).  For fixed t the ratio
 falls strictly with q toward 1 - C(t, r) / 2^(t+1).  Counts stay integer;
-a ``Fraction`` is built only for a reported ratio, asymptote or gamma.
+a ``Fraction`` is built only for an asymptote (once per t), for what
+``ratio`` and ``ratios`` return, and when a record's ``ratio`` or ``gamma`` is
+read: a ``RatioRecord`` holds the integers, and the sweep's rows write them
+as p/q text (``ratio_str``).
 
 For fixed t, F_PT, F_JCM and the two memory terms are integer polynomials in
 q of degree at most t, so ``sweep`` reads the owners at q = t+1 .. 2t+1 only
@@ -26,8 +29,8 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from typing import Iterable, Iterator, Sequence
 
-from .scheme import (CountVectors, FsVectors, SystemParams, count_vectors, derive, frac_str,
-                     memory_terms, preset, second_ratio)
+from .scheme import (CountVectors, FsVectors, SystemParams, check_second_ratios, count_vectors,
+                     derive, frac_str, memory_terms, preset, ratio_str, second_ratio)
 
 
 @functools.cache
@@ -98,9 +101,14 @@ def gamma_terms(q: int, t: int) -> tuple[tuple[int, ...], int, int]:
     return delta, a1, a2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RatioRecord:
-    """One sweep point: subpacketization of both schemes plus exact ratios."""
+    """One sweep point: subpacketization of both schemes, the asymptote, and theorem 1's
+    two memory terms, the integers its exact ``ratio`` and ``gamma`` are read from.
+
+    Frozen; its ``__init__`` fills ``__dict__`` once, not one setattr per field,
+    as a sweep builds one record per point.
+    """
 
     K: int
     t: int
@@ -108,9 +116,24 @@ class RatioRecord:
     r: int
     F_PT: int
     F_JCM: int
-    ratio: Fraction
     asymptote: Fraction
-    gamma: Fraction
+    a1: int
+    a2: int
+
+    def __init__(self, K: int, t: int, q: int, r: int, F_PT: int, F_JCM: int,
+                 asymptote: Fraction, a1: int, a2: int):
+        self.__dict__.update(K=K, t=t, q=q, r=r, F_PT=F_PT, F_JCM=F_JCM,
+                             asymptote=asymptote, a1=a1, a2=a2)
+
+    @property
+    def ratio(self) -> Fraction:
+        """Exact F_PT / F_JCM."""
+        return Fraction(self.F_PT, self.F_JCM)
+
+    @property
+    def gamma(self) -> Fraction:
+        """The packet-size ratio -a1/a2 (``second_ratio``)."""
+        return second_ratio(self.a1, self.a2)
 
 
 def sweep(t_list: Sequence[int], q_max: int | None = None) -> list[RatioRecord]:
@@ -119,8 +142,9 @@ def sweep(t_list: Sequence[int], q_max: int | None = None) -> list[RatioRecord]:
     For each t, q runs from t+1 up to q_max (default t+50); no q is a ValueError.
     The first t+1 points seed F_PT and the memory terms (a1, a2) from one
     ``count_vectors`` each and F_JCM from ``f_jcm``; ``_extended`` carries the
-    four on exactly (each has degree at most t in q).  Per point only the
-    ratio's ``Fraction`` and gamma's ``second_ratio`` remain.
+    four on exactly (each has degree at most t in q).  ``check_second_ratios``
+    applies gamma's sign rule to every point before a record is built, so a point
+    ``second_ratio`` rejects raises here; a record holds the integers, no ``Fraction``.
     """
     records = []
     for t in sorted(set(t_list)):
@@ -136,9 +160,9 @@ def sweep(t_list: Sequence[int], q_max: int | None = None) -> list[RatioRecord]:
             seeds.append((_packets(counts, t), f_jcm(2 * q + 1, t),
                           *memory_terms(intermediate, counts.deltas[0])))
         columns = [_extended(column, len(qs)) for column in zip(*seeds)]
+        check_second_ratios(*columns[2:])
         for q, F_PT, F_JCM, a1, a2 in zip(qs, *columns):
-            records.append(RatioRecord(2 * q + 1, t, q, r, F_PT, F_JCM, Fraction(F_PT, F_JCM),
-                                       asymptote, second_ratio(a1, a2)))
+            records.append(RatioRecord(2 * q + 1, t, q, r, F_PT, F_JCM, asymptote, a1, a2))
     return records
 
 
@@ -181,6 +205,7 @@ def _rows(records: Iterable[RatioRecord]) -> Iterator[tuple]:
     """Each record's sweep row, one value per ``_CSV_COLUMNS`` entry; floats to 12 significant digits.
 
     The asymptote is formatted only when it is a new object (once per t in a sweep);
+    the ratio and gamma are written from the record's integers (``ratio_str``), and
     F_PT / F_JCM is correctly rounded, so it is the float of the exact ratio.
     """
     asymptote = None
@@ -189,8 +214,8 @@ def _rows(records: Iterable[RatioRecord]) -> Iterator[tuple]:
             asymptote = rec.asymptote
             asymptote_fields = frac_str(asymptote), f"{float(asymptote):.12g}"
         yield (rec.K, rec.t, rec.q, rec.r, rec.F_PT, rec.F_JCM,
-               frac_str(rec.ratio), f"{rec.F_PT / rec.F_JCM:.12g}", *asymptote_fields,
-               frac_str(rec.gamma))
+               ratio_str(rec.F_PT, rec.F_JCM), f"{rec.F_PT / rec.F_JCM:.12g}", *asymptote_fields,
+               ratio_str(-rec.a1, rec.a2))
 
 
 def records_to_csv(records: Iterable[RatioRecord]) -> str:

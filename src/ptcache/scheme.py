@@ -366,6 +366,15 @@ def second_ratio(a1: int, a2: int) -> Fraction:
     return Fraction(-a1, a2)
 
 
+def check_second_ratios(a1s: Sequence[int], a2s: Sequence[int]) -> None:
+    """``second_ratio``'s rule at every (a1, a2) pair, in order, with no ``Fraction`` built
+    for a pair it accepts: a1 * a2 < 0 holds exactly when a2 != 0 and -a1/a2 > 0.
+    The first pair it rejects raises ``second_ratio``'s error and message."""
+    if not all(map(operator.lt, map(operator.mul, a1s, a2s), itertools.repeat(0))):
+        for a1, a2 in zip(a1s, a2s):
+            second_ratio(a1, a2)
+
+
 @dataclass(frozen=True)
 class PacketSizing:
     """Integer per-coupled-group packet sizes, file length (units), and the ratios
@@ -462,6 +471,12 @@ class DerivedScheme:
 
 def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
+
+
+def ratio_str(n: int, d: int) -> str:
+    """``frac_str(Fraction(n, d))`` from the integers: one gcd, the sign carried by p."""
+    g = math.gcd(n, d) if d > 0 else -math.gcd(n, d)
+    return f"{n // g}/{d // g}"
 
 
 def derive(spec: SchemeSpec) -> DerivedScheme:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib.util
 import io
 import itertools
@@ -23,8 +24,8 @@ from ptcache.analysis import (
     sweep,
     theorem1_fs,
 )
-from ptcache.scheme import (PresetConstraintViolated, SystemParams, UnsupportedGrouping,
-                            UserGrouping, count_vectors, derive, preset)
+from ptcache.scheme import (DegenerateSystem, InvalidRatio, PresetConstraintViolated, SystemParams,
+                            UnsupportedGrouping, UserGrouping, count_vectors, derive, preset)
 from ptcache.verify import verify_remark3
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -221,6 +222,59 @@ class TestSweep:
     def test_odd_t_rejected(self):
         with pytest.raises(ValueError):
             sweep([3], q_max=5)
+
+    def test_record_contract(self):
+        """A record holds the integers of its exact values: ``ratio`` and ``gamma`` are
+        read from them, and it stays a frozen, hashable, comparable dataclass."""
+        records = sweep([2, 4, 6, 8], q_max=60)
+        for rec in records:
+            assert rec.ratio == Fraction(rec.F_PT, rec.F_JCM)
+            assert rec.gamma == scheme.second_ratio(rec.a1, rec.a2)
+        assert [f.name for f in dataclasses.fields(analysis.RatioRecord)] == [
+            "K", "t", "q", "r", "F_PT", "F_JCM", "asymptote", "a1", "a2"]
+        rec = records[7]
+        for name, value in (("q", 1), ("a1", 0), ("ratio", Fraction(1)), ("gamma", 1)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rec, name, value)
+        assert sweep([2, 4, 6, 8], q_max=60) == records
+        assert len(set(records)) == len(records)
+        assert dataclasses.replace(rec) == rec and hash(dataclasses.replace(rec)) == hash(rec)
+        moved = dataclasses.replace(rec, a1=2 * rec.a1)
+        assert moved != rec and moved.gamma == 2 * rec.gamma and moved.q == rec.q
+        assert repr(rec) == ("RatioRecord(" + ", ".join(
+            f"{f.name}={getattr(rec, f.name)!r}" for f in dataclasses.fields(rec)) + ")")
+
+    @pytest.mark.parametrize("tamper,error,match,first_bad", [
+        pytest.param(lambda x, a1, a2: (a1, 0 if x == 2 else a2), DegenerateSystem,
+                     r"^second coupled group has zero memory leverage$", 2, id="a2-zero-at-a-seed"),
+        pytest.param(lambda x, a1, a2: (-a1 if x == 1 else a1, a2), InvalidRatio,
+                     r"^packet size ratio -\d+/\d+ is not positive$", 1, id="one-sign-at-a-seed"),
+        # a1 = x - 30 over a2 = 1 reaches 0 at x = 30, a point the seeds only extend to
+        pytest.param(lambda x, a1, a2: (x - 30, 1), InvalidRatio,
+                     r"^packet size ratio 0 is not positive$", 30, id="zero-past-the-seeds"),
+    ])
+    def test_sign_rule_fires_at_sweep_time(self, monkeypatch, tamper, error, match, first_bad):
+        """With the memory terms tampered so that the point x = q - (t+1) = ``first_bad``
+        has a2 = 0 or a1 * a2 >= 0, ``sweep`` itself raises ``second_ratio``'s error and
+        message there (not a later CSV or JSON call), and the sweep that stops one point
+        short returns records whose gamma at each seed is ``second_ratio`` of its terms."""
+        t = 4
+        real = analysis.memory_terms
+        seen = []
+
+        def tampered(vectors, delta):
+            seen.append(tamper(len(seen), *real(vectors, delta)))
+            return seen[-1]
+
+        monkeypatch.setattr(analysis, "memory_terms", tampered)
+        records = sweep([t], q_max=t + first_bad)
+        assert len(records) == first_bad
+        assert [r.gamma for r in records[:len(seen)]] == [scheme.second_ratio(*ts) for ts in seen]
+        assert all(r.gamma > 0 for r in records)
+        seen.clear()
+        with pytest.raises(error, match=match) as caught:
+            sweep([t], q_max=t + 1 + first_bad)
+        assert caught.type is error
 
 
 @pytest.mark.parametrize("t", range(2, 13, 2))  # theorem 1 takes even t only

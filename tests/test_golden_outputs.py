@@ -25,6 +25,10 @@ SWEEP_SHORT_CSV_SHA256 = "e437db4fe0db69bb3a823cadf40f4fd83a6aae4da10e5d10ab8aea
 # `ptcache sweep --t 2,4 --q-max 60 --format json`, taken while each JSON
 # record was still built by restating the column names
 SWEEP_JSON_SHA256 = "a0b8e169e50ec6123e99df74b0b54049ba99ee4223b0fa8a0224f0f7d3521cf0"
+# `ptcache sweep --t 2,4,6,8 --q-max 400 --format json`: the benchmark's grid, whose
+# rows the JSON shares with the CSV; taken while each record still held its ratio
+# and gamma as Fractions
+SWEEP_GRID_JSON_SHA256 = "1108e270e5b141422d1c46f2e21c4be72cd620a493eadc6ff3cff30bbdec7cef"
 
 CONSTRUCT = [
     # preset, K, t, sha256 of the emitted JSON
@@ -84,6 +88,13 @@ def test_sweep_json_hash(tmp_path):
     assert main(["sweep", "--t", "2,4", "--q-max", "60", "--format", "json",
                  "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_JSON_SHA256
+
+
+def test_sweep_json_hash_over_the_benchmark_grid(tmp_path):
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "--t", "2,4,6,8", "--q-max", "400", "--format", "json",
+                 "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_GRID_JSON_SHA256
 
 
 @pytest.mark.parametrize("preset,K,t,sha", CONSTRUCT)

@@ -25,14 +25,18 @@ from ptcache.scheme import (
     TransmitterSelection,
     UnsupportedGrouping,
     UserGrouping,
+    check_second_ratios,
     count_vectors,
     derive,
     derive_types,
+    frac_str,
     fs_and_repeats,
     integer_packet_sizes,
     local_fs,
     memory_terms,
     preset,
+    ratio_str,
+    second_ratio,
     selections,
     solve_packet_ratio,
     _hill_daggers,
@@ -301,6 +305,23 @@ class TestPacketRatio:
         with pytest.raises(InvalidRatio):
             solve_packet_ratio(fs, counts)
 
+    def test_column_check_is_second_ratio_per_pair(self):
+        """``check_second_ratios`` accepts a pair exactly when ``second_ratio`` does, and
+        otherwise raises its error class and message, at a column's first rejected pair."""
+        for a1, a2 in itertools.product(range(-3, 4), repeat=2):
+            try:
+                second_ratio(a1, a2)
+            except (DegenerateSystem, InvalidRatio) as exc:
+                with pytest.raises(type(exc)) as caught:
+                    check_second_ratios([a1], [a2])
+                assert (caught.type, str(caught.value)) == (type(exc), str(exc)), (a1, a2)
+            else:
+                assert check_second_ratios([a1], [a2]) is None
+        with pytest.raises(InvalidRatio, match=r"^packet size ratio -2 is not positive$"):
+            check_second_ratios([-1, 2, 0, 1], [1, 1, 0, -1])
+        with pytest.raises(DegenerateSystem):
+            check_second_ratios([-1, 0, 2], [1, 0, 1])
+
 
 class TestIntegerSizes:
     def test_example_sizes(self):
@@ -415,6 +436,14 @@ class TestSerialization:
         a = derive(preset("theorem1", params(7, 2))).to_json()
         b = derive(preset("theorem1", params(7, 2))).to_json()
         assert a == b
+
+    def test_ratio_str_is_frac_str_of_the_fraction(self):
+        """``ratio_str(n, d)`` writes ``frac_str(Fraction(n, d))`` (lowest terms, the sign on
+        p) over a grid with n = 0, negative n, negative d and integers past 64 bits."""
+        grid = [0, 1, -1, 2, -3, 6, -12, 35, 2 ** 70, -(3 ** 45), 7 * 2 ** 64, -(6 * 2 ** 64)]
+        for n, d in itertools.product(grid, repeat=2):
+            if d:
+                assert ratio_str(n, d) == frac_str(Fraction(n, d)), (n, d)
 
 
 K7_T2_LAYOUT = derive_types(params(7, 2), UserGrouping((4, 3)))

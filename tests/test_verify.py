@@ -8,7 +8,7 @@ import pytest
 from ptcache import analysis, baseline, verify
 from ptcache.analysis import f_jcm, f_pt
 from ptcache.combinatorics import hypergeo_weights
-from ptcache.exchange import split_files
+from ptcache.exchange import schedule_of, split_files
 from ptcache.scheme import (
     CountVectors,
     PresetConstraintViolated,
@@ -18,7 +18,10 @@ from ptcache.scheme import (
     UnsupportedGrouping,
     UserGrouping,
     derive,
+    derive_types,
+    fs_and_repeats,
     preset,
+    selections,
     _hill_daggers,
 )
 from ptcache.verify import (
@@ -73,6 +76,32 @@ class TestEndToEnd:
             report = verify_end_to_end(d, kind, seed=0)
             assert report.passed, (kind, report.failure)
             assert (report.rate, report.message_count) == (3, 840)
+
+    def test_one_size_blueprint_in_the_papers_regime(self):
+        """At (K, t) = (2q+1, 2r) with q = 9, r = 3, one coupled group on grouping (13, 6)
+        with one packet size needs 103 740 packets and a file of as many units: theorem 1
+        needs 145 908 packets and 15 709 428 units, JCM 162 792.  Its plan is the only
+        selection with the FS vector (0,5,4,3,4,5,0); the schedule checks its layout and
+        each user's t*L/K cached units (the byte audit, about 2 s, is left out here)."""
+        p = SystemParams(K=19, t=6, N=19)
+        grouping = UserGrouping((13, 6))
+        layout = derive_types(p, grouping)
+        found = []
+        for plan in selections(layout):
+            try:
+                if fs_and_repeats(plan, layout)[0] == (0, 5, 4, 3, 4, 5, 0):
+                    found.append(plan)
+            except ValueError:
+                continue
+        assert found == [TransmitterSelection.from_lists(
+            [{1}, {0}, {1}, {1}, {0}, {0}, {1}, {0}])]
+        d = derive(SchemeSpec(p, grouping, (found[0],)))
+        assert (d.packets_per_file, d.sizing.ell, d.sizing.L) == (103740, (1,), 103740)
+        assert (f_jcm(19, 6), f_pt(9, 6)) == (162792, 145908)
+        assert derive(preset("theorem1", p)).sizing.L == 15709428
+        schedule = schedule_of(d)
+        assert schedule.offsets[-1] == d.sizing.L
+        assert schedule.cached_units == dict.fromkeys(range(1, 20), 6 * 103740 // 19)
 
     def test_even_K_instance_validity(self):
         report = verify_end_to_end(
