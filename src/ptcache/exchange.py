@@ -131,9 +131,10 @@ class DeliverySchedule:
         runs: list[tuple[int, int, int]] = []
         self.first: dict[int, dict[int, int]] = {g: {} for g in self.size_of}
         self.lacking: dict[int, dict[int, int]] = {g: {} for g in self.size_of}
+        bit = [1 << u for u in range(p.K + 1)]  # user u's bit
         for ti, v in enumerate(derivation.layout.subfile_types):
             for support in subsets_by_type(groups, v):
-                mask = sum(1 << u for u in support)
+                mask = sum(map(bit.__getitem__, support))
                 lack = ~mask  # one int, shared by the support's positions
                 start = len(entries)
                 for g, size in self.size_of.items():
@@ -165,7 +166,7 @@ class DeliverySchedule:
         }
         # By group type that a round sends and that has instances, its groups and their masks.
         groups_of = {
-            k: (members, tuple(sum(1 << u for u in m) for m in members))
+            k: (members, tuple(sum(map(bit.__getitem__, m)) for m in members))
             for k, s in enumerate(derivation.layout.group_types)
             if any(row[k] for row in derivation.repeats) and (members := subsets_by_type(groups, s))
         }
@@ -377,6 +378,8 @@ def generate_delivery(store: PacketStore, seed: int = 0) -> list[CodedMessage]:
 def _messages(store: PacketStore, seed: int) -> Iterator[CodedMessage]:
     """``stream_delivery``'s messages, for a checked seed."""
     schedule = store.schedule
+    bit = [1 << u for u in range(len(store.demands) + 1)]  # user u's bit
+    new = tuple.__new__  # a C call, where CodedMessage(...) runs a Python-level __new__
     # By user: its demand and that file's values, as a constituent carries them.
     file_of = [None] + [(n, store.values[n]) for n in store.demands]
     for g, groups, group_masks, receivers, sends in schedule.plans:
@@ -397,11 +400,14 @@ def _messages(store: PacketStore, seed: int) -> Iterator[CodedMessage]:
             carried = []
             for i, alpha, swaps in steps:
                 y = group[i]
-                pos = first[group_mask ^ (1 << y)]
-                order = list(range(pos, pos + alpha))
-                for k, m, w in swaps:
-                    j = words[w] % m
-                    order[k], order[j] = order[j], order[k]
+                pos = first[group_mask ^ bit[y]]
+                if swaps:
+                    order = list(range(pos, pos + alpha))
+                    for k, m, w in swaps:
+                        j = words[w] % m
+                        order[k], order[j] = order[j], order[k]
+                else:  # alpha = 1: the one position, no shuffle
+                    order = (pos,)
                 n, values = file_of[y]
                 carried.append((n, values, order))
             for a, repeat, served in sends:
@@ -412,11 +418,11 @@ def _messages(store: PacketStore, seed: int) -> Iterator[CodedMessage]:
                     pos = order[j]
                     payload ^= values[pos]
                     constituents.append((n, pos))
-                yield CodedMessage(
+                yield new(CodedMessage, (
                     g, group, group[a], repeat,
                     payload.to_bytes(size_bytes, "big"),
                     tuple(constituents),
-                )
+                ))
 
 
 def total_transmitted_units(messages: Iterable[CodedMessage], derivation: DerivedScheme) -> int:
@@ -529,10 +535,10 @@ def decode_residuals(store: PacketStore, messages: Iterable[CodedMessage]) -> di
                 total ^= values[pos]
             except TypeError:  # a position that is not an int, such as 3.0 or [3]
                 _reject_constituent(msg, n, pos, group_mask, masks, store)
-            unknowns.append((slots, pos, lack))
-        for slots, pos, lack in unknowns:
+            unknowns.append((slots, pos))
+        for slots, pos in unknowns:
             if slots[pos] is not None:
-                owner = lack.bit_length() - 1
+                owner = next(u for u, s in held.items() if s is slots)
                 raise DuplicateDelivery(
                     f"user {owner} decoded {_packet_id(store, demands[owner - 1], pos)} twice"
                 )
@@ -603,8 +609,6 @@ def _reject_constituent(
     )
 
 
-_HEAD = '{"round":%d,"group":[%s],'
-_LINE = '%s"transmitter":%d,"repeat":%d,"constituents":[%s],"payload_sha256":"%s"}'
 _BLOCK = 256  # transcript lines per write; 2048 cost 0.8 MB of peak RSS at K=17 t=4
 
 
@@ -615,27 +619,31 @@ def record_transcript(
 
     Each line is the compact ``json.dumps`` of ``{"round", "group",
     "transmitter", "repeat", "constituents": [{"file", "support",
-    "coupled_group", "index"}, ...], "payload_sha256"}``: one ``_LINE`` fill
-    of the ``(round, group)`` head, the transmitter, the repeat, one join of
-    the constituents and the payload hash.  The head is rebuilt only when a
+    "coupled_group", "index"}, ...], "payload_sha256"}``: one f-string of
+    the ``(round, group)`` head, the transmitter, the repeat, one join of the
+    constituents and the payload hash.  The head is rebuilt only when a
     message's round or group is not the same object as the last message's.
+    The round, the transmitter and the repeat are written as their ``str``,
+    which is their JSON when they are ints (``True`` is written ``True``).
     A constituent is the text of its file followed by the text of its flat
-    position, both built once from ``store``.  A position outside the layout
-    raises the decoder's ``UndecodableMessage`` once the earlier messages'
-    lines are written; a file the store never split is written as given (its
-    ``json.dumps``, or the JSON string of its ``repr`` where JSON has no form
-    for it, as for ``b"1"``), for ``decode_residuals`` to judge.  A file
-    equal (``==``, same hash) to a split file, as ``True`` or ``1.0`` is to
-    file 1, is written as that file's number, because the decoder also
-    compares files by ``==``.  Lines are written in blocks of ``_BLOCK``, one
-    newline after each, one join and one write per block; the last block
-    when the messages run out.
+    position, both built once from ``store``; a support's text is joined once
+    per entry of ``support_runs`` and shared by its positions.  A position
+    outside the layout raises the decoder's ``UndecodableMessage`` once the
+    earlier messages' lines are written; a file the store never split is
+    written as given (its ``json.dumps``, or the JSON string of its ``repr``
+    where JSON has no form for it, as for ``b"1"``), for ``decode_residuals``
+    to judge.  A file equal (``==``, same hash) to a split file, as ``True``
+    or ``1.0`` is to file 1, is written as that file's number, because the
+    decoder also compares files by ``==``.  Lines are written in blocks of
+    ``_BLOCK``, one newline after each, one join and one write per block;
+    the last block when the messages run out.
     """
-    file_text = {n: '{"file":%d,' % n for n in store.files}
-    packet_text = [
-        '"support":[%s],"coupled_group":%d,"index":%d}' % (",".join(map(str, support)), g, j)
-        for support, g, j, _ in store.template
-    ]
+    file_text = {n: f'{{"file":{n},' for n in store.files}
+    template = store.template
+    packet_text = []
+    for _, start, stop in store.schedule.support_runs:  # one support join per support set
+        support = f'"support":[{",".join(map(str, template[start][0]))}],"coupled_group":'
+        packet_text += [f'{support}{g},"index":{j}}}' for _, g, j, _ in template[start:stop]]
     sha256 = hashlib.sha256
     rnd = group = object()  # no message's round or group: the first message builds the head
     block = []
@@ -647,8 +655,8 @@ def record_transcript(
         except (KeyError, IndexError, TypeError):
             # Kept apart from the fast loop: one loop with dict.get, or a dict with __missing__,
             # ran 2.5-5.4% slower on the K=17 t=4 transcript (median of 40 interleaved pairs).
-            # A file is its json.dumps (%d rejects "1" and None); on a position outside the
-            # layout, the lines so far are written, not this one.
+            # A file is its json.dumps (its str() would write "1" and None bare); on a position
+            # outside the layout, the lines so far are written, not this one.
             parts = []
             for n, pos in m.constituents:
                 if not (isinstance(pos, int) and 0 <= pos < len(packet_text)):
@@ -658,9 +666,9 @@ def record_transcript(
                 parts.append('{"file":%s,' % json.dumps(n, default=repr) + packet_text[pos])
         if m.round is not rnd or m.group is not group:
             rnd, group = m.round, m.group
-            head = _HEAD % (rnd, ",".join(map(str, group)))
-        block.append(_LINE % (head, m.transmitter, m.repeat, ",".join(parts),
-                              sha256(m.payload).hexdigest()))
+            head = f'{{"round":{rnd},"group":[{",".join(map(str, group))}],"transmitter":'
+        block.append(f'{head}{m.transmitter},"repeat":{m.repeat},"constituents":[{",".join(parts)}],'
+                     f'"payload_sha256":"{sha256(m.payload).hexdigest()}"}}')
         if len(block) == _BLOCK:
             block.append("")  # the join then ends the block with a newline
             fh.write("\n".join(block))

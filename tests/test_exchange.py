@@ -885,6 +885,87 @@ class TestTampering:
         assert hashlib.sha256(transcript.read_bytes()).hexdigest() == transcript_sha
 
 
+def two_faults(store, msgs, case):
+    """``msgs`` with two faults at once, named by ``case`` (see ``PRECEDENCE``).
+
+    The first message is round 1 of group (1, 5, 6) from transmitter 1, with
+    constituents c0 = (5, 2) for user 5 and c1 = (6, 0) for user 6; c1
+    misfiled names file 7, which user 6 does not demand.
+    """
+    m = msgs[0]
+    c0, c1 = m.constituents
+    misfiled = (c1[0] % 7 + 1, c1[1])
+    longer = m.payload + b"\0"
+
+    def first(**fields):
+        return [m._replace(**fields)] + msgs[1:]
+
+    return {
+        "duplicate_before_misfiled": first(constituents=(c0, c0, misfiled)),
+        "misfiled_before_duplicate": first(constituents=(c0, misfiled, c0)),
+        "transmitter_outside_and_longer": first(transmitter=99, payload=longer),
+        "unknown_round_and_longer": first(round=3, payload=longer),
+        "longer_and_misfiled": first(payload=longer, constituents=(c0, misfiled)),
+        "negative_member_and_transmitter_outside": first(group=(-1,) + m.group, transmitter=99),
+        "outside_layout_misfiled": first(constituents=((7, len(store.template)), c1)),
+        "transmitter_outside_and_misfiled": first(transmitter=99, constituents=(c0, misfiled)),
+        # the first message again, with one payload bit flipped
+        "resent_and_flipped": msgs + [m._replace(payload=bytes([m.payload[0] ^ 1]) + m.payload[1:])],
+        # the first message misfiled, and the last one gone
+        "dropped_and_misfiled": first(constituents=(c0, misfiled))[:-1],
+    }[case]
+
+
+PRECEDENCE = [
+    # case, the error the decoder names, its message
+    ("duplicate_before_misfiled", UndecodableMessage,
+     r"a member of group \(1, 5, 6\) lacks two constituents of one message"),
+    ("misfiled_before_duplicate", UndemandedPacket,
+     r"user 6 decoded \(7, \(1, 5\), 1, 1\) outside its demand"),
+    ("transmitter_outside_and_longer", UndecodableMessage,
+     r"transmitter 99 is not a member of group \(1, 5, 6\)"),
+    ("unknown_round_and_longer", UndecodableMessage, r"round 3 is not a round 1\.\.2"),
+    ("longer_and_misfiled", PayloadSizeMismatch,
+     r"round 1 payload of transmitter 1 in group \(1, 5, 6\) has 2 bytes, expected 1"),
+    ("negative_member_and_transmitter_outside", UndecodableMessage,
+     r"member -1 of group \(-1, 1, 5, 6\) is not a user"),
+    ("outside_layout_misfiled", UndecodableMessage, r"\(7, 36\) is not a packet of the layout"),
+    ("transmitter_outside_and_misfiled", UndecodableMessage,
+     r"transmitter 99 is not a member of group \(1, 5, 6\)"),
+    ("resent_and_flipped", DuplicateDelivery, r"user 5 decoded \(5, \(1, 6\), 1, 1\) twice"),
+    ("dropped_and_misfiled", UndemandedPacket,
+     r"user 6 decoded \(7, \(1, 5\), 1, 1\) outside its demand"),
+]
+
+
+class TestErrorPrecedence:
+    """A message with two faults names the one the decoder checks first.
+
+    The decoder checks, in this order: the group's members, the transmitter,
+    the round and then the payload size, then each constituent in message
+    order (outside the layout or round, then its owner, then its file, then
+    an owner already seen); a packet decoded twice after the whole message,
+    and a packet never decoded after the last one.  The pins were taken
+    before the decoder kept only ``(slots, position)`` per constituent.
+    """
+
+    @pytest.mark.parametrize("case,error,reason", PRECEDENCE, ids=[c for c, _, _ in PRECEDENCE])
+    def test_first_fault_named(self, example1, case, error, reason):
+        _, store = example1
+        msgs = two_faults(store, generate_delivery(store, seed=0), case)
+        with pytest.raises(error, match=reason):
+            decode_residuals(store, msgs)
+
+    def test_streamed_messages_are_coded_messages(self, example1):
+        _, store = example1
+        m = next(stream_delivery(store, seed=0))
+        assert type(m) is CodedMessage
+        assert m == CodedMessage(*m)
+        bad = m._replace(transmitter=99)
+        assert type(bad) is CodedMessage
+        assert (bad.transmitter, bad[:2] + bad[3:]) == (99, m[:2] + m[3:])
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(-(2**63), 2**63 - 1), data=st.data())
 def test_nonzero_residual_iff_assembled_file_differs(example1, seed, data):

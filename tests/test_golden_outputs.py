@@ -5,10 +5,14 @@ The sweep CSV and construct hashes were taken while `analysis` still kept its
 own copy of the subfile-count formula, and the verify hashes but the
 `--claims` one while `verify` still kept its own copies of F_PT, F_JCM and
 α·F.  Any change to a count, γ, a ratio, a witness or the output format
-shows up here.
+shows up here.  The CI's installed-script step restates some of these hashes
+as literals; the last two tests check those literals against `cli.main`.
 """
 
 import hashlib
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -111,3 +115,22 @@ def test_verify_hash(tmp_path, flags, sha):
     out = tmp_path / "checks.json"
     assert main(["verify", *flags.split(), "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
+
+
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+# The CI's installed-script step: test "$(ptcache ARGS | sha256sum)" = \ "HASH  -"
+CI_HASH = re.compile(r'test "\$\(ptcache ([^|]+?) \| sha256sum\)" = \\\n\s*"([0-9a-f]{64})  -"')
+CI_PINS = CI_HASH.findall(WORKFLOW.read_text(encoding="utf-8"))
+
+
+def test_every_ci_hash_line_is_parsed():
+    """Each `| sha256sum)` line of the workflow is one the pin test below checks."""
+    assert len(CI_PINS) == WORKFLOW.read_text(encoding="utf-8").count("| sha256sum)") == 7
+
+
+@pytest.mark.parametrize("args,sha", CI_PINS, ids=[args for args, _ in CI_PINS])
+def test_ci_hash_literal_is_the_outputs(capsys, args, sha):
+    """The literal the CI compares an installed ``ptcache ARGS`` with is the hash of
+    what ``cli.main(ARGS)`` writes to stdout, so the two copies cannot drift."""
+    assert main(shlex.split(args)) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha

@@ -82,7 +82,8 @@ class TestEndToEnd:
         with one packet size needs 103 740 packets and a file of as many units: theorem 1
         needs 145 908 packets and 15 709 428 units, JCM 162 792.  Its plan is the only
         selection with the FS vector (0,5,4,3,4,5,0); the schedule checks its layout and
-        each user's t*L/K cached units (the byte audit, about 2 s, is left out here)."""
+        each user's t*L/K cached units, and the byte audit delivers every file at rate 13/6
+        in 224 770 messages."""
         p = SystemParams(K=19, t=6, N=19)
         grouping = UserGrouping((13, 6))
         layout = derive_types(p, grouping)
@@ -102,6 +103,9 @@ class TestEndToEnd:
         schedule = schedule_of(d)
         assert schedule.offsets[-1] == d.sizing.L
         assert schedule.cached_units == dict.fromkeys(range(1, 20), 6 * 103740 // 19)
+        report = verify_end_to_end(d, "distinct", 0)
+        assert report.passed, report.failure
+        assert (report.rate, report.message_count) == (Fraction(13, 6), 224770)
 
     def test_even_K_instance_validity(self):
         report = verify_end_to_end(
